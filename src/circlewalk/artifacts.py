@@ -5,6 +5,7 @@ and a dependency-free SVG line chart for quick looks at training curves.
 from __future__ import annotations
 
 import json
+import os
 import time
 
 import numpy as np
@@ -40,16 +41,25 @@ def load_params(path) -> Params:
         if magic != PARAMS_MAGIC:
             raise ValueError(f"{path}: not a parameter file (bad magic)")
         header = json.loads(fh.readline().decode())
+        if not (isinstance(header, dict)
+                and all(type(header.get(k)) is int and header[k] > 0 for k in ("K", "M"))):
+            raise ValueError(f"{path}: header needs positive integer K and M")
         K, M = header["K"], header["M"]
         shapes = {"V": (K, K), "W11": (K, K), "W12": (K, M),
                   "W21": (M, K), "W22": (M, M)}
+        # size check first, so a bad header cannot request a huge read
+        payload = os.fstat(fh.fileno()).st_size - fh.tell()
+        expected = 8 * sum(r * c for r, c in shapes.values())
+        if payload < expected:
+            raise ValueError(f"{path}: truncated ({payload} payload bytes, "
+                             f"the header needs {expected})")
+        if payload > expected:
+            raise ValueError(f"{path}: {payload - expected} trailing bytes "
+                             "after the last block")
         blocks = {}
         for name in _BLOCK_ORDER:
-            n = shapes[name][0] * shapes[name][1]
-            buf = fh.read(8 * n)
-            if len(buf) != 8 * n:
-                raise ValueError(f"{path}: truncated block {name}")
-            blocks[name] = np.frombuffer(buf, dtype="<f8").reshape(shapes[name]).copy()
+            r, c = shapes[name]
+            blocks[name] = np.frombuffer(fh.read(8 * r * c), dtype="<f8").reshape(r, c).copy()
     return Params(init=header.get("init", "zero"), sigma=header.get("sigma", 0.0),
                   **blocks)
 
@@ -99,49 +109,52 @@ def write_manifest(path, command: str, config: dict, seeds: dict,
 
 def svg_line_chart(series: dict[str, tuple[np.ndarray, np.ndarray]], path,
                    title: str = "", width: int = 640, height: int = 400) -> None:
-    """Static polyline chart; finite points only, one color per series."""
+    """Static polyline chart; finite points only, one color per series.
+    A series with a single finite point is drawn as a dot; with no finite
+    points at all the chart is the bare axes."""
     colors = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
     pad = 50
-    xs_all, ys_all = [], []
     clean: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for name, (x, y) in series.items():
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         keep = np.isfinite(x) & np.isfinite(y)
-        if keep.sum() >= 2:
+        if keep.any():
             clean[name] = (x[keep], y[keep])
-            xs_all.append(x[keep])
-            ys_all.append(y[keep])
-    if not clean:
-        raise ValueError("no finite series to plot")
-    xmin = min(float(x.min()) for x, _ in clean.values())
-    xmax = max(float(x.max()) for x, _ in clean.values())
-    ymin = min(float(y.min()) for _, y in clean.values())
-    ymax = max(float(y.max()) for _, y in clean.values())
-    xspan = (xmax - xmin) or 1.0
-    yspan = (ymax - ymin) or 1.0
-
-    def sx(v):
-        return pad + (v - xmin) / xspan * (width - 2 * pad)
-
-    def sy(v):
-        return height - pad - (v - ymin) / yspan * (height - 2 * pad)
-
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width // 2}" y="20" text-anchor="middle" font-size="14">{title}</text>',
         f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" y2="{height - pad}" stroke="black"/>',
         f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" stroke="black"/>',
-        f'<text x="{pad}" y="{height - pad + 16}" font-size="10">{xmin:g}</text>',
-        f'<text x="{width - pad}" y="{height - pad + 16}" text-anchor="end" font-size="10">{xmax:g}</text>',
-        f'<text x="{pad - 4}" y="{height - pad}" text-anchor="end" font-size="10">{ymin:g}</text>',
-        f'<text x="{pad - 4}" y="{pad + 4}" text-anchor="end" font-size="10">{ymax:g}</text>',
     ]
+    if clean:
+        xmin = min(float(x.min()) for x, _ in clean.values())
+        xmax = max(float(x.max()) for x, _ in clean.values())
+        ymin = min(float(y.min()) for _, y in clean.values())
+        ymax = max(float(y.max()) for _, y in clean.values())
+        xspan = (xmax - xmin) or 1.0
+        yspan = (ymax - ymin) or 1.0
+
+        def sx(v):
+            return pad + (v - xmin) / xspan * (width - 2 * pad)
+
+        def sy(v):
+            return height - pad - (v - ymin) / yspan * (height - 2 * pad)
+
+        parts += [
+            f'<text x="{pad}" y="{height - pad + 16}" font-size="10">{xmin:g}</text>',
+            f'<text x="{width - pad}" y="{height - pad + 16}" text-anchor="end" font-size="10">{xmax:g}</text>',
+            f'<text x="{pad - 4}" y="{height - pad}" text-anchor="end" font-size="10">{ymin:g}</text>',
+            f'<text x="{pad - 4}" y="{pad + 4}" text-anchor="end" font-size="10">{ymax:g}</text>',
+        ]
     for idx, (name, (x, y)) in enumerate(clean.items()):
-        pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, y))
         color = colors[idx % len(colors)]
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+        if len(x) == 1:
+            parts.append(f'<circle cx="{sx(x[0]):.2f}" cy="{sy(y[0]):.2f}" r="3" fill="{color}"/>')
+        else:
+            pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, y))
+            parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(f'<text x="{width - pad}" y="{pad + 14 * (idx + 1)}" '
                      f'text-anchor="end" font-size="11" fill="{color}">{name}</text>')
     parts.append("</svg>")

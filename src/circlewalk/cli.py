@@ -3,7 +3,7 @@
 Subcommands: gen (datasets), train (GD runs with artifacts), eval (stored
 params on a fresh test set), check (run + theory report), qa (question
 tasks), spectra (matrix-structure suite).  Exit codes: 0 success, 1 a
-theory check failed, 2 config or IO error.
+theory check failed, 2 a config, IO or any other error.
 
 Configs are JSON files whose keys mirror TrainConfig; named recipes
 preset the experiment configurations from the accompanying study.
@@ -24,7 +24,7 @@ from . import artifacts, theorycheck, walkgen
 from .markov import (decay_bound_report, eigen_action_check, gamma_dominance_report,
                      shift_identities_check, transition_matrix)
 from .posembed import build_positional
-from .trainer import TrainConfig, config_dict, evaluate, first_step_oracle_v, train
+from .trainer import TrainConfig, config_dict, evaluate, train
 from .walkgen import WalkConfig, export_dataset, make_dataset
 
 RECIPES: dict[str, dict] = {
@@ -74,8 +74,6 @@ def _load_train_config(args) -> TrainConfig:
         fields.update(loaded)
     if getattr(args, "seed", None) is not None:
         fields["seed"] = args.seed
-    if getattr(args, "deterministic", None) is not None:
-        fields["deterministic_reduction"] = args.deterministic
     if "snapshot_iters" in fields and fields["snapshot_iters"] is not None:
         fields["snapshot_iters"] = tuple(fields["snapshot_iters"])
     known = {f.name for f in dataclasses.fields(TrainConfig)}
@@ -98,8 +96,8 @@ def cmd_gen(args) -> int:
     started = time.time()
     out = _outdir(args)
     cfg = WalkConfig(K=args.K, p=args.p, N=args.N, M=args.M)
-    episodes = make_dataset(cfg, args.count, seed=args.seed)
-    export_dataset(episodes, out / "dataset.txt", cfg, args.seed)
+    states = make_dataset(cfg, args.count, seed=args.seed)
+    export_dataset(states, out / "dataset.txt", cfg, args.seed)
     artifacts.write_manifest(out / "manifest.json", "gen",
                              dict(K=args.K, p=args.p, N=args.N, M=args.M,
                                   count=args.count),
@@ -139,16 +137,20 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     started = time.time()
     cfg = _load_train_config(args)
-    params = artifacts.load_params(args.params)
+    try:
+        params = artifacts.load_params(args.params)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     wc = cfg.walk_config()
+    if params.K != wc.K or params.M < wc.N:
+        raise ConfigError(f"params have K={params.K}, M={params.M}; the config "
+                          f"needs K={wc.K} and M >= N={wc.N}")
     pos = build_positional(params.M, wc.N)
     if cfg.qa_task is not None:
-        test = walkgen.qa_dataset(cfg.qa_task, cfg.test_size, seed=cfg.seed + 1)
-        states = np.stack([ep.states for ep in test])
+        states = walkgen.qa_dataset(cfg.qa_task, cfg.test_size, seed=cfg.seed + 1)
         tm = None
     else:
-        states = np.stack([ep.states for ep in make_dataset(wc, cfg.test_size,
-                                                            seed=cfg.seed + 1)])
+        states = make_dataset(wc, cfg.test_size, seed=cfg.seed + 1)
         tm = transition_matrix(wc.K, wc.p)
     row = evaluate(params, states, states[:, -1], pos, tm, cfg.eps,
                    normalize=cfg.normalize_attention)
@@ -279,14 +281,6 @@ def cmd_spectra(args) -> int:
     return 0 if not failures else 1
 
 
-def _bool(text: str) -> bool:
-    if text.lower() in ("1", "true", "yes", "on"):
-        return True
-    if text.lower() in ("0", "false", "no", "off"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="circlewalk",
                                      description=__doc__.strip().splitlines()[0])
@@ -296,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default="out", help="artifact directory")
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--config", default=None, help="JSON config file")
-        sp.add_argument("--deterministic", type=_bool, default=None)
         if recipe:
             sp.add_argument("--recipe", default=None,
                             help=f"one of: {', '.join(sorted(RECIPES))}")
@@ -350,6 +343,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # exit 1 is reserved for a failed theory check
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Params, forward, loss_value
-from .posembed import PositionalMatrix, augment, normalize_columns
+from .posembed import PositionalMatrix
 
-__all__ = ["Grads", "BatchGrad", "grad_example", "grad_batch", "fd_grad", "accumulate"]
+__all__ = ["Grads", "BatchGrad", "attention", "grad_example", "grad_batch", "fd_grad"]
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class Grads:
 
 @dataclass(frozen=True)
 class BatchGrad:
-    """Weighted-average gradient over a batch plus per-example diagnostics."""
+    """Uniform-average gradient over a batch plus per-example diagnostics."""
 
     grads: Grads
     loss: float
@@ -45,7 +45,7 @@ class BatchGrad:
     lprimes: np.ndarray
 
 
-def _column_norms(K: int, M: int, N: int, pos: PositionalMatrix, normalize: bool) -> np.ndarray:
+def _column_norms(N: int, pos: PositionalMatrix, normalize: bool) -> np.ndarray:
     """Norms of the augmented columns [x_j; p_j]; ones when not normalizing."""
     if not normalize:
         return np.ones(N)
@@ -62,7 +62,7 @@ def grad_example(params: Params, X: np.ndarray, y: int, pos: PositionalMatrix,
     lp = -1.0 / (float(out.f[y - 1]) + eps)
     K, M = params.K, params.M
     N = X.shape[1]
-    c = _column_norms(K, M, N, pos, normalize)
+    c = _column_norms(N, pos, normalize)
 
     u = params.V.T @ _unit(K, y)
     q = X.T @ u  # q_N = 0 automatically: x_N = 0
@@ -81,10 +81,31 @@ def grad_example(params: Params, X: np.ndarray, y: int, pos: PositionalMatrix,
     )
 
 
+def attention(params: Params, states: np.ndarray, pos: PositionalMatrix,
+              normalize: bool = False) -> np.ndarray:
+    """Attention weights S (B, N) for a (B, N) state array.
+
+    The query column carries no token, so the logits need only W12 p_N,
+    gathered by state, and P^T W22 p_N, shared by every episode.  Raises
+    FloatingPointError on non-finite logits.
+    """
+    states = np.asarray(states)
+    B, N = states.shape
+    c = _column_norms(N, pos, normalize)
+    pNh = pos.P[:, -1] / c[-1]
+    wtok = params.W12 @ pNh  # (K,)
+    zpos = (pos.P.T @ (params.W22 @ pNh)) / c  # (N,)
+    z = np.tile(zpos, (B, 1))
+    z[:, :-1] += wtok[states[:, :-1] - 1] / c[:-1]
+    if not np.all(np.isfinite(z)):
+        raise FloatingPointError("non-finite attention logits")
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def grad_batch(params: Params, states: np.ndarray, labels: np.ndarray,
-               pos: PositionalMatrix, eps: float, normalize: bool = False,
-               weights: np.ndarray | None = None) -> BatchGrad:
-    """Weighted-average gradient over a batch of episodes.
+               pos: PositionalMatrix, eps: float, normalize: bool = False) -> BatchGrad:
+    """Uniform-average gradient over a batch of episodes.
 
     Never materializes per-example W-blocks: the token- and position-side
     sums are accumulated first and a single outer product with p_N closes
@@ -94,21 +115,10 @@ def grad_batch(params: Params, states: np.ndarray, labels: np.ndarray,
     labels = np.asarray(labels)
     B, N = states.shape
     K, M = params.K, params.M
-    if weights is None:
-        weights = np.full(B, 1.0 / B)
-    weights = np.asarray(weights, dtype=float)
-    c = _column_norms(K, M, N, pos, normalize)
+    weights = np.full(B, 1.0 / B)
+    c = _column_norms(N, pos, normalize)
     pNh = pos.P[:, -1] / c[-1]
-
-    # logits: token part gathers W12 p_N by state; position part is shared
-    wtok = params.W12 @ pNh  # (K,)
-    zpos = (pos.P.T @ (params.W22 @ pNh)) / c  # (N,)
-    z = np.tile(zpos, (B, 1))
-    z[:, :-1] += wtok[states[:, :-1] - 1] / c[:-1]
-    if not np.all(np.isfinite(z)):
-        raise FloatingPointError("non-finite attention logits")
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    S = e / e.sum(axis=1, keepdims=True)
+    S = attention(params, states, pos, normalize)
 
     q = np.zeros((B, N))
     q[:, :-1] = params.V[labels - 1][np.arange(B)[:, None], states[:, :-1] - 1]
@@ -136,18 +146,6 @@ def grad_batch(params: Params, states: np.ndarray, labels: np.ndarray,
     )
     return BatchGrad(grads=grads, loss=float(weights @ losses),
                      lprime_mean=float(weights @ lp), lprimes=lp)
-
-
-def accumulate(grads: list[Grads], weights: np.ndarray | None = None) -> Grads:
-    """Weighted sum of per-example gradients (uniform 1/B by default)."""
-    if not grads:
-        raise ValueError("need at least one gradient")
-    if weights is None:
-        weights = np.full(len(grads), 1.0 / len(grads))
-    blocks = {}
-    for name in ("gV", "gW11", "gW12", "gW21", "gW22"):
-        blocks[name] = sum(w * getattr(g, name) for w, g in zip(weights, grads))
-    return Grads(**blocks)
 
 
 def fd_grad(params: Params, X: np.ndarray, y: int, pos: PositionalMatrix,

@@ -12,9 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .gradients import attention
 from .model import Params
 from .posembed import PositionalMatrix, build_positional
-from .trainer import TrainConfig, TrainTrace, batch_forward, first_step_oracle_v
+from .trainer import TrainConfig, TrainTrace, first_step_oracle_v
+from .walkgen import enumerate_deterministic
 
 __all__ = [
     "decompose_v", "toeplitz_check", "band_argmax_check", "rate_fit",
@@ -186,15 +188,13 @@ class DeterministicReport:
 
 
 def check_deterministic_theorem(trace: TrainTrace, tol: float = 1e-12) -> DeterministicReport:
-    from .walkgen import enumerate_deterministic, states_matrix
-
     cfg = trace.config
     if cfg.grad_mode != "population":
         raise ValueError("deterministic report requires a population-mode trace")
     wc = cfg.walk_config()
     r = wc.require_deterministic_theory()
     pos = build_positional(cfg.M, wc.N)
-    states = states_matrix(enumerate_deterministic(wc))
+    states = enumerate_deterministic(wc)
 
     items: dict[str, str] = {}
     acc_err = float(np.max(np.abs(trace.series("accuracy") - 1.0 / wc.K)))
@@ -207,7 +207,7 @@ def check_deterministic_theorem(trace: TrainTrace, tol: float = 1e-12) -> Determ
         vmax = float(np.max(np.abs(snap.V)))
         if vmax > 0:
             v_resid = max(v_resid, float(snap.V.max() - snap.V.min()) / vmax)
-        S, _ = batch_forward(snap, states, pos, normalize=cfg.normalize_attention)
+        S = attention(snap, states, pos, cfg.normalize_attention)
         body = S[:, :-1]
         s_resid = max(s_resid, float(np.max(body.max(axis=1) - body.min(axis=1))))
         wmax = float(np.max(np.abs(snap.W12)))
@@ -253,7 +253,7 @@ def attention_separation_check(params: Params, states: np.ndarray,
                                normalize: bool = False) -> SeparationResult:
     states = np.asarray(states)
     N = states.shape[1]
-    S, _ = batch_forward(params, states, pos, normalize=normalize)
+    S = attention(params, states, pos, normalize)
     # recover logit gaps from the softmax (shift-invariant): log S works
     logS = np.log(S)
     others = np.delete(logS, N - 2, axis=1)

@@ -13,17 +13,15 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import walkgen
-from .gradients import Grads, grad_batch
+from .gradients import Grads, attention, grad_batch
 from .markov import TransitionMatrix, transition_matrix
 from .model import Params
 from .posembed import PositionalMatrix, build_positional
-from .walkgen import WalkConfig, make_dataset, enumerate_deterministic, states_matrix
+from .walkgen import WalkConfig, make_dataset, enumerate_deterministic
 
 __all__ = [
     "TrainConfig", "MetricsRow", "TrainTrace",
-    "init_params", "step", "first_step_oracle_v",
-    "population_grad_deterministic", "empirical_grad",
-    "train", "evaluate", "batch_forward",
+    "init_params", "step", "first_step_oracle_v", "train", "evaluate",
 ]
 
 ZERO = "zero"
@@ -55,7 +53,6 @@ class TrainConfig:
     normalize_attention: bool = False
     seed: int = 0
     qa_task: str | None = None  # overrides K/p/N when set
-    deterministic_reduction: bool = True
     snapshot_iters: tuple[int, ...] | None = None  # default: 0,1,2,powers of 2,T
 
     def __post_init__(self):
@@ -63,6 +60,9 @@ class TrainConfig:
             raise ValueError("eta and eps must be positive")
         if self.iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
+        if self.train_size < 1 or self.test_size < 1:
+            raise ValueError(f"train_size and test_size must be >= 1, got "
+                             f"{self.train_size} and {self.test_size}")
         if self.init not in (ZERO, GAUSSIAN):
             raise ValueError(f"unknown init {self.init!r}")
         if self.grad_mode not in (EMPIRICAL, POPULATION):
@@ -154,59 +154,9 @@ def first_step_oracle_v(cfg: TrainConfig) -> np.ndarray:
     return cfg.eta / (cfg.eps * wc.N * wc.K) * acc
 
 
-def population_grad_deterministic(params: Params, cfg: TrainConfig,
-                                  pos: PositionalMatrix):
-    """Exact expected gradient: uniform average over the K enumerated walks."""
-    wc = cfg.walk_config()
-    eps_list = enumerate_deterministic(wc)
-    states = states_matrix(eps_list)
-    labels = states[:, -1]
-    weights = np.array([ep.weight for ep in eps_list])
-    return grad_batch(params, states, labels, pos, cfg.eps,
-                      normalize=cfg.normalize_attention, weights=weights)
-
-
-def empirical_grad(params: Params, states: np.ndarray, labels: np.ndarray,
-                   pos: PositionalMatrix, eps: float, normalize: bool = False):
-    """Uniform full-batch average over a fixed dataset."""
-    return grad_batch(params, states, labels, pos, eps, normalize=normalize)
-
-
-def batch_forward(params: Params, states: np.ndarray, pos: PositionalMatrix,
-                  normalize: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized forward pass over a batch of state paths.
-
-    Returns (S, f): attention weights (B, N) and outputs (B, K).
-    """
-    states = np.asarray(states)
-    B, N = states.shape
-    K = params.K
-    if normalize:
-        pn = np.linalg.norm(pos.P, axis=0)
-        c = np.sqrt(1.0 + pn**2)
-        c[-1] = pn[-1]
-    else:
-        c = np.ones(N)
-    pNh = pos.P[:, -1] / c[-1]
-    wtok = params.W12 @ pNh
-    zpos = (pos.P.T @ (params.W22 @ pNh)) / c
-    z = np.tile(zpos, (B, 1))
-    z[:, :-1] += wtok[states[:, :-1] - 1] / c[:-1]
-    if not np.all(np.isfinite(z)):
-        raise FloatingPointError("non-finite attention logits")
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    S = e / e.sum(axis=1, keepdims=True)
-    xs = np.zeros((B, K))
-    np.add.at(xs, (np.repeat(np.arange(B), N - 1), (states[:, :-1] - 1).ravel()),
-              S[:, :-1].ravel())
-    f = xs @ params.V.T
-    return S, f
-
-
 def evaluate(params: Params, states: np.ndarray, labels: np.ndarray,
              pos: PositionalMatrix, tm: TransitionMatrix | None, eps: float,
-             normalize: bool = False, it: int = 0, loss: float = float("nan"),
-             weights: np.ndarray | None = None) -> MetricsRow:
+             normalize: bool = False, it: int = 0, loss: float = float("nan")) -> MetricsRow:
     """Test-set metrics; the matrix-comparison fields are NaN when no
     transition matrix applies (QA tasks) or a norm vanishes (zero init)."""
     from .theorycheck import decompose_v
@@ -214,9 +164,12 @@ def evaluate(params: Params, states: np.ndarray, labels: np.ndarray,
     states = np.asarray(states)
     labels = np.asarray(labels)
     B, N = states.shape
-    if weights is None:
-        weights = np.full(B, 1.0 / B)
-    S, f = batch_forward(params, states, pos, normalize=normalize)
+    weights = np.full(B, 1.0 / B)
+    S = attention(params, states, pos, normalize)
+    xs = np.zeros((B, params.K))
+    np.add.at(xs, (np.repeat(np.arange(B), N - 1), (states[:, :-1] - 1).ravel()),
+              S[:, :-1].ravel())
+    f = xs @ params.V.T
     pred = np.argmax(f, axis=1) + 1  # first-max tie rule
     accuracy = float(weights @ (pred == labels))
     attn_parent = float(weights @ S[:, -2])
@@ -243,25 +196,17 @@ def evaluate(params: Params, states: np.ndarray, labels: np.ndarray,
 
 
 def _datasets(cfg: TrainConfig):
-    """(train_states, train_labels, test_states, test_labels, test_weights, tm)."""
+    """(train states, test states, transition matrix or None for QA)."""
     wc = cfg.walk_config()
     if cfg.qa_task is not None:
-        train = walkgen.qa_dataset(cfg.qa_task, cfg.train_size, seed=cfg.seed)
-        test = walkgen.qa_dataset(cfg.qa_task, cfg.test_size, seed=cfg.seed + 1)
-        tr = np.stack([ep.states for ep in train])
-        te = np.stack([ep.states for ep in test])
-        return tr, tr[:, -1], te, te[:, -1], None, None
+        return (walkgen.qa_dataset(cfg.qa_task, cfg.train_size, seed=cfg.seed),
+                walkgen.qa_dataset(cfg.qa_task, cfg.test_size, seed=cfg.seed + 1), None)
     tm = transition_matrix(wc.K, wc.p)
     if cfg.grad_mode == POPULATION:
-        eps_list = enumerate_deterministic(wc)
-        st = states_matrix(eps_list)
-        w = np.array([ep.weight for ep in eps_list])
-        return st, st[:, -1], st, st[:, -1], w, tm
-    train = make_dataset(wc, cfg.train_size, seed=cfg.seed)
-    test = make_dataset(wc, cfg.test_size, seed=cfg.seed + 1)
-    tr = states_matrix(train)
-    te = states_matrix(test)
-    return tr, tr[:, -1], te, te[:, -1], None, tm
+        states = enumerate_deterministic(wc)
+        return states, states, tm
+    return (make_dataset(wc, cfg.train_size, seed=cfg.seed),
+            make_dataset(wc, cfg.test_size, seed=cfg.seed + 1), tm)
 
 
 @dataclass
@@ -332,7 +277,7 @@ def _materialize_population(state: _PopulationState, wc: WalkConfig,
 
 
 def _train_population(cfg: TrainConfig, pos: PositionalMatrix,
-                      trace: TrainTrace, te_states, te_labels, te_weights, tm) -> TrainTrace:
+                      trace: TrainTrace, te_states, tm) -> TrainTrace:
     wc = cfg.walk_config()
     r = wc.require_deterministic_theory()
     state = _PopulationState()
@@ -344,9 +289,8 @@ def _train_population(cfg: TrainConfig, pos: PositionalMatrix,
         params = _materialize_population(state, wc, pos)
         if not np.isfinite(state.v):
             raise FloatingPointError(f"non-finite parameters at iteration {t}")
-        trace.rows.append(evaluate(params, te_states, te_labels, pos, tm, cfg.eps,
-                                   normalize=cfg.normalize_attention, it=t,
-                                   loss=loss, weights=te_weights))
+        trace.rows.append(evaluate(params, te_states, te_states[:, -1], pos, tm, cfg.eps,
+                                   normalize=cfg.normalize_attention, it=t, loss=loss))
         if t in schedule:
             trace.snapshots[t] = params
     return trace
@@ -359,7 +303,7 @@ def train(cfg: TrainConfig) -> TrainTrace:
     pos = build_positional(cfg.M, wc.N)
     init_rng = np.random.default_rng(cfg.seed + 2)
     params = init_params(cfg, rng=init_rng)
-    tr_states, tr_labels, te_states, te_labels, te_weights, tm = _datasets(cfg)
+    tr_states, te_states, tm = _datasets(cfg)
 
     trace = TrainTrace(config=cfg, seeds={"train": cfg.seed, "test": cfg.seed + 1,
                                           "init": cfg.seed + 2})
@@ -367,33 +311,25 @@ def train(cfg: TrainConfig) -> TrainTrace:
     if 0 in schedule:
         trace.snapshots[0] = params
     if cfg.iterations == 0:
-        trace.rows.append(evaluate(params, te_states, te_labels, pos, tm, cfg.eps,
-                                   normalize=cfg.normalize_attention, it=0,
-                                   weights=te_weights))
+        trace.rows.append(evaluate(params, te_states, te_states[:, -1], pos, tm, cfg.eps,
+                                   normalize=cfg.normalize_attention, it=0))
         return trace
 
     if cfg.grad_mode == POPULATION and cfg.init == ZERO:
-        return _train_population(cfg, pos, trace, te_states, te_labels,
-                                 te_weights, tm)
+        return _train_population(cfg, pos, trace, te_states, tm)
 
     resample_rng = np.random.default_rng(cfg.seed + 3)
-    pop_weights = None
-    if cfg.grad_mode == POPULATION:
-        pop_weights = np.full(tr_states.shape[0], 1.0 / tr_states.shape[0])
     for t in range(1, cfg.iterations + 1):
         if cfg.resample and cfg.grad_mode == EMPIRICAL and cfg.qa_task is None:
-            fresh = make_dataset(wc, cfg.train_size, rng=resample_rng)
-            tr_states = states_matrix(fresh)
-            tr_labels = tr_states[:, -1]
-        bg = grad_batch(params, tr_states, tr_labels, pos, cfg.eps,
-                        normalize=cfg.normalize_attention, weights=pop_weights)
+            tr_states = make_dataset(wc, cfg.train_size, rng=resample_rng)
+        bg = grad_batch(params, tr_states, tr_states[:, -1], pos, cfg.eps,
+                        normalize=cfg.normalize_attention)
         trace.lprimes.append(bg.lprime_mean)
         params = step(params, bg.grads, cfg.eta)
         if not (np.all(np.isfinite(params.V)) and np.all(np.isfinite(params.W22))):
             raise FloatingPointError(f"non-finite parameters at iteration {t}")
-        trace.rows.append(evaluate(params, te_states, te_labels, pos, tm, cfg.eps,
-                                   normalize=cfg.normalize_attention, it=t,
-                                   loss=bg.loss, weights=te_weights))
+        trace.rows.append(evaluate(params, te_states, te_states[:, -1], pos, tm, cfg.eps,
+                                   normalize=cfg.normalize_attention, it=t, loss=bg.loss))
         if t in schedule:
             trace.snapshots[t] = params
     return trace

@@ -1,29 +1,27 @@
 """Episode generators: circular random walks and the two QA tasks.
 
-States are 1-based node IDs in [1, K].  Token matrices are K x N with
-one-hot columns for positions 1..N-1 and an all-zero query column N.
+A batch of B episodes is a (B, N) int array of 1-based states in [1, K],
+one walk per row, whose last column is the label y = s_N.  QA questions
+use the same layout: word indices followed by the answer's index.  Token
+matrices are K x N with one-hot columns for positions 1..N-1 and an
+all-zero query column N.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "WalkConfig",
-    "Episode",
-    "QaVocabulary",
-    "QaEpisode",
-    "QA_VOCABULARY",
-    "sample_walk",
+    "QA_WORDS",
+    "QA_INDEX",
     "enumerate_deterministic",
     "make_dataset",
-    "states_matrix",
     "tokens_from_states",
-    "qa_sample",
     "qa_enumerate",
     "qa_dataset",
     "qa_symmetry_statistic",
@@ -75,24 +73,6 @@ class WalkConfig:
         return r
 
 
-@dataclass(frozen=True)
-class Episode:
-    """One walk: hidden states s_1..s_N, the label y = s_N, and an optional
-    probability weight (used by the enumerated deterministic population)."""
-
-    states: np.ndarray  # shape (N,), int, 1-based
-    K: int
-    weight: float = 1.0
-
-    @property
-    def label(self) -> int:
-        return int(self.states[-1])
-
-    def tokens(self) -> np.ndarray:
-        """K x N one-hot matrix with a zero query column."""
-        return tokens_from_states(self.states[None, :], self.K)[0]
-
-
 def tokens_from_states(states: np.ndarray, K: int) -> np.ndarray:
     """Batch of state paths (B, N) -> token tensors (B, K, N); the final
     column of every matrix is zero (the query slot carries no token)."""
@@ -105,18 +85,14 @@ def tokens_from_states(states: np.ndarray, K: int) -> np.ndarray:
     return X
 
 
-def sample_walk(cfg: WalkConfig, rng: np.random.Generator) -> Episode:
-    """Draw one episode: s_1 uniform on [K], then +-1 steps mod K."""
-    return make_dataset(cfg, 1, rng=rng)[0]
-
-
 def make_dataset(
     cfg: WalkConfig,
     count: int,
     seed: int | None = None,
     rng: np.random.Generator | None = None,
-) -> list[Episode]:
-    """`count` independent episodes from one seeded stream."""
+) -> np.ndarray:
+    """`count` independent walks from one seeded stream, as a (count, N)
+    state array: s_1 uniform on [K], then +-1 steps mod K."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if rng is None:
@@ -126,27 +102,17 @@ def make_dataset(
     raw = s1[:, None] + np.concatenate(
         [np.zeros((count, 1), dtype=np.int64), np.cumsum(steps, axis=1)], axis=1
     )
-    states = (raw - 1) % cfg.K + 1
-    return [Episode(states=states[i], K=cfg.K) for i in range(count)]
+    return (raw - 1) % cfg.K + 1
 
 
-def enumerate_deterministic(cfg: WalkConfig) -> list[Episode]:
-    """The K equiprobable walks of a p in {0,1} configuration, one per
-    starting node, each carrying weight 1/K."""
+def enumerate_deterministic(cfg: WalkConfig) -> np.ndarray:
+    """The K equiprobable walks of a p in {0,1} configuration as a (K, N)
+    state array, row i starting at node i + 1."""
     if not cfg.deterministic:
         raise ValueError(f"enumeration requires p in {{0, 1}}, got p={cfg.p}")
     step = 1 if cfg.p == 1.0 else -1
-    out = []
-    for s1 in range(1, cfg.K + 1):
-        raw = s1 + step * np.arange(cfg.N)
-        states = (raw - 1) % cfg.K + 1
-        out.append(Episode(states=states, K=cfg.K, weight=1.0 / cfg.K))
-    return out
-
-
-def states_matrix(episodes: list[Episode]) -> np.ndarray:
-    """Stack episode state paths into a (B, N) int array."""
-    return np.stack([ep.states for ep in episodes])
+    raw = np.arange(1, cfg.K + 1)[:, None] + step * np.arange(cfg.N)
+    return (raw - 1) % cfg.K + 1
 
 
 # ---------------------------------------------------------------------------
@@ -158,28 +124,11 @@ QA_WORDS = (
     "list", "appears", "most", "frequently", "sentence", "I", "prefer", "an",
     "to", "do",
 )
-
-
-@dataclass(frozen=True)
-class QaVocabulary:
-    """The 19-word vocabulary shared by both QA tasks, 1-based indices."""
-
-    words: tuple[str, ...] = QA_WORDS
-    index: dict = field(default_factory=lambda: {w: i + 1 for i, w in enumerate(QA_WORDS)})
-
-    def __post_init__(self):
-        if len(self.words) != 19:
-            raise ValueError("QA vocabulary must contain exactly 19 words")
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-
-QA_VOCABULARY = QaVocabulary()
+QA_INDEX = {w: i + 1 for i, w in enumerate(QA_WORDS)}  # 1-based word indices
 
 TASK1 = "task1"
 TASK2 = "task2"
-QA_K = 19
+QA_K = len(QA_WORDS)
 QA_N = {TASK1: 17, TASK2: 19}
 _FRUITS = ("apple", "orange")
 
@@ -194,54 +143,28 @@ def _task2_words(first: str, second: str) -> list[str]:
             "to", "an", second, "which", "type", "of", "fruit", "do", "I", "prefer"]
 
 
-@dataclass(frozen=True)
-class QaEpisode:
-    """One QA sample: word-index sequence, token matrix, response label."""
-
-    task: str
-    word_indices: np.ndarray  # shape (N-1,), 1-based vocabulary indices
-    label: int  # index of 'apple' or 'orange'
-
-    @property
-    def states(self) -> np.ndarray:
-        """Path-style view: the word indices followed by the label, so QA
-        episodes ride the same batch machinery as walks."""
-        return np.concatenate([self.word_indices, [self.label]])
-
-    def tokens(self) -> np.ndarray:
-        return tokens_from_states(self.states[None, :], QA_K)[0]
-
-
-def qa_enumerate(task: str) -> list[QaEpisode]:
-    """All distinct questions of a task (32 for Task 1, 2 for Task 2)."""
-    vocab = QA_VOCABULARY
-    out = []
+def qa_enumerate(task: str) -> np.ndarray:
+    """All distinct questions of a task (32 for Task 1, 2 for Task 2) as a
+    state array: the question's word indices, then the answer's index."""
+    rows = []
     if task == TASK1:
         for code in range(32):
             fruits = tuple(_FRUITS[(code >> b) & 1] for b in range(5))
             label_word = max(_FRUITS, key=fruits.count)
-            idx = np.array([vocab.index[w] for w in _task1_words(fruits)])
-            out.append(QaEpisode(task=task, word_indices=idx, label=vocab.index[label_word]))
+            rows.append(_task1_words(fruits) + [label_word])
     elif task == TASK2:
         for first, second in ((_FRUITS[0], _FRUITS[1]), (_FRUITS[1], _FRUITS[0])):
-            idx = np.array([vocab.index[w] for w in _task2_words(first, second)])
-            out.append(QaEpisode(task=task, word_indices=idx, label=vocab.index[first]))
+            rows.append(_task2_words(first, second) + [first])
     else:
         raise ValueError(f"unknown QA task {task!r}")
-    return out
+    return np.array([[QA_INDEX[w] for w in row] for row in rows])
 
 
-def qa_sample(task: str, rng: np.random.Generator) -> QaEpisode:
-    """Draw one question uniformly from the task's question pool."""
-    pool = qa_enumerate(task)
-    return pool[int(rng.integers(len(pool)))]
-
-
-def qa_dataset(task: str, count: int, seed: int | None = None) -> list[QaEpisode]:
+def qa_dataset(task: str, count: int, seed: int | None = None) -> np.ndarray:
+    """`count` questions drawn uniformly from the task's pool, one per row."""
     rng = np.random.default_rng(seed)
     pool = qa_enumerate(task)
-    picks = rng.integers(len(pool), size=count)
-    return [pool[int(i)] for i in picks]
+    return pool[rng.integers(len(pool), size=count)]
 
 
 def qa_symmetry_statistic(task: str) -> float:
@@ -250,11 +173,11 @@ def qa_symmetry_statistic(task: str) -> float:
     Zero means the token average carries no label information (the Task 2
     symmetry trap); positive means the average alone can separate labels.
     """
-    episodes = qa_enumerate(task)
     by_label: dict[int, list[np.ndarray]] = {}
-    for ep in episodes:
-        xbar = np.bincount(ep.word_indices - 1, minlength=QA_K) / len(ep.word_indices)
-        by_label.setdefault(ep.label, []).append(xbar)
+    for row in qa_enumerate(task):
+        words = row[:-1]
+        xbar = np.bincount(words - 1, minlength=QA_K) / len(words)
+        by_label.setdefault(int(row[-1]), []).append(xbar)
     means = [np.mean(v, axis=0) for v in by_label.values()]
     best = 0.0
     for i in range(len(means)):
@@ -263,10 +186,10 @@ def qa_symmetry_statistic(task: str) -> float:
     return best
 
 
-def export_dataset(episodes: list[Episode], path, cfg: WalkConfig, seed) -> None:
+def export_dataset(states: np.ndarray, path, cfg: WalkConfig, seed) -> None:
     """Line-oriented dataset file: header with config and seed, then one
-    'states: s_1 ... s_N' record per episode."""
+    'states: s_1 ... s_N' record per row of the state array."""
     with open(path, "w") as fh:
-        fh.write(f"# K={cfg.K} p={cfg.p} N={cfg.N} M={cfg.M} seed={seed} count={len(episodes)}\n")
-        for ep in episodes:
-            fh.write("states: " + " ".join(str(int(s)) for s in ep.states) + "\n")
+        fh.write(f"# K={cfg.K} p={cfg.p} N={cfg.N} M={cfg.M} seed={seed} count={len(states)}\n")
+        for row in states:
+            fh.write("states: " + " ".join(str(int(s)) for s in row) + "\n")

@@ -24,7 +24,7 @@ from circlewalk.theorycheck import (band_argmax_check,
                                     toeplitz_check)
 from circlewalk.trainer import TrainConfig, first_step_oracle_v, train
 from circlewalk.walkgen import (TASK1, TASK2, WalkConfig, make_dataset,
-                                qa_symmetry_statistic, states_matrix)
+                                qa_symmetry_statistic, tokens_from_states)
 
 warnings.filterwarnings("ignore", message=".*positional capacity.*")
 
@@ -95,7 +95,7 @@ def test_criterion_3_first_step_oracles():
                   and np.all(etr.snapshots[1].W22 == 0.0))
     # per-entry Monte-Carlo standard error of the one-step value update
     wc = ecfg.walk_config()
-    states = states_matrix(make_dataset(wc, 10_000, seed=ecfg.seed))
+    states = make_dataset(wc, 10_000, seed=ecfg.seed)
     B, N, K = states.shape[0], wc.N, wc.K
     counts = np.zeros((B, K))
     for j in range(N - 1):
@@ -129,13 +129,14 @@ def test_criterion_4_gradient_oracle():
         N = int(rng.integers(4, 11))
         M = int(rng.integers(N, 21))
         wc = WalkConfig(K=K, p=float(rng.uniform(0.05, 0.95)), N=N, M=M)
-        ep = make_dataset(wc, 1, rng=rng)[0]
+        states = make_dataset(wc, 1, rng=rng)
+        X, y = tokens_from_states(states, K)[0], int(states[0, -1])
         params = Params.gaussian(K, M, 0.05, rng)
         pos = build_positional(M, N)
         normalize = bool(rng.integers(2))
-        g = grad_example(params, ep.tokens(), ep.label, pos, 0.1,
+        g = grad_example(params, X, y, pos, 0.1,
                          normalize=normalize)
-        fd = fd_grad(params, ep.tokens(), ep.label, pos, 0.1,
+        fd = fd_grad(params, X, y, pos, 0.1,
                      normalize=normalize)
         for name in ("gV", "gW12", "gW22"):
             a, b = getattr(g, name), getattr(fd, name)

@@ -51,6 +51,19 @@ def test_load_rejects_bad_magic_and_truncation(tmp_path):
     cut.write_bytes(good.read_bytes()[:-8])
     with pytest.raises(ValueError, match="truncated"):
         load_params(cut)
+    extra = tmp_path / "extra.bin"
+    extra.write_bytes(good.read_bytes() + b"\x00" * 4)
+    with pytest.raises(ValueError, match="trailing"):
+        load_params(extra)
+    raw = good.read_bytes()
+    header_end = raw.index(b"\n", len(PARAMS_MAGIC)) + 1
+    for header in ({"K": 0, "M": 5}, {"K": 3.0, "M": 5}, {"K": 3, "M": True},
+                   {"K": 3}, [3, 5]):
+        bad_header = tmp_path / "header.bin"
+        bad_header.write_bytes(PARAMS_MAGIC + json.dumps(header).encode() + b"\n"
+                               + raw[header_end:])
+        with pytest.raises(ValueError, match="header"):
+            load_params(bad_header)
 
 
 def test_metrics_csv_header_and_precision(tmp_path):
@@ -101,5 +114,12 @@ def test_svg_chart(tmp_path):
     svg_line_chart({"ok": (t, 1.0 / t),
                     "bad": (t, np.full(20, np.nan))}, tmp_path / "c2.svg")
     assert (tmp_path / "c2.svg").read_text().count("<polyline") == 1
-    with pytest.raises(ValueError):
-        svg_line_chart({"bad": (t, np.full(20, np.nan))}, tmp_path / "c3.svg")
+    # a single finite point is a dot; no finite point leaves the bare axes
+    svg_line_chart({"one": (t[:1], t[:1]), "bad": (t[:1], [np.nan])},
+                   tmp_path / "c3.svg")
+    text = (tmp_path / "c3.svg").read_text()
+    assert text.count("<circle") == 1 and "<polyline" not in text
+    svg_line_chart({"bad": (t, np.full(20, np.nan))}, tmp_path / "c4.svg")
+    text = (tmp_path / "c4.svg").read_text()
+    assert text.count("<line") == 2
+    assert "<polyline" not in text and "<circle" not in text

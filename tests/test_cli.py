@@ -5,7 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from circlewalk import cli
+from circlewalk.artifacts import save_params
 from circlewalk.cli import RECIPES, main
+from circlewalk.model import Params
 
 SMALL_CFG = dict(K=4, p=0.5, N=9, M=40, eta=1.0, eps=0.1, iterations=4,
                  train_size=32, test_size=32)
@@ -107,6 +110,62 @@ def test_config_errors_exit_2(tmp_path, capsys):
                                 "learning_rate": 1.0})
     assert main(["train", "--out", str(tmp_path / "b"), "--config", bad]) == 2
     assert "unknown config keys" in capsys.readouterr().err
+    for key in ("train_size", "test_size"):
+        empty = _write_cfg(tmp_path, {**SMALL_CFG, key: 0})
+        assert main(["train", "--out", str(tmp_path / "c"), "--config", empty]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+
+RUN_FILES = ("metrics.csv", "params.bin", "v_final.csv", "curves.svg",
+             "manifest.json")
+
+
+@pytest.mark.parametrize("iterations", [0, 1])
+def test_short_runs_write_all_artifacts(tmp_path, iterations):
+    qa_cfg = dict(qa_task="task1", M=80, eta=0.1, eps=0.1, init="gaussian",
+                  sigma=0.01, normalize_attention=True, train_size=20,
+                  test_size=20)
+    for command, fields, extra in (("train", SMALL_CFG, "pi.csv"),
+                                   ("check", POP_CFG, "pi.csv"),
+                                   ("qa", qa_cfg, "qa_report.json")):
+        out = tmp_path / command
+        cfg = _write_cfg(tmp_path, {**fields, "iterations": iterations})
+        assert main([command, "--out", str(out), "--config", cfg]) == 0, command
+        for name in RUN_FILES + (extra,):
+            assert (out / name).exists(), (command, name)
+
+
+def test_eval_rejects_mismatched_or_malformed_params(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, SMALL_CFG)  # K=4, N=9
+    good = tmp_path / "good.bin"
+    save_params(Params.zeros(4, 40), good)
+    wrong_k = tmp_path / "k6.bin"
+    save_params(Params.zeros(6, 40), wrong_k)
+    thin = tmp_path / "m5.bin"
+    save_params(Params.zeros(4, 5), thin)  # M below N
+    trailing = tmp_path / "trailing.bin"
+    trailing.write_bytes(good.read_bytes() + b"\x00" * 4)
+    bad_header = tmp_path / "header.bin"
+    bad_header.write_bytes(good.read_bytes().replace(b'"K": 4', b'"K": "4"', 1))
+    assert main(["eval", "--out", str(tmp_path / "ok"), "--config", cfg,
+                 "--params", str(good)]) == 0
+    for path in (wrong_k, thin, trailing, bad_header):
+        rc = main(["eval", "--out", str(tmp_path / "e"), "--config", cfg,
+                   "--params", str(path)])
+        assert rc == 2, path.name
+        assert "config error:" in capsys.readouterr().err
+
+
+def test_unexpected_errors_exit_2(tmp_path, monkeypatch, capsys):
+    def boom(cfg):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "train", boom)
+    cfg = _write_cfg(tmp_path, SMALL_CFG)
+    assert main(["train", "--out", str(tmp_path / "a"), "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "boom" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_seed_flag_overrides_config(tmp_path):

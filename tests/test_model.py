@@ -6,7 +6,7 @@ import pytest
 from circlewalk.model import (Params, attention_logits, forward, loss_value,
                               predict, softmax)
 from circlewalk.posembed import augment, build_positional, normalize_columns
-from circlewalk.walkgen import WalkConfig, make_dataset
+from circlewalk.walkgen import WalkConfig, make_dataset, tokens_from_states
 
 K, N, M = 4, 6, 20
 POS = build_positional(M, N)
@@ -14,8 +14,8 @@ POS = build_positional(M, N)
 
 def _episode(seed=0):
     cfg = WalkConfig(K=K, p=0.5, N=N, M=M)
-    ep = make_dataset(cfg, 1, seed=seed)[0]
-    return ep.tokens(), ep.label
+    states = make_dataset(cfg, 1, seed=seed)
+    return tokens_from_states(states, K)[0], int(states[0, -1])
 
 
 def _random_params(seed=0, sigma=0.3):

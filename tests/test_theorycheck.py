@@ -13,7 +13,7 @@ from circlewalk.theorycheck import (FAIL, PASS, Thresholds,
                                     toeplitz_check)
 from circlewalk.trainer import TrainConfig, train
 from circlewalk.posembed import build_positional
-from circlewalk.walkgen import WalkConfig, make_dataset, states_matrix
+from circlewalk.walkgen import WalkConfig, make_dataset
 
 
 def test_decompose_v_recovers_a_planted_coefficient():
@@ -98,8 +98,7 @@ def test_attention_separation_on_a_planted_winner():
     params = Params.zeros(K, M)
     # plant a strong parent preference through W22: z_j = p_j . p_N * scale
     params = params.with_updates(W22=np.outer(pos.P[:, -2], pos.P[:, -1]))
-    states = states_matrix(make_dataset(WalkConfig(K=K, p=0.5, N=N, M=M),
-                                        16, seed=0))
+    states = make_dataset(WalkConfig(K=K, p=0.5, N=N, M=M), 16, seed=0)
     res = attention_separation_check(params, states, pos)
     assert res.margin > 0.0
     assert res.min_parent_weight > 1.0 / N

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from circlewalk.gradients import grad_batch
+from circlewalk.gradients import attention, grad_batch
 from circlewalk.model import Params, forward
 from circlewalk.posembed import build_positional
-from circlewalk.trainer import (METRIC_FIELDS, TrainConfig, batch_forward,
-                                evaluate, first_step_oracle_v, init_params,
-                                population_grad_deterministic, step, train)
+from circlewalk.trainer import (METRIC_FIELDS, TrainConfig, evaluate,
+                                first_step_oracle_v, init_params, step, train)
 from circlewalk.walkgen import (WalkConfig, enumerate_deterministic,
-                                make_dataset, states_matrix)
+                                make_dataset, tokens_from_states)
 
 # small geometry for fast loops
 SMALL = dict(K=4, p=0.5, N=9, M=40, train_size=64, test_size=64)
@@ -29,6 +28,10 @@ def test_config_validation():
         TrainConfig(p=0.5, grad_mode="population")
     with pytest.raises(ValueError):
         TrainConfig(p=1.0, N=96, grad_mode="population")
+    with pytest.raises(ValueError):
+        TrainConfig(train_size=0)
+    with pytest.raises(ValueError):
+        TrainConfig(test_size=0)
 
 
 def test_snapshot_schedule():
@@ -78,23 +81,29 @@ def test_resample_changes_the_trajectory():
 
 
 def test_batch_forward_matches_forward():
+    # the batched path (attention weights, evaluate's predictions) against
+    # the dense per-episode model
     cfg = WalkConfig(K=5, p=0.6, N=8, M=24)
-    eps_list = make_dataset(cfg, 10, seed=2)
-    states = states_matrix(eps_list)
+    states = make_dataset(cfg, 10, seed=2)
     pos = build_positional(24, 8)
     params = Params.gaussian(5, 24, 0.1, np.random.default_rng(1))
     for normalize in (False, True):
-        S, f = batch_forward(params, states, pos, normalize=normalize)
-        for i, ep in enumerate(eps_list):
-            out = forward(params, ep.tokens(), pos, normalize=normalize)
+        S = attention(params, states, pos, normalize)
+        outs = [forward(params, X, pos, normalize=normalize)
+                for X in tokens_from_states(states, 5)]
+        for i, out in enumerate(outs):
             np.testing.assert_allclose(S[i], out.S, atol=1e-13)
-            np.testing.assert_allclose(f[i], out.f, atol=1e-13)
+        row = evaluate(params, states, states[:, -1], pos, None, eps=0.1,
+                       normalize=normalize)
+        pred = np.array([out.pred for out in outs])
+        assert row.accuracy == pytest.approx(np.mean(pred == states[:, -1]))
+        assert row.attn_parent == pytest.approx(np.mean([o.S[-2] for o in outs]))
 
 
 def test_evaluate_fields():
     from circlewalk.markov import transition_matrix
     cfg = WalkConfig(K=4, p=0.5, N=9, M=40)
-    states = states_matrix(make_dataset(cfg, 32, seed=0))
+    states = make_dataset(cfg, 32, seed=0)
     pos = build_positional(40, 9)
     params = Params.gaussian(4, 40, 0.1, np.random.default_rng(5))
     row = evaluate(params, states, states[:, -1], pos,
@@ -136,8 +145,10 @@ def test_population_scalar_path_matches_dense_gradients():
     tr = train(cfg)
     pos = build_positional(50, 13)
     dense = init_params(cfg)
+    states = enumerate_deterministic(cfg.walk_config())
     for t in range(1, 5):
-        bg = population_grad_deterministic(dense, cfg, pos)
+        bg = grad_batch(dense, states, states[:, -1], pos, cfg.eps,
+                        normalize=cfg.normalize_attention)
         dense = step(dense, bg.grads, cfg.eta)
         if t in tr.snapshots:
             snap = tr.snapshots[t]
@@ -159,8 +170,7 @@ def test_population_structure_is_exact():
 def test_non_finite_logits_raise():
     params = Params.zeros(4, 40).with_updates(W22=np.full((40, 40), np.inf))
     pos = build_positional(40, 9)
-    states = states_matrix(make_dataset(WalkConfig(K=4, p=0.5, N=9, M=40),
-                                        4, seed=0))
+    states = make_dataset(WalkConfig(K=4, p=0.5, N=9, M=40), 4, seed=0)
     with pytest.raises(FloatingPointError):
         grad_batch(params, states, states[:, -1], pos, 0.1)
 

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from circlewalk.walkgen import (
-    QA_K, QA_N, QA_VOCABULARY, TASK1, TASK2, Episode, WalkConfig,
+    QA_INDEX, QA_K, QA_N, QA_WORDS, TASK1, TASK2, WalkConfig,
     enumerate_deterministic, export_dataset, make_dataset, mod_node,
-    qa_dataset, qa_enumerate, qa_symmetry_statistic, sample_walk,
-    states_matrix, tokens_from_states,
+    qa_dataset, qa_enumerate, qa_symmetry_statistic, tokens_from_states,
 )
 
 CFG = WalkConfig(K=6, p=0.5, N=25, M=128)
@@ -37,61 +36,51 @@ def test_thin_positional_capacity_warns():
 
 
 def test_walk_steps_are_plus_minus_one_mod_K():
-    eps = make_dataset(CFG, 200, seed=3)
-    for ep in eps:
-        s = ep.states
-        assert s.min() >= 1 and s.max() <= CFG.K
-        diffs = (s[1:] - s[:-1]) % CFG.K
-        assert set(np.unique(diffs)) <= {1, CFG.K - 1}
+    states = make_dataset(CFG, 200, seed=3)
+    assert states.shape == (200, CFG.N)
+    assert states.min() >= 1 and states.max() <= CFG.K
+    diffs = np.diff(states, axis=1) % CFG.K
+    assert set(np.unique(diffs)) <= {1, CFG.K - 1}
 
 
 def test_dataset_seeded_reproducible():
-    a = states_matrix(make_dataset(CFG, 50, seed=11))
-    b = states_matrix(make_dataset(CFG, 50, seed=11))
-    c = states_matrix(make_dataset(CFG, 50, seed=12))
+    a = make_dataset(CFG, 50, seed=11)
+    b = make_dataset(CFG, 50, seed=11)
+    c = make_dataset(CFG, 50, seed=12)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
-def test_sample_walk_single_episode():
-    rng = np.random.default_rng(0)
-    ep = sample_walk(CFG, rng)
-    assert ep.states.shape == (CFG.N,)
-    assert ep.label == int(ep.states[-1])
-
-
 def test_tokens_one_hot_with_zero_query_column():
-    ep = make_dataset(CFG, 1, seed=0)[0]
-    X = ep.tokens()
+    states = make_dataset(CFG, 1, seed=0)[0]
+    X = tokens_from_states(states[None, :], CFG.K)[0]
     assert X.shape == (CFG.K, CFG.N)
     np.testing.assert_array_equal(X[:, -1], np.zeros(CFG.K))
     np.testing.assert_array_equal(X[:, :-1].sum(axis=0), np.ones(CFG.N - 1))
     for j in range(CFG.N - 1):
-        assert X[ep.states[j] - 1, j] == 1.0
+        assert X[states[j] - 1, j] == 1.0
 
 
 def test_tokens_from_states_batched_matches_single():
-    st = states_matrix(make_dataset(CFG, 4, seed=5))
+    st = make_dataset(CFG, 4, seed=5)
     Xb = tokens_from_states(st, CFG.K)
     for i in range(4):
-        np.testing.assert_array_equal(
-            Xb[i], Episode(states=st[i], K=CFG.K).tokens())
+        X = np.zeros((CFG.K, CFG.N))
+        for j in range(CFG.N - 1):
+            X[st[i, j] - 1, j] = 1.0
+        np.testing.assert_array_equal(Xb[i], X)
 
 
 def test_deterministic_enumeration():
     cfg = WalkConfig(K=5, p=1.0, N=11, M=64)
-    eps = enumerate_deterministic(cfg)
-    assert len(eps) == 5
-    assert np.isclose(sum(ep.weight for ep in eps), 1.0)
-    starts = sorted(int(ep.states[0]) for ep in eps)
-    assert starts == [1, 2, 3, 4, 5]
-    for ep in eps:
-        diffs = (ep.states[1:] - ep.states[:-1]) % cfg.K
-        assert set(np.unique(diffs)) == {1}  # always clockwise at p=1
+    states = enumerate_deterministic(cfg)
+    assert states.shape == (5, 11)
+    assert list(states[:, 0]) == [1, 2, 3, 4, 5]
+    # always clockwise at p=1
+    assert set(np.unique(np.diff(states, axis=1) % cfg.K)) == {1}
     # counter-clockwise at p=0
-    for ep in enumerate_deterministic(WalkConfig(K=5, p=0.0, N=11, M=64)):
-        diffs = (ep.states[1:] - ep.states[:-1]) % 5
-        assert set(np.unique(diffs)) == {4}
+    ccw = enumerate_deterministic(WalkConfig(K=5, p=0.0, N=11, M=64))
+    assert set(np.unique(np.diff(ccw, axis=1) % 5)) == {4}
 
 
 def test_enumeration_rejects_random_walks():
@@ -108,58 +97,55 @@ def test_require_deterministic_theory():
 
 
 def test_export_dataset_round_trips_states(tmp_path):
-    eps = make_dataset(CFG, 10, seed=9)
+    states = make_dataset(CFG, 10, seed=9)
     path = tmp_path / "dataset.txt"
-    export_dataset(eps, path, CFG, seed=9)
+    export_dataset(states, path, CFG, seed=9)
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# K=6 p=0.5 N=25 M=128 seed=9 count=10")
     assert len(lines) == 11
     parsed = np.array([[int(t) for t in ln.split()[1:]] for ln in lines[1:]])
-    np.testing.assert_array_equal(parsed, states_matrix(eps))
+    np.testing.assert_array_equal(parsed, states)
 
 
 # --- QA tasks ---------------------------------------------------------------
 
 
 def test_qa_vocabulary_is_19_distinct_words():
-    assert len(QA_VOCABULARY) == QA_K == 19
-    assert len(set(QA_VOCABULARY.words)) == 19
-    assert sorted(QA_VOCABULARY.index.values()) == list(range(1, 20))
+    assert len(QA_WORDS) == QA_K == 19
+    assert len(set(QA_WORDS)) == 19
+    assert sorted(QA_INDEX.values()) == list(range(1, 20))
 
 
 def test_qa_enumerate_counts_and_lengths():
     t1 = qa_enumerate(TASK1)
     t2 = qa_enumerate(TASK2)
-    assert len(t1) == 32
-    assert len(t2) == 2
-    for ep in t1:
-        assert ep.word_indices.shape == (QA_N[TASK1] - 1,)
-    for ep in t2:
-        assert ep.word_indices.shape == (QA_N[TASK2] - 1,)
+    assert t1.shape == (32, QA_N[TASK1])
+    assert t2.shape == (2, QA_N[TASK2])
+    assert len({tuple(row) for row in t1}) == 32
     with pytest.raises(ValueError):
         qa_enumerate("task3")
 
 
 def test_qa_task1_label_is_majority_fruit():
-    apple = QA_VOCABULARY.index["apple"]
-    orange = QA_VOCABULARY.index["orange"]
-    for ep in qa_enumerate(TASK1):
-        fruits = ep.word_indices[4:9]  # the five fruit slots
+    apple = QA_INDEX["apple"]
+    orange = QA_INDEX["orange"]
+    for row in qa_enumerate(TASK1):
+        fruits = row[4:9]  # the five fruit slots
         n_apple = int(np.sum(fruits == apple))
         expect = apple if n_apple >= 3 else orange
-        assert ep.label == expect
+        assert row[-1] == expect
 
 
 def test_qa_task2_label_is_first_fruit():
-    for ep in qa_enumerate(TASK2):
-        assert ep.label == ep.word_indices[7]  # 'I prefer an <first> ...'
+    for row in qa_enumerate(TASK2):
+        assert row[-1] == row[7]  # 'I prefer an <first> ...'
 
 
 def test_qa_states_appends_label():
-    ep = qa_enumerate(TASK1)[0]
-    assert ep.states.shape == (QA_N[TASK1],)
-    assert ep.states[-1] == ep.label
-    X = ep.tokens()
+    row = qa_enumerate(TASK1)[0]
+    assert row.shape == (QA_N[TASK1],)
+    assert row[-1] in (QA_INDEX["apple"], QA_INDEX["orange"])
+    X = tokens_from_states(row[None, :], QA_K)[0]
     assert X.shape == (QA_K, QA_N[TASK1])
     np.testing.assert_array_equal(X[:, -1], 0.0)
 
@@ -167,7 +153,8 @@ def test_qa_states_appends_label():
 def test_qa_dataset_seeded():
     a = qa_dataset(TASK1, 20, seed=4)
     b = qa_dataset(TASK1, 20, seed=4)
-    assert all(np.array_equal(x.states, y.states) for x, y in zip(a, b))
+    assert a.shape == (20, QA_N[TASK1])
+    np.testing.assert_array_equal(a, b)
 
 
 def test_qa_symmetry_statistic_separates_the_tasks():
