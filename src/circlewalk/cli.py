@@ -23,6 +23,7 @@ import numpy as np
 from . import artifacts, theorycheck, walkgen
 from .markov import (decay_bound_report, eigen_action_check, gamma_dominance_report,
                      shift_identities_check, transition_matrix)
+from .gradients import factor
 from .posembed import build_positional
 from .trainer import TrainConfig, config_dict, evaluate, train
 from .walkgen import WalkConfig, export_dataset, make_dataset
@@ -109,7 +110,7 @@ def cmd_gen(args) -> int:
 def _emit_run_artifacts(out: Path, cfg: TrainConfig, trace, started, command: str):
     artifacts.emit_metrics_csv(trace, out / "metrics.csv")
     artifacts.save_params(trace.final_params, out / "params.bin")
-    artifacts.emit_matrix_csv(trace.final_params.V, out / "v_final.csv")
+    artifacts.emit_matrix_csv(trace.final_snapshot.V, out / "v_final.csv")
     if cfg.qa_task is None:
         wc = cfg.walk_config()
         artifacts.emit_matrix_csv(transition_matrix(wc.K, wc.p).Pi, out / "pi.csv")
@@ -152,8 +153,8 @@ def cmd_eval(args) -> int:
     else:
         states = make_dataset(wc, cfg.test_size, seed=cfg.seed + 1)
         tm = transition_matrix(wc.K, wc.p)
-    row = evaluate(params, states, states[:, -1], pos, tm, cfg.eps,
-                   normalize=cfg.normalize_attention)
+    row = evaluate(factor(params, pos, cfg.normalize_attention), states, states[:, -1],
+                   pos, tm, cfg.eps, normalize=cfg.normalize_attention)
     record = {name: getattr(row, name) for name in
               ("accuracy", "kl", "v_dist", "f_dist", "attn_parent",
                "attn_other_max", "beta", "gamma")}

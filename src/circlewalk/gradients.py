@@ -10,6 +10,15 @@ gradient factors through d_j = S_j * (q_j - m):
 where l' = -1/(f_y + eps) and c_j is the augmented column norm when the
 attention input is column-normalized (1 otherwise).  dL/dW11 and dL/dW21
 vanish identically because the query carries no token.
+
+Both W gradients are rank one with the same right factor p^_N = p_N / c_N,
+so gradient descent keeps W12 = W12_0 + alpha p^_N^T and
+W22 = W22_0 + beta p^_N^T, and the logits
+z_j = (W12 p^_N)[s_j] / c_j + p_j^T (W22 p^_N) / c_j (no token term at the
+query, j = N) need only the K-vector wtok = W12 p^_N and the M-vector
+u = W22 p^_N.  The batched path (`FactoredParams`, `attention`,
+`grad_batch`) works on these vectors and never forms a K x M or M x M
+block; `grad_example` and `fd_grad` are the dense per-episode oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +30,8 @@ import numpy as np
 from .model import Params, forward, loss_value
 from .posembed import PositionalMatrix
 
-__all__ = ["Grads", "BatchGrad", "attention", "grad_example", "grad_batch", "fd_grad"]
+__all__ = ["Grads", "BatchGrad", "FactoredParams", "query_vector", "factor",
+           "attention", "grad_example", "grad_batch", "fd_grad"]
 
 
 @dataclass(frozen=True)
@@ -37,9 +47,15 @@ class Grads:
 
 @dataclass(frozen=True)
 class BatchGrad:
-    """Uniform-average gradient over a batch plus per-example diagnostics."""
+    """Uniform-average gradient over a batch plus per-example diagnostics.
 
-    grads: Grads
+    dL/dW12 = a p^_N^T and dL/dW22 = b p^_N^T; only the left factors are
+    kept, and dL/dW11 = dL/dW21 = 0.
+    """
+
+    gV: np.ndarray  # (K, K)
+    a: np.ndarray  # (K,)
+    b: np.ndarray  # (M,)
     loss: float
     lprime_mean: float
     lprimes: np.ndarray
@@ -53,6 +69,31 @@ def _column_norms(N: int, pos: PositionalMatrix, normalize: bool) -> np.ndarray:
     c = np.sqrt(1.0 + pn**2)
     c[-1] = pn[-1]  # the query column has no token part
     return c
+
+
+@dataclass(frozen=True)
+class FactoredParams:
+    """The parameters as the batched model sees them: V, wtok = W12 p^_N,
+    u = W22 p^_N, and the left factors gradient descent has added since
+    init, W12 = W12_0 + alpha p^_N^T and W22 = W22_0 + beta p^_N^T."""
+
+    V: np.ndarray  # (K, K)
+    wtok: np.ndarray  # (K,)
+    u: np.ndarray  # (M,)
+    alpha: np.ndarray  # (K,)
+    beta: np.ndarray  # (M,)
+
+
+def query_vector(pos: PositionalMatrix, normalize: bool = False) -> np.ndarray:
+    """p^_N = p_N / c_N, the right factor of every W12/W22 gradient."""
+    return pos.P[:, -1] / _column_norms(pos.N, pos, normalize)[-1]
+
+
+def factor(params: Params, pos: PositionalMatrix, normalize: bool = False) -> FactoredParams:
+    """Factored view of dense parameters, with zero left factors."""
+    pnh = query_vector(pos, normalize)
+    return FactoredParams(V=params.V, wtok=params.W12 @ pnh, u=params.W22 @ pnh,
+                          alpha=np.zeros(params.K), beta=np.zeros(params.M))
 
 
 def grad_example(params: Params, X: np.ndarray, y: int, pos: PositionalMatrix,
@@ -81,70 +122,63 @@ def grad_example(params: Params, X: np.ndarray, y: int, pos: PositionalMatrix,
     )
 
 
-def attention(params: Params, states: np.ndarray, pos: PositionalMatrix,
+def attention(fp: FactoredParams, states: np.ndarray, pos: PositionalMatrix,
               normalize: bool = False) -> np.ndarray:
     """Attention weights S (B, N) for a (B, N) state array.
 
-    The query column carries no token, so the logits need only W12 p_N,
-    gathered by state, and P^T W22 p_N, shared by every episode.  Raises
-    FloatingPointError on non-finite logits.
+    The token logits are wtok gathered by state and the positional logits
+    P^T u are shared by every episode.  Raises FloatingPointError on
+    non-finite logits.
     """
     states = np.asarray(states)
     B, N = states.shape
     c = _column_norms(N, pos, normalize)
-    pNh = pos.P[:, -1] / c[-1]
-    wtok = params.W12 @ pNh  # (K,)
-    zpos = (pos.P.T @ (params.W22 @ pNh)) / c  # (N,)
-    z = np.tile(zpos, (B, 1))
-    z[:, :-1] += wtok[states[:, :-1] - 1] / c[:-1]
+    zpos = (pos.P.T @ fp.u) / c  # (N,)
+    z = np.empty((B, N))
+    np.divide(fp.wtok[states[:, :-1] - 1], c[:-1], out=z[:, :-1])
+    z[:, :-1] += zpos[:-1]
+    z[:, -1] = zpos[-1]
     if not np.all(np.isfinite(z)):
         raise FloatingPointError("non-finite attention logits")
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
-def grad_batch(params: Params, states: np.ndarray, labels: np.ndarray,
+def grad_batch(fp: FactoredParams, states: np.ndarray, labels: np.ndarray,
                pos: PositionalMatrix, eps: float, normalize: bool = False) -> BatchGrad:
     """Uniform-average gradient over a batch of episodes.
 
-    Never materializes per-example W-blocks: the token- and position-side
-    sums are accumulated first and a single outer product with p_N closes
-    each block.  Agrees with averaging `grad_example` to rounding error.
+    Returns gV and the left factors a (K) and b (M) of the rank-one W
+    gradients; no per-example block and no outer product is formed.
+    Agrees with averaging `grad_example` to rounding error.
     """
     states = np.asarray(states)
     labels = np.asarray(labels)
     B, N = states.shape
-    K, M = params.K, params.M
+    K = fp.V.shape[0]
     weights = np.full(B, 1.0 / B)
     c = _column_norms(N, pos, normalize)
-    pNh = pos.P[:, -1] / c[-1]
-    S = attention(params, states, pos, normalize)
+    S = attention(fp, states, pos, normalize)
 
+    tok = states[:, :-1] - 1
+    cell = ((labels - 1) * K)[:, None] + tok  # flat index of V[y, s_j]
     q = np.zeros((B, N))
-    q[:, :-1] = params.V[labels - 1][np.arange(B)[:, None], states[:, :-1] - 1]
+    q[:, :-1] = fp.V.ravel()[cell]
     f_y = np.einsum("bj,bj->b", S, q)
     losses = -np.log(f_y + eps)
     lp = -1.0 / (f_y + eps)
-    d = S * (q - f_y[:, None])
+    d = q - f_y[:, None]
+    d *= S
 
     wl = weights * lp
-    gV = np.zeros((K, K))
-    np.add.at(gV, (np.repeat(labels - 1, N - 1), (states[:, :-1] - 1).ravel()),
-              (wl[:, None] * S[:, :-1]).ravel())
-
-    a_vec = np.zeros(K)
-    np.add.at(a_vec, (states[:, :-1] - 1).ravel(),
-              (wl[:, None] * d[:, :-1] / c[:-1]).ravel())
-    b_vec = pos.P @ ((wl[:, None] * d / c).sum(axis=0))
-
-    grads = Grads(
-        gV=gV,
-        gW11=np.zeros((K, K)),
-        gW12=np.outer(a_vec, pNh),
-        gW21=np.zeros((M, K)),
-        gW22=np.outer(b_vec, pNh),
-    )
-    return BatchGrad(grads=grads, loss=float(weights @ losses),
+    gV = np.bincount(cell.ravel(), (wl[:, None] * S[:, :-1]).ravel(),
+                     minlength=K * K).reshape(K, K)
+    wd = wl[:, None] * d / c
+    a = np.bincount(tok.ravel(), wd[:, :-1].ravel(), minlength=K)
+    b = pos.P @ wd.sum(axis=0)
+    return BatchGrad(gV=gV, a=a, b=b, loss=float(weights @ losses),
                      lprime_mean=float(weights @ lp), lprimes=lp)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gradients import attention
+from .gradients import attention, factor
 from .model import Params
 from .posembed import PositionalMatrix, build_positional
 from .trainer import TrainConfig, TrainTrace, first_step_oracle_v
@@ -159,8 +159,9 @@ def check_random_theorem(trace: TrainTrace, thresholds: Thresholds | None = None
 
     toep = None
     if 1 in trace.snapshots:
-        toep = toeplitz_check(trace.snapshots[1].V, trace.snapshots[1].K)
-    band_ok = band_argmax_check(trace.final_params.V, cfg.p)
+        V1 = trace.snapshots[1].V
+        toep = toeplitz_check(V1, V1.shape[0])
+    band_ok = band_argmax_check(trace.final_snapshot.V, cfg.p)
     items["band_argmax"] = PASS if band_ok else FAIL
 
     return RandomWalkReport(
@@ -203,11 +204,13 @@ def check_deterministic_theorem(trace: TrainTrace, tol: float = 1e-12) -> Determ
     v_resid = 0.0
     s_resid = 0.0
     w12_spread = 0.0
-    for t, snap in trace.snapshots.items():
+    for t in trace.snapshots:
+        snap = trace.params(t)  # dense, so the check reads W12 and W22 themselves
         vmax = float(np.max(np.abs(snap.V)))
         if vmax > 0:
             v_resid = max(v_resid, float(snap.V.max() - snap.V.min()) / vmax)
-        S = attention(snap, states, pos, cfg.normalize_attention)
+        S = attention(factor(snap, pos, cfg.normalize_attention), states, pos,
+                      cfg.normalize_attention)
         body = S[:, :-1]
         s_resid = max(s_resid, float(np.max(body.max(axis=1) - body.min(axis=1))))
         wmax = float(np.max(np.abs(snap.W12)))
@@ -227,7 +230,7 @@ def check_deterministic_theorem(trace: TrainTrace, tol: float = 1e-12) -> Determ
         psum = pos.P[:, :-1].sum(axis=1)
         w22_exp = np.outer(
             lp0 * lp1 * (eta**2 * r / (N**3 * K) * psum - eta**2 * r**2 / N**3 * pN), pN)
-        snap = trace.snapshots[2]
+        snap = trace.params(2)
         t2_err = max(float(np.max(np.abs(snap.W12 - w12_exp))),
                      float(np.max(np.abs(snap.W22 - w22_exp))))
         items["t2_closed_form"] = PASS if t2_err <= 1e-10 else FAIL
@@ -253,7 +256,7 @@ def attention_separation_check(params: Params, states: np.ndarray,
                                normalize: bool = False) -> SeparationResult:
     states = np.asarray(states)
     N = states.shape[1]
-    S = attention(params, states, pos, normalize)
+    S = attention(factor(params, pos, normalize), states, pos, normalize)
     # recover logit gaps from the softmax (shift-invariant): log S works
     logS = np.log(S)
     others = np.delete(logS, N - 2, axis=1)

@@ -4,23 +4,32 @@ Supports zero or Gaussian initialization, full-batch empirical gradients
 over a fixed seeded dataset (optionally resampled each iteration), and the
 exact population gradient in the deterministic-walk regime (p in {0,1},
 N = r*K + 1) where the K possible episodes can be enumerated.
+
+Training runs on the factored parameters (`FactoredParams`): V, the logit
+vectors wtok = W12 p^_N and u = W22 p^_N, and the left factors alpha,
+beta of W12 - W12_0 and W22 - W22_0 (see `gradients`).  One iteration
+costs O(B*N + M*N) and no K x M or M x M block is touched.  Snapshots keep
+V, alpha and beta; the trace keeps the init blocks once and builds dense
+`Params` only on request (`TrainTrace.params`, `final_params`).
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from . import walkgen
-from .gradients import Grads, attention, grad_batch
+from .gradients import (BatchGrad, FactoredParams, attention, factor, grad_batch,
+                        query_vector)
 from .markov import TransitionMatrix, transition_matrix
 from .model import Params
 from .posembed import PositionalMatrix, build_positional
 from .walkgen import WalkConfig, make_dataset, enumerate_deterministic
 
 __all__ = [
-    "TrainConfig", "MetricsRow", "TrainTrace",
+    "TrainConfig", "MetricsRow", "Snapshot", "TrainTrace",
     "init_params", "step", "first_step_oracle_v", "train", "evaluate",
 ]
 
@@ -28,6 +37,10 @@ ZERO = "zero"
 GAUSSIAN = "gaussian"
 EMPIRICAL = "empirical"
 POPULATION = "population"
+
+_BOOL_FIELDS = ("resample", "normalize_attention")
+_INT_FIELDS = ("K", "N", "M", "iterations", "train_size", "test_size", "seed")
+_REAL_FIELDS = ("p", "eta", "eps", "sigma")
 
 METRIC_FIELDS = ("iter", "loss", "accuracy", "kl", "v_dist", "f_dist",
                  "attn_parent", "attn_other_max", "beta", "gamma")
@@ -56,6 +69,7 @@ class TrainConfig:
     snapshot_iters: tuple[int, ...] | None = None  # default: 0,1,2,powers of 2,T
 
     def __post_init__(self):
+        self._check_types()
         if self.eta <= 0 or self.eps <= 0:
             raise ValueError("eta and eps must be positive")
         if self.iterations < 0:
@@ -73,6 +87,26 @@ class TrainConfig:
             if self.qa_task is not None:
                 raise ValueError("population mode applies to deterministic walks only")
             self.walk_config().require_deterministic_theory()
+
+    def _check_types(self):
+        """bool fields take only bools, int fields only non-bool integers,
+        real fields only non-bool real numbers (so JSON "no" or 2.5 is an
+        error, not a truthy flag or a float count)."""
+        def is_int(v):
+            return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+        for name in _BOOL_FIELDS:
+            if not isinstance(getattr(self, name), bool):
+                raise TypeError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        for name in _INT_FIELDS:
+            if not is_int(getattr(self, name)):
+                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in _REAL_FIELDS:
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Real) or isinstance(v, bool):
+                raise TypeError(f"{name} must be a real number, got {v!r}")
+        if self.snapshot_iters is not None and not all(map(is_int, self.snapshot_iters)):
+            raise TypeError(f"snapshot_iters must be integers, got {self.snapshot_iters!r}")
 
     def walk_config(self) -> WalkConfig:
         if self.qa_task is not None:
@@ -107,17 +141,43 @@ class MetricsRow:
         return tuple(getattr(self, f) for f in METRIC_FIELDS)
 
 
+@dataclass(frozen=True)
+class Snapshot:
+    """Parameters at one iteration: W12 = W12_0 + alpha p^_N^T and
+    W22 = W22_0 + beta p^_N^T with the trace's init blocks and p^_N."""
+
+    V: np.ndarray  # (K, K)
+    alpha: np.ndarray  # (K,)
+    beta: np.ndarray  # (M,)
+
+
 @dataclass
 class TrainTrace:
     config: TrainConfig
+    init: Params  # the initial blocks, held once
+    pnh: np.ndarray  # p^_N, the right factor of every W12/W22 update
     rows: list[MetricsRow] = field(default_factory=list)
-    snapshots: dict[int, Params] = field(default_factory=dict)
+    snapshots: dict[int, Snapshot] = field(default_factory=dict)
     lprimes: list[float] = field(default_factory=list)  # mean l' at each pre-step t
     seeds: dict[str, int] = field(default_factory=dict)
 
+    def params(self, t: int) -> Params:
+        """Dense parameters of snapshot t, built on each call (K x M and
+        M x M blocks; the trace does not keep them)."""
+        snap = self.snapshots[t]
+        W12 = np.outer(snap.alpha, self.pnh)
+        W12 += self.init.W12
+        W22 = np.outer(snap.beta, self.pnh)
+        W22 += self.init.W22
+        return self.init.with_updates(V=snap.V, W12=W12, W22=W22)
+
+    @property
+    def final_snapshot(self) -> Snapshot:
+        return self.snapshots[max(self.snapshots)]
+
     @property
     def final_params(self) -> Params:
-        return self.snapshots[max(self.snapshots)]
+        return self.params(max(self.snapshots))
 
     def series(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.rows])
@@ -132,12 +192,16 @@ def init_params(cfg: TrainConfig, rng: np.random.Generator | None = None) -> Par
     return Params.gaussian(wc.K, cfg.M, cfg.sigma, rng)
 
 
-def step(params: Params, grads: Grads, eta: float) -> Params:
-    """One plain gradient-descent update; W11/W21 carry zero gradient."""
-    return params.with_updates(
-        V=params.V - eta * grads.gV,
-        W12=params.W12 - eta * grads.gW12,
-        W22=params.W22 - eta * grads.gW22,
+def step(fp: FactoredParams, bg: BatchGrad, eta: float, pnh_sq: float) -> FactoredParams:
+    """One plain gradient-descent update in O(K^2 + M).  W12 -= eta a p^_N^T
+    moves wtok = W12 p^_N by -eta |p^_N|^2 a, and likewise W22 moves u;
+    W11/W21 carry zero gradient."""
+    return FactoredParams(
+        V=fp.V - eta * bg.gV,
+        wtok=fp.wtok - eta * pnh_sq * bg.a,
+        u=fp.u - eta * pnh_sq * bg.b,
+        alpha=fp.alpha - eta * bg.a,
+        beta=fp.beta - eta * bg.b,
     )
 
 
@@ -154,7 +218,7 @@ def first_step_oracle_v(cfg: TrainConfig) -> np.ndarray:
     return cfg.eta / (cfg.eps * wc.N * wc.K) * acc
 
 
-def evaluate(params: Params, states: np.ndarray, labels: np.ndarray,
+def evaluate(fp: FactoredParams, states: np.ndarray, labels: np.ndarray,
              pos: PositionalMatrix, tm: TransitionMatrix | None, eps: float,
              normalize: bool = False, it: int = 0, loss: float = float("nan")) -> MetricsRow:
     """Test-set metrics; the matrix-comparison fields are NaN when no
@@ -164,17 +228,16 @@ def evaluate(params: Params, states: np.ndarray, labels: np.ndarray,
     states = np.asarray(states)
     labels = np.asarray(labels)
     B, N = states.shape
+    K = fp.V.shape[0]
     weights = np.full(B, 1.0 / B)
-    S = attention(params, states, pos, normalize)
-    xs = np.zeros((B, params.K))
-    np.add.at(xs, (np.repeat(np.arange(B), N - 1), (states[:, :-1] - 1).ravel()),
-              S[:, :-1].ravel())
-    f = xs @ params.V.T
+    S = attention(fp, states, pos, normalize)
+    cell = (np.arange(B) * K)[:, None] + (states[:, :-1] - 1)  # flat index of xs[b, s_j]
+    xs = np.bincount(cell.ravel(), S[:, :-1].ravel(), minlength=B * K).reshape(B, K)
+    f = xs @ fp.V.T
     pred = np.argmax(f, axis=1) + 1  # first-max tie rule
     accuracy = float(weights @ (pred == labels))
     attn_parent = float(weights @ S[:, -2])
-    others = np.delete(S, N - 2, axis=1)
-    attn_other_max = float(weights @ others.max(axis=1))
+    attn_other_max = float(weights @ np.maximum(S[:, :-2].max(axis=1), S[:, -1]))
 
     kl = v_dist = f_dist = beta = gamma = float("nan")
     if tm is not None:
@@ -186,10 +249,10 @@ def evaluate(params: Params, states: np.ndarray, labels: np.ndarray,
         fn = np.linalg.norm(f, axis=1)
         if np.all(fn > 0):
             f_dist = float(weights @ np.linalg.norm(f / fn[:, None] - q, axis=1))
-        vF = np.linalg.norm(params.V)
+        vF = np.linalg.norm(fp.V)
         if vF > 0:
-            v_dist = float(np.linalg.norm(params.V / vF - tm.Pi.T / np.linalg.norm(tm.Pi)))
-        beta, gamma = decompose_v(params.V, tm.Pi)
+            v_dist = float(np.linalg.norm(fp.V / vF - tm.Pi.T / np.linalg.norm(tm.Pi)))
+        beta, gamma = decompose_v(fp.V, tm.Pi)
     return MetricsRow(iter=it, loss=loss, accuracy=accuracy, kl=kl,
                       v_dist=v_dist, f_dist=f_dist, attn_parent=attn_parent,
                       attn_other_max=attn_other_max, beta=beta, gamma=gamma)
@@ -261,19 +324,23 @@ def _population_scalar_step(state: _PopulationState, wc: WalkConfig, r: int,
     return new, loss, lp
 
 
-def _materialize_population(state: _PopulationState, wc: WalkConfig,
-                            pos: PositionalMatrix) -> Params:
-    K, M = wc.K, wc.M
-    pN = pos.P[:, -1]
-    psum = pos.P[:, :-1].sum(axis=1)
-    return Params(
-        V=np.full((K, K), state.v),
-        W11=np.zeros((K, K)),
-        W12=np.outer(np.full(K, state.g), pN),
-        W21=np.zeros((M, K)),
-        W22=np.outer(state.a * psum + state.b * pN, pN),
-        init=ZERO, sigma=0.0,
-    )
+def _population_factors(state: _PopulationState, K: int, cN: float, psum: np.ndarray,
+                        pN: np.ndarray, pnh_sq: float) -> FactoredParams:
+    """Factored parameters of the scalar state: with p_N = c_N p^_N,
+    alpha = g c_N 1_K and beta = c_N (a sum_{j<N} p_j + b p_N)."""
+    alpha = np.full(K, state.g * cN)
+    beta = cN * (state.a * psum + state.b * pN)
+    return FactoredParams(V=np.full((K, K), state.v), wtok=pnh_sq * alpha,
+                          u=pnh_sq * beta, alpha=alpha, beta=beta)
+
+
+def _check_finite(fp: FactoredParams, t: int) -> None:
+    if not all(np.all(np.isfinite(x)) for x in (fp.V, fp.alpha, fp.beta)):
+        raise FloatingPointError(f"non-finite parameters at iteration {t}")
+
+
+def _snapshot(fp: FactoredParams) -> Snapshot:
+    return Snapshot(V=fp.V, alpha=fp.alpha, beta=fp.beta)
 
 
 def _train_population(cfg: TrainConfig, pos: PositionalMatrix,
@@ -282,17 +349,19 @@ def _train_population(cfg: TrainConfig, pos: PositionalMatrix,
     r = wc.require_deterministic_theory()
     state = _PopulationState()
     schedule = cfg.snapshot_schedule()
+    pN, psum = pos.P[:, -1], pos.P[:, :-1].sum(axis=1)
+    cN = float(np.linalg.norm(pN)) if cfg.normalize_attention else 1.0
+    pnh_sq = trace.pnh @ trace.pnh
     for t in range(1, cfg.iterations + 1):
         state, loss, lp = _population_scalar_step(state, wc, r, cfg.eta, cfg.eps,
                                                   cfg.normalize_attention)
         trace.lprimes.append(lp)
-        params = _materialize_population(state, wc, pos)
-        if not np.isfinite(state.v):
-            raise FloatingPointError(f"non-finite parameters at iteration {t}")
-        trace.rows.append(evaluate(params, te_states, te_states[:, -1], pos, tm, cfg.eps,
+        fp = _population_factors(state, wc.K, cN, psum, pN, pnh_sq)
+        _check_finite(fp, t)
+        trace.rows.append(evaluate(fp, te_states, te_states[:, -1], pos, tm, cfg.eps,
                                    normalize=cfg.normalize_attention, it=t, loss=loss))
         if t in schedule:
-            trace.snapshots[t] = params
+            trace.snapshots[t] = _snapshot(fp)
     return trace
 
 
@@ -304,14 +373,17 @@ def train(cfg: TrainConfig) -> TrainTrace:
     init_rng = np.random.default_rng(cfg.seed + 2)
     params = init_params(cfg, rng=init_rng)
     tr_states, te_states, tm = _datasets(cfg)
+    pnh = query_vector(pos, cfg.normalize_attention)
+    pnh_sq = pnh @ pnh
+    fp = factor(params, pos, cfg.normalize_attention)
 
-    trace = TrainTrace(config=cfg, seeds={"train": cfg.seed, "test": cfg.seed + 1,
-                                          "init": cfg.seed + 2})
+    trace = TrainTrace(config=cfg, init=params, pnh=pnh,
+                       seeds={"train": cfg.seed, "test": cfg.seed + 1, "init": cfg.seed + 2})
     schedule = cfg.snapshot_schedule()
     if 0 in schedule:
-        trace.snapshots[0] = params
+        trace.snapshots[0] = _snapshot(fp)
     if cfg.iterations == 0:
-        trace.rows.append(evaluate(params, te_states, te_states[:, -1], pos, tm, cfg.eps,
+        trace.rows.append(evaluate(fp, te_states, te_states[:, -1], pos, tm, cfg.eps,
                                    normalize=cfg.normalize_attention, it=0))
         return trace
 
@@ -322,16 +394,15 @@ def train(cfg: TrainConfig) -> TrainTrace:
     for t in range(1, cfg.iterations + 1):
         if cfg.resample and cfg.grad_mode == EMPIRICAL and cfg.qa_task is None:
             tr_states = make_dataset(wc, cfg.train_size, rng=resample_rng)
-        bg = grad_batch(params, tr_states, tr_states[:, -1], pos, cfg.eps,
+        bg = grad_batch(fp, tr_states, tr_states[:, -1], pos, cfg.eps,
                         normalize=cfg.normalize_attention)
         trace.lprimes.append(bg.lprime_mean)
-        params = step(params, bg.grads, cfg.eta)
-        if not (np.all(np.isfinite(params.V)) and np.all(np.isfinite(params.W22))):
-            raise FloatingPointError(f"non-finite parameters at iteration {t}")
-        trace.rows.append(evaluate(params, te_states, te_states[:, -1], pos, tm, cfg.eps,
+        fp = step(fp, bg, cfg.eta, pnh_sq)
+        _check_finite(fp, t)
+        trace.rows.append(evaluate(fp, te_states, te_states[:, -1], pos, tm, cfg.eps,
                                    normalize=cfg.normalize_attention, it=t, loss=bg.loss))
         if t in schedule:
-            trace.snapshots[t] = params
+            trace.snapshots[t] = _snapshot(fp)
     return trace
 
 

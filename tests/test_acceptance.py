@@ -85,14 +85,14 @@ def test_criterion_3_first_step_oracles():
                       iterations=1, grad_mode="population")
     tr = train(cfg)
     pop_err = float(np.max(np.abs(tr.snapshots[1].V - first_step_oracle_v(cfg))))
-    w_zero_pop = (np.all(tr.snapshots[1].W12 == 0.0)
-                  and np.all(tr.snapshots[1].W22 == 0.0))
+    w_zero_pop = (np.all(tr.params(1).W12 == 0.0)
+                  and np.all(tr.params(1).W22 == 0.0))
 
     # empirical step, 10k samples
     ecfg = TrainConfig(iterations=1, **{**FIG4, "train_size": 10_000})
     etr = train(ecfg)
-    w_zero_emp = (np.all(etr.snapshots[1].W12 == 0.0)
-                  and np.all(etr.snapshots[1].W22 == 0.0))
+    w_zero_emp = (np.all(etr.params(1).W12 == 0.0)
+                  and np.all(etr.params(1).W22 == 0.0))
     # per-entry Monte-Carlo standard error of the one-step value update
     wc = ecfg.walk_config()
     states = make_dataset(wc, 10_000, seed=ecfg.seed)

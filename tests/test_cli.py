@@ -1,11 +1,12 @@
 """End-to-end command-line runs against temporary artifact directories."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from circlewalk import cli
+from circlewalk import cli, trainer
 from circlewalk.artifacts import save_params
 from circlewalk.cli import RECIPES, main
 from circlewalk.model import Params
@@ -114,6 +115,12 @@ def test_config_errors_exit_2(tmp_path, capsys):
         empty = _write_cfg(tmp_path, {**SMALL_CFG, key: 0})
         assert main(["train", "--out", str(tmp_path / "c"), "--config", empty]) == 2
         assert "config error:" in capsys.readouterr().err
+    for fields in ({"resample": "no"}, {"normalize_attention": 1},
+                   {"iterations": 2.5}, {"K": 4.5}, {"train_size": 8.5},
+                   {"eta": "1.0"}, {"snapshot_iters": [1.5]}):
+        bad = _write_cfg(tmp_path, {**SMALL_CFG, **fields})
+        assert main(["train", "--out", str(tmp_path / "d"), "--config", bad]) == 2, fields
+        assert "config error:" in capsys.readouterr().err, fields
 
 
 RUN_FILES = ("metrics.csv", "params.bin", "v_final.csv", "curves.svg",
@@ -166,6 +173,19 @@ def test_unexpected_errors_exit_2(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "boom" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_non_finite_w12_factor_exits_2(tmp_path, monkeypatch, capsys):
+    real = trainer.grad_batch
+
+    def poisoned(*args, **kwargs):
+        bg = real(*args, **kwargs)
+        return dataclasses.replace(bg, a=np.full_like(bg.a, np.nan))
+
+    monkeypatch.setattr(trainer, "grad_batch", poisoned)
+    cfg = _write_cfg(tmp_path, SMALL_CFG)
+    assert main(["train", "--out", str(tmp_path / "a"), "--config", cfg]) == 2
+    assert "FloatingPointError: non-finite parameters" in capsys.readouterr().err
 
 
 def test_seed_flag_overrides_config(tmp_path):

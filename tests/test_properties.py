@@ -1,0 +1,123 @@
+"""Property tests: the factored trainer against the dense per-episode
+oracle, the `params.bin` round trip, and the size of the snapshots."""
+
+import dataclasses
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from circlewalk.artifacts import PARAMS_MAGIC, load_params, save_params
+from circlewalk.gradients import grad_example
+from circlewalk.model import forward
+from circlewalk.posembed import build_positional
+from circlewalk.trainer import TrainConfig, init_params, train
+from circlewalk.walkgen import (enumerate_deterministic, make_dataset,
+                                tokens_from_states)
+
+# The factored trainer and the dense oracle do the same arithmetic in a
+# different order; over T <= 5 steps the blocks agree to ~3e-15 of their
+# largest entry, and the loss to ~4e-16 absolute (where it is near 0).
+PARAM_RTOL, PARAM_ATOL = 1e-9, 1e-12
+LOSS_RTOL, LOSS_ATOL = 1e-10, 1e-12
+# An oracle prediction whose top two scores are this close may go either
+# way under reassociation, so it may flip the accuracy by one episode.
+TIE_MARGIN = 1e-9
+
+
+@st.composite
+def small_configs(draw):
+    grad_mode = draw(st.sampled_from(["empirical", "population"]))
+    K = draw(st.integers(2, 5))
+    if grad_mode == "population":
+        p = draw(st.sampled_from([0.0, 1.0]))
+        N = K * draw(st.integers(1, 3)) + 1
+    else:
+        p = draw(st.floats(0.05, 0.95))
+        N = draw(st.integers(3, 10))
+    M = math.ceil(N ** 1.5) + draw(st.integers(0, 8))  # no capacity warning
+    init = draw(st.sampled_from(["zero", "gaussian"]))
+    T = draw(st.integers(1, 5))
+    return TrainConfig(
+        K=K, p=p, N=N, M=M, eta=draw(st.sampled_from([0.1, 1.0])), eps=0.1,
+        iterations=T, init=init, sigma=0.05 if init == "gaussian" else 0.0,
+        grad_mode=grad_mode, normalize_attention=draw(st.booleans()),
+        train_size=draw(st.integers(1, 12)), test_size=draw(st.integers(1, 12)),
+        seed=draw(st.integers(0, 1000)), snapshot_iters=tuple(range(T + 1)))
+
+
+def _dense_oracle(cfg):
+    """Plain dense GD: the uniform average of `grad_example` over the
+    training batch, applied to all five blocks.  Yields, per iteration,
+    (params after the step, loss before it, test accuracy after it, number
+    of test episodes whose prediction is a near-tie)."""
+    wc = cfg.walk_config()
+    pos = build_positional(cfg.M, wc.N)
+    params = init_params(cfg, rng=np.random.default_rng(cfg.seed + 2))
+    if cfg.grad_mode == "population":
+        tr = te = enumerate_deterministic(wc)
+    else:
+        tr = make_dataset(wc, cfg.train_size, seed=cfg.seed)
+        te = make_dataset(wc, cfg.test_size, seed=cfg.seed + 1)
+    norm = cfg.normalize_attention
+    for _ in range(cfg.iterations):
+        grads = [grad_example(params, X, int(s[-1]), pos, cfg.eps, normalize=norm)
+                 for X, s in zip(tokens_from_states(tr, wc.K), tr)]
+        losses = [-np.log(forward(params, X, pos, normalize=norm).f[s[-1] - 1] + cfg.eps)
+                  for X, s in zip(tokens_from_states(tr, wc.K), tr)]
+        params = params.with_updates(**{
+            name: getattr(params, name) - cfg.eta * np.mean(
+                [getattr(g, "g" + name) for g in grads], axis=0)
+            for name in ("V", "W11", "W12", "W21", "W22")})
+        fs = np.array([forward(params, X, pos, normalize=norm).f
+                       for X in tokens_from_states(te, wc.K)])
+        top2 = np.sort(fs, axis=1)[:, -2:]
+        ties = int(np.sum(top2[:, 1] - top2[:, 0] <= TIE_MARGIN))
+        acc = float(np.mean(np.argmax(fs, axis=1) + 1 == te[:, -1]))
+        yield params, float(np.mean(losses)), acc, ties, len(te)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=small_configs())
+def test_factored_trainer_matches_the_dense_oracle(cfg):
+    trace = train(cfg)
+    for t, (dense, loss, acc, ties, B) in enumerate(_dense_oracle(cfg), start=1):
+        got = trace.params(t)
+        for name in ("V", "W11", "W12", "W21", "W22"):
+            np.testing.assert_allclose(getattr(got, name), getattr(dense, name),
+                                       rtol=PARAM_RTOL, atol=PARAM_ATOL,
+                                       err_msg=f"{name} at t={t}")
+        row = trace.rows[t - 1]
+        np.testing.assert_allclose(row.loss, loss, rtol=LOSS_RTOL, atol=LOSS_ATOL,
+                                   err_msg=f"loss at t={t}")
+        assert abs(row.accuracy - acc) <= ties / B + 1e-12, (t, row.accuracy, acc, ties)
+
+
+@settings(max_examples=25, deadline=None)
+@given(cfg=small_configs())
+def test_params_bin_round_trips(cfg):
+    params = train(dataclasses.replace(cfg, snapshot_iters=None)).final_params
+    K, M = params.K, params.M
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "params.bin"
+        save_params(params, path)
+        loaded = load_params(path)
+        raw = path.read_bytes()
+    for name in ("V", "W11", "W12", "W21", "W22"):
+        np.testing.assert_array_equal(getattr(loaded, name), getattr(params, name))
+    assert (loaded.init, loaded.sigma) == (params.init, params.sigma)
+    header = len(PARAMS_MAGIC) + raw[len(PARAMS_MAGIC):].index(b"\n") + 1
+    assert len(raw) == header + 8 * (2 * K * K + 2 * K * M + M * M)
+
+
+def test_snapshots_hold_no_m_by_m_array():
+    base = dict(K=4, N=13, M=60, iterations=6, train_size=16, test_size=16)
+    for fields in (dict(p=0.5), dict(p=0.5, init="gaussian", sigma=0.05),
+                   dict(p=1.0, grad_mode="population")):
+        trace = train(TrainConfig(**base, **fields))
+        for t, snap in trace.snapshots.items():
+            for f in dataclasses.fields(snap):
+                arr = getattr(snap, f.name)
+                assert arr.size < base["M"] ** 2, (fields, t, f.name, arr.shape)

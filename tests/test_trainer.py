@@ -1,13 +1,16 @@
 """Training loop, evaluation metrics, and the population recursion."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from circlewalk.gradients import attention, grad_batch
+from circlewalk import trainer
+from circlewalk.gradients import attention, factor, grad_batch, query_vector
 from circlewalk.model import Params, forward
 from circlewalk.posembed import build_positional
 from circlewalk.trainer import (METRIC_FIELDS, TrainConfig, evaluate,
-                                first_step_oracle_v, init_params, step, train)
+                                first_step_oracle_v, init_params, train)
 from circlewalk.walkgen import (WalkConfig, enumerate_deterministic,
                                 make_dataset, tokens_from_states)
 
@@ -32,6 +35,15 @@ def test_config_validation():
         TrainConfig(train_size=0)
     with pytest.raises(ValueError):
         TrainConfig(test_size=0)
+    # types: a JSON "no" is not a bool, 2.5 is not an iteration count
+    for bad in (dict(resample="no"), dict(normalize_attention=1),
+                dict(iterations=2.5), dict(K=4.5), dict(train_size=8.5),
+                dict(seed=True), dict(M=None), dict(eta="1"), dict(p=True),
+                dict(snapshot_iters=(1.5,))):
+        with pytest.raises(TypeError):
+            TrainConfig(**bad)
+    # ints are real numbers, numpy scalars are accepted
+    TrainConfig(p=1, eta=np.float64(0.5), K=np.int64(4), N=9, M=40)
 
 
 def test_snapshot_schedule():
@@ -88,12 +100,13 @@ def test_batch_forward_matches_forward():
     pos = build_positional(24, 8)
     params = Params.gaussian(5, 24, 0.1, np.random.default_rng(1))
     for normalize in (False, True):
-        S = attention(params, states, pos, normalize)
+        fp = factor(params, pos, normalize)
+        S = attention(fp, states, pos, normalize)
         outs = [forward(params, X, pos, normalize=normalize)
                 for X in tokens_from_states(states, 5)]
         for i, out in enumerate(outs):
             np.testing.assert_allclose(S[i], out.S, atol=1e-13)
-        row = evaluate(params, states, states[:, -1], pos, None, eps=0.1,
+        row = evaluate(fp, states, states[:, -1], pos, None, eps=0.1,
                        normalize=normalize)
         pred = np.array([out.pred for out in outs])
         assert row.accuracy == pytest.approx(np.mean(pred == states[:, -1]))
@@ -106,14 +119,14 @@ def test_evaluate_fields():
     states = make_dataset(cfg, 32, seed=0)
     pos = build_positional(40, 9)
     params = Params.gaussian(4, 40, 0.1, np.random.default_rng(5))
-    row = evaluate(params, states, states[:, -1], pos,
+    row = evaluate(factor(params, pos), states, states[:, -1], pos,
                    transition_matrix(4, 0.5), eps=0.1)
     assert 0.0 <= row.accuracy <= 1.0
     assert np.isfinite(row.kl) and row.kl >= 0.0
     assert np.isfinite(row.v_dist)
     assert 0.0 <= row.attn_parent <= 1.0
     # no transition matrix (QA): comparison metrics are NaN
-    row_qa = evaluate(params, states, states[:, -1], pos, None, eps=0.1)
+    row_qa = evaluate(factor(params, pos), states, states[:, -1], pos, None, eps=0.1)
     assert np.isnan(row_qa.kl) and np.isnan(row_qa.v_dist)
     assert np.isfinite(row_qa.accuracy)
 
@@ -125,8 +138,9 @@ def test_first_step_oracle_matches_an_actual_step():
     tr = train(cfg)
     V1 = tr.snapshots[1].V
     np.testing.assert_allclose(V1, first_step_oracle_v(cfg), atol=1e-14)
-    np.testing.assert_array_equal(tr.snapshots[1].W12, 0.0)
-    np.testing.assert_array_equal(tr.snapshots[1].W22, 0.0)
+    dense = tr.params(1)
+    np.testing.assert_array_equal(dense.W12, 0.0)
+    np.testing.assert_array_equal(dense.W22, 0.0)
 
 
 def test_first_step_oracle_random_walk_is_the_power_sum():
@@ -144,14 +158,18 @@ def test_population_scalar_path_matches_dense_gradients():
                       grad_mode="population")
     tr = train(cfg)
     pos = build_positional(50, 13)
+    pnh = query_vector(pos)
     dense = init_params(cfg)
     states = enumerate_deterministic(cfg.walk_config())
     for t in range(1, 5):
-        bg = grad_batch(dense, states, states[:, -1], pos, cfg.eps,
+        bg = grad_batch(factor(dense, pos), states, states[:, -1], pos, cfg.eps,
                         normalize=cfg.normalize_attention)
-        dense = step(dense, bg.grads, cfg.eta)
+        # dense GD step with the rank-one W gradients a p^_N^T, b p^_N^T
+        dense = dense.with_updates(V=dense.V - cfg.eta * bg.gV,
+                                   W12=dense.W12 - cfg.eta * np.outer(bg.a, pnh),
+                                   W22=dense.W22 - cfg.eta * np.outer(bg.b, pnh))
         if t in tr.snapshots:
-            snap = tr.snapshots[t]
+            snap = tr.params(t)
             np.testing.assert_allclose(snap.V, dense.V, atol=1e-12)
             np.testing.assert_allclose(snap.W12, dense.W12, atol=1e-12)
             np.testing.assert_allclose(snap.W22, dense.W22, atol=1e-12)
@@ -172,7 +190,23 @@ def test_non_finite_logits_raise():
     pos = build_positional(40, 9)
     states = make_dataset(WalkConfig(K=4, p=0.5, N=9, M=40), 4, seed=0)
     with pytest.raises(FloatingPointError):
-        grad_batch(params, states, states[:, -1], pos, 0.1)
+        grad_batch(factor(params, pos), states, states[:, -1], pos, 0.1)
+
+
+@pytest.mark.parametrize("factor_name", ["a", "b"])
+def test_non_finite_w_factor_raises(monkeypatch, factor_name):
+    # the guard checks V, alpha (W12) and beta (W22) right after the step,
+    # before the non-finite logits could surface in evaluate
+    real = trainer.grad_batch
+
+    def poisoned(*args, **kwargs):
+        bg = real(*args, **kwargs)
+        bad = np.full_like(getattr(bg, factor_name), np.inf)
+        return dataclasses.replace(bg, **{factor_name: bad})
+
+    monkeypatch.setattr(trainer, "grad_batch", poisoned)
+    with pytest.raises(FloatingPointError, match="non-finite parameters at iteration 1"):
+        train(TrainConfig(iterations=2, **SMALL))
 
 
 def test_qa_training_runs():
