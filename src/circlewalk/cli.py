@@ -23,7 +23,7 @@ import numpy as np
 from . import artifacts, theorycheck, walkgen
 from .markov import (decay_bound_report, eigen_action_check, gamma_dominance_report,
                      shift_identities_check, transition_matrix)
-from .gradients import factor
+from .gradients import factor, geometry
 from .posembed import build_positional
 from .trainer import TrainConfig, config_dict, evaluate, train
 from .walkgen import WalkConfig, export_dataset, make_dataset
@@ -146,15 +146,14 @@ def cmd_eval(args) -> int:
     if params.K != wc.K or params.M < wc.N:
         raise ConfigError(f"params have K={params.K}, M={params.M}; the config "
                           f"needs K={wc.K} and M >= N={wc.N}")
-    pos = build_positional(params.M, wc.N)
+    geo = geometry(build_positional(params.M, wc.N), cfg.normalize_attention)
     if cfg.qa_task is not None:
         states = walkgen.qa_dataset(cfg.qa_task, cfg.test_size, seed=cfg.seed + 1)
         tm = None
     else:
         states = make_dataset(wc, cfg.test_size, seed=cfg.seed + 1)
         tm = transition_matrix(wc.K, wc.p)
-    row = evaluate(factor(params, pos, cfg.normalize_attention), states, states[:, -1],
-                   pos, tm, cfg.eps, normalize=cfg.normalize_attention)
+    row = evaluate(factor(params, geo), states, geo, tm)
     record = {name: getattr(row, name) for name in
               ("accuracy", "kl", "v_dist", "f_dist", "attn_parent",
                "attn_other_max", "beta", "gamma")}

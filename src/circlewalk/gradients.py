@@ -19,6 +19,11 @@ query, j = N) need only the K-vector wtok = W12 p^_N and the M-vector
 u = W22 p^_N.  The batched path (`FactoredParams`, `attention`,
 `grad_batch`) works on these vectors and never forms a K x M or M x M
 block; `grad_example` and `fd_grad` are the dense per-episode oracle.
+
+P, c and p^_N are fixed for a run, so `geometry` builds them once into a
+`Geometry` that every batched function takes in place of the positional
+matrix and the normalization flag.  A batch is a (B, N) state array
+whose last column is the label.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import numpy as np
 from .model import Params, forward, loss_value
 from .posembed import PositionalMatrix
 
-__all__ = ["Grads", "BatchGrad", "FactoredParams", "query_vector", "factor",
+__all__ = ["Grads", "BatchGrad", "Geometry", "geometry", "FactoredParams", "factor",
            "attention", "grad_example", "grad_batch", "fd_grad"]
 
 
@@ -61,14 +66,26 @@ class BatchGrad:
     lprimes: np.ndarray
 
 
-def _column_norms(N: int, pos: PositionalMatrix, normalize: bool) -> np.ndarray:
-    """Norms of the augmented columns [x_j; p_j]; ones when not normalizing."""
-    if not normalize:
-        return np.ones(N)
-    pn = np.linalg.norm(pos.P, axis=0)
-    c = np.sqrt(1.0 + pn**2)
-    c[-1] = pn[-1]  # the query column has no token part
-    return c
+@dataclass(frozen=True)
+class Geometry:
+    """What the model sees of the positions, fixed for a run."""
+
+    P: np.ndarray  # (M, N) positional matrix
+    c: np.ndarray  # (N,) augmented column norms; ones without normalization
+    pnh: np.ndarray  # (M,) p^_N = p_N / c_N
+
+
+def geometry(pos: PositionalMatrix, normalize: bool = False) -> Geometry:
+    """P, the norms c_j of the augmented columns [x_j; p_j] when the
+    attention input is column-normalized (the query column has no token
+    part), and p^_N."""
+    if normalize:
+        pn = np.linalg.norm(pos.P, axis=0)
+        c = np.sqrt(1.0 + pn**2)
+        c[-1] = pn[-1]
+    else:
+        c = np.ones(pos.N)
+    return Geometry(P=pos.P, c=c, pnh=pos.P[:, -1] / c[-1])
 
 
 @dataclass(frozen=True)
@@ -84,15 +101,9 @@ class FactoredParams:
     beta: np.ndarray  # (M,)
 
 
-def query_vector(pos: PositionalMatrix, normalize: bool = False) -> np.ndarray:
-    """p^_N = p_N / c_N, the right factor of every W12/W22 gradient."""
-    return pos.P[:, -1] / _column_norms(pos.N, pos, normalize)[-1]
-
-
-def factor(params: Params, pos: PositionalMatrix, normalize: bool = False) -> FactoredParams:
+def factor(params: Params, geo: Geometry) -> FactoredParams:
     """Factored view of dense parameters, with zero left factors."""
-    pnh = query_vector(pos, normalize)
-    return FactoredParams(V=params.V, wtok=params.W12 @ pnh, u=params.W22 @ pnh,
+    return FactoredParams(V=params.V, wtok=params.W12 @ geo.pnh, u=params.W22 @ geo.pnh,
                           alpha=np.zeros(params.K), beta=np.zeros(params.M))
 
 
@@ -102,28 +113,26 @@ def grad_example(params: Params, X: np.ndarray, y: int, pos: PositionalMatrix,
     out = forward(params, X, pos, normalize=normalize)
     lp = -1.0 / (float(out.f[y - 1]) + eps)
     K, M = params.K, params.M
-    N = X.shape[1]
-    c = _column_norms(N, pos, normalize)
+    geo = geometry(pos, normalize)
+    c = geo.c
 
     u = params.V.T @ _unit(K, y)
     q = X.T @ u  # q_N = 0 automatically: x_N = 0
     m = float(out.S @ q)
     d = out.S * (q - m)
 
-    pNh = pos.P[:, -1] / c[-1]
     a_vec = (X[:, :-1] / c[:-1]) @ d[:-1]
-    b_vec = (pos.P / c) @ d
+    b_vec = (geo.P / c) @ d
     return Grads(
         gV=lp * np.outer(_unit(K, y), X @ out.S),
         gW11=np.zeros((K, K)),
-        gW12=lp * np.outer(a_vec, pNh),
+        gW12=lp * np.outer(a_vec, geo.pnh),
         gW21=np.zeros((M, K)),
-        gW22=lp * np.outer(b_vec, pNh),
+        gW22=lp * np.outer(b_vec, geo.pnh),
     )
 
 
-def attention(fp: FactoredParams, states: np.ndarray, pos: PositionalMatrix,
-              normalize: bool = False) -> np.ndarray:
+def attention(fp: FactoredParams, states: np.ndarray, geo: Geometry) -> np.ndarray:
     """Attention weights S (B, N) for a (B, N) state array.
 
     The token logits are wtok gathered by state and the positional logits
@@ -132,8 +141,8 @@ def attention(fp: FactoredParams, states: np.ndarray, pos: PositionalMatrix,
     """
     states = np.asarray(states)
     B, N = states.shape
-    c = _column_norms(N, pos, normalize)
-    zpos = (pos.P.T @ fp.u) / c  # (N,)
+    c = geo.c
+    zpos = (geo.P.T @ fp.u) / c  # (N,)
     z = np.empty((B, N))
     np.divide(fp.wtok[states[:, :-1] - 1], c[:-1], out=z[:, :-1])
     z[:, :-1] += zpos[:-1]
@@ -146,24 +155,23 @@ def attention(fp: FactoredParams, states: np.ndarray, pos: PositionalMatrix,
     return z
 
 
-def grad_batch(fp: FactoredParams, states: np.ndarray, labels: np.ndarray,
-               pos: PositionalMatrix, eps: float, normalize: bool = False) -> BatchGrad:
-    """Uniform-average gradient over a batch of episodes.
+def grad_batch(fp: FactoredParams, states: np.ndarray, geo: Geometry,
+               eps: float) -> BatchGrad:
+    """Uniform-average gradient over a batch of episodes, labelled by the
+    last column of `states`.
 
     Returns gV and the left factors a (K) and b (M) of the rank-one W
     gradients; no per-example block and no outer product is formed.
     Agrees with averaging `grad_example` to rounding error.
     """
     states = np.asarray(states)
-    labels = np.asarray(labels)
     B, N = states.shape
     K = fp.V.shape[0]
     weights = np.full(B, 1.0 / B)
-    c = _column_norms(N, pos, normalize)
-    S = attention(fp, states, pos, normalize)
+    S = attention(fp, states, geo)
 
     tok = states[:, :-1] - 1
-    cell = ((labels - 1) * K)[:, None] + tok  # flat index of V[y, s_j]
+    cell = ((states[:, -1] - 1) * K)[:, None] + tok  # flat index of V[y, s_j]
     q = np.zeros((B, N))
     q[:, :-1] = fp.V.ravel()[cell]
     f_y = np.einsum("bj,bj->b", S, q)
@@ -175,9 +183,9 @@ def grad_batch(fp: FactoredParams, states: np.ndarray, labels: np.ndarray,
     wl = weights * lp
     gV = np.bincount(cell.ravel(), (wl[:, None] * S[:, :-1]).ravel(),
                      minlength=K * K).reshape(K, K)
-    wd = wl[:, None] * d / c
+    wd = wl[:, None] * d / geo.c
     a = np.bincount(tok.ravel(), wd[:, :-1].ravel(), minlength=K)
-    b = pos.P @ wd.sum(axis=0)
+    b = geo.P @ wd.sum(axis=0)
     return BatchGrad(gV=gV, a=a, b=b, loss=float(weights @ losses),
                      lprime_mean=float(weights @ lp), lprimes=lp)
 

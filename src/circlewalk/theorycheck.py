@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gradients import attention, factor
+from .gradients import Geometry, attention, factor
 from .model import Params
-from .posembed import PositionalMatrix, build_positional
 from .trainer import TrainConfig, TrainTrace, first_step_oracle_v
 from .walkgen import enumerate_deterministic
 
@@ -194,7 +193,7 @@ def check_deterministic_theorem(trace: TrainTrace, tol: float = 1e-12) -> Determ
         raise ValueError("deterministic report requires a population-mode trace")
     wc = cfg.walk_config()
     r = wc.require_deterministic_theory()
-    pos = build_positional(cfg.M, wc.N)
+    geo = trace.geometry
     states = enumerate_deterministic(wc)
 
     items: dict[str, str] = {}
@@ -209,8 +208,7 @@ def check_deterministic_theorem(trace: TrainTrace, tol: float = 1e-12) -> Determ
         vmax = float(np.max(np.abs(snap.V)))
         if vmax > 0:
             v_resid = max(v_resid, float(snap.V.max() - snap.V.min()) / vmax)
-        S = attention(factor(snap, pos, cfg.normalize_attention), states, pos,
-                      cfg.normalize_attention)
+        S = attention(factor(snap, geo), states, geo)
         body = S[:, :-1]
         s_resid = max(s_resid, float(np.max(body.max(axis=1) - body.min(axis=1))))
         wmax = float(np.max(np.abs(snap.W12)))
@@ -225,9 +223,9 @@ def check_deterministic_theorem(trace: TrainTrace, tol: float = 1e-12) -> Determ
     if 2 in trace.snapshots and len(trace.lprimes) >= 2:
         lp0, lp1 = trace.lprimes[0], trace.lprimes[1]
         N, K, eta = wc.N, wc.K, cfg.eta
-        pN = pos.P[:, -1]
+        pN = geo.P[:, -1]
         w12_exp = lp0 * lp1 * eta**2 * r**2 / (N**3 * K) * np.outer(np.ones(K), pN)
-        psum = pos.P[:, :-1].sum(axis=1)
+        psum = geo.P[:, :-1].sum(axis=1)
         w22_exp = np.outer(
             lp0 * lp1 * (eta**2 * r / (N**3 * K) * psum - eta**2 * r**2 / N**3 * pN), pN)
         snap = trace.params(2)
@@ -252,11 +250,10 @@ class SeparationResult:
 
 
 def attention_separation_check(params: Params, states: np.ndarray,
-                               pos: PositionalMatrix,
-                               normalize: bool = False) -> SeparationResult:
+                               geo: Geometry) -> SeparationResult:
     states = np.asarray(states)
     N = states.shape[1]
-    S = attention(factor(params, pos, normalize), states, pos, normalize)
+    S = attention(factor(params, geo), states, geo)
     # recover logit gaps from the softmax (shift-invariant): log S works
     logS = np.log(S)
     others = np.delete(logS, N - 2, axis=1)

@@ -7,10 +7,15 @@ N = r*K + 1) where the K possible episodes can be enumerated.
 
 Training runs on the factored parameters (`FactoredParams`): V, the logit
 vectors wtok = W12 p^_N and u = W22 p^_N, and the left factors alpha,
-beta of W12 - W12_0 and W22 - W22_0 (see `gradients`).  One iteration
-costs O(B*N + M*N) and no K x M or M x M block is touched.  Snapshots keep
-V, alpha and beta; the trace keeps the init blocks once and builds dense
-`Params` only on request (`TrainTrace.params`, `final_params`).
+beta of W12 - W12_0 and W22 - W22_0 (see `gradients`).  The run builds
+its `Geometry` (P, column norms, p^_N) once.  One loop body serves both
+gradient modes: each iteration advances the factored parameters either by
+`grad_batch` + `step` or, for zero-init population runs, by the exact
+scalar recursion, then records l', guards against non-finite parameters,
+evaluates and snapshots.  One iteration costs O(B*N + M*N) and no K x M
+or M x M block is touched.  Snapshots keep V, alpha and beta; the trace
+keeps the init blocks and the geometry once and builds dense `Params`
+only on request (`TrainTrace.params`, `final_params`).
 """
 
 from __future__ import annotations
@@ -21,11 +26,11 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import walkgen
-from .gradients import (BatchGrad, FactoredParams, attention, factor, grad_batch,
-                        query_vector)
+from .gradients import (BatchGrad, FactoredParams, Geometry, attention, factor,
+                        geometry, grad_batch)
 from .markov import TransitionMatrix, transition_matrix
 from .model import Params
-from .posembed import PositionalMatrix, build_positional
+from .posembed import build_positional
 from .walkgen import WalkConfig, make_dataset, enumerate_deterministic
 
 __all__ = [
@@ -83,10 +88,13 @@ class TrainConfig:
             raise ValueError(f"unknown grad_mode {self.grad_mode!r}")
         if self.qa_task is not None and self.qa_task not in walkgen.QA_N:
             raise ValueError(f"unknown QA task {self.qa_task!r}")
+        wc = self.walk_config()  # range checks of K, p, N and M
+        if self.resample and (self.grad_mode == POPULATION or self.qa_task is not None):
+            raise ValueError("resample applies only to empirical walk training")
         if self.grad_mode == POPULATION:
             if self.qa_task is not None:
                 raise ValueError("population mode applies to deterministic walks only")
-            self.walk_config().require_deterministic_theory()
+            wc.require_deterministic_theory()
 
     def _check_types(self):
         """bool fields take only bools, int fields only non-bool integers,
@@ -155,7 +163,7 @@ class Snapshot:
 class TrainTrace:
     config: TrainConfig
     init: Params  # the initial blocks, held once
-    pnh: np.ndarray  # p^_N, the right factor of every W12/W22 update
+    geometry: Geometry  # P, column norms and p^_N of the run
     rows: list[MetricsRow] = field(default_factory=list)
     snapshots: dict[int, Snapshot] = field(default_factory=dict)
     lprimes: list[float] = field(default_factory=list)  # mean l' at each pre-step t
@@ -165,9 +173,10 @@ class TrainTrace:
         """Dense parameters of snapshot t, built on each call (K x M and
         M x M blocks; the trace does not keep them)."""
         snap = self.snapshots[t]
-        W12 = np.outer(snap.alpha, self.pnh)
+        pnh = self.geometry.pnh
+        W12 = np.outer(snap.alpha, pnh)
         W12 += self.init.W12
-        W22 = np.outer(snap.beta, self.pnh)
+        W22 = np.outer(snap.beta, pnh)
         W22 += self.init.W22
         return self.init.with_updates(V=snap.V, W12=W12, W22=W22)
 
@@ -218,24 +227,24 @@ def first_step_oracle_v(cfg: TrainConfig) -> np.ndarray:
     return cfg.eta / (cfg.eps * wc.N * wc.K) * acc
 
 
-def evaluate(fp: FactoredParams, states: np.ndarray, labels: np.ndarray,
-             pos: PositionalMatrix, tm: TransitionMatrix | None, eps: float,
-             normalize: bool = False, it: int = 0, loss: float = float("nan")) -> MetricsRow:
-    """Test-set metrics; the matrix-comparison fields are NaN when no
-    transition matrix applies (QA tasks) or a norm vanishes (zero init)."""
+def evaluate(fp: FactoredParams, states: np.ndarray, geo: Geometry,
+             tm: TransitionMatrix | None, it: int = 0,
+             loss: float = float("nan")) -> MetricsRow:
+    """Test-set metrics on a (B, N) state array labelled by its last
+    column; the matrix-comparison fields are NaN when no transition matrix
+    applies (QA tasks) or a norm vanishes (zero init)."""
     from .theorycheck import decompose_v
 
     states = np.asarray(states)
-    labels = np.asarray(labels)
-    B, N = states.shape
+    B = states.shape[0]
     K = fp.V.shape[0]
     weights = np.full(B, 1.0 / B)
-    S = attention(fp, states, pos, normalize)
+    S = attention(fp, states, geo)
     cell = (np.arange(B) * K)[:, None] + (states[:, :-1] - 1)  # flat index of xs[b, s_j]
     xs = np.bincount(cell.ravel(), S[:, :-1].ravel(), minlength=B * K).reshape(B, K)
     f = xs @ fp.V.T
     pred = np.argmax(f, axis=1) + 1  # first-max tie rule
-    accuracy = float(weights @ (pred == labels))
+    accuracy = float(weights @ (pred == states[:, -1]))
     attn_parent = float(weights @ S[:, -2])
     attn_other_max = float(weights @ np.maximum(S[:, :-2].max(axis=1), S[:, -1]))
 
@@ -324,12 +333,13 @@ def _population_scalar_step(state: _PopulationState, wc: WalkConfig, r: int,
     return new, loss, lp
 
 
-def _population_factors(state: _PopulationState, K: int, cN: float, psum: np.ndarray,
-                        pN: np.ndarray, pnh_sq: float) -> FactoredParams:
+def _population_factors(state: _PopulationState, K: int, geo: Geometry,
+                        psum: np.ndarray, pnh_sq: float) -> FactoredParams:
     """Factored parameters of the scalar state: with p_N = c_N p^_N,
     alpha = g c_N 1_K and beta = c_N (a sum_{j<N} p_j + b p_N)."""
+    cN = geo.c[-1]
     alpha = np.full(K, state.g * cN)
-    beta = cN * (state.a * psum + state.b * pN)
+    beta = cN * (state.a * psum + state.b * geo.P[:, -1])
     return FactoredParams(V=np.full((K, K), state.v), wtok=pnh_sq * alpha,
                           u=pnh_sq * beta, alpha=alpha, beta=beta)
 
@@ -343,64 +353,42 @@ def _snapshot(fp: FactoredParams) -> Snapshot:
     return Snapshot(V=fp.V, alpha=fp.alpha, beta=fp.beta)
 
 
-def _train_population(cfg: TrainConfig, pos: PositionalMatrix,
-                      trace: TrainTrace, te_states, tm) -> TrainTrace:
-    wc = cfg.walk_config()
-    r = wc.require_deterministic_theory()
-    state = _PopulationState()
-    schedule = cfg.snapshot_schedule()
-    pN, psum = pos.P[:, -1], pos.P[:, :-1].sum(axis=1)
-    cN = float(np.linalg.norm(pN)) if cfg.normalize_attention else 1.0
-    pnh_sq = trace.pnh @ trace.pnh
-    for t in range(1, cfg.iterations + 1):
-        state, loss, lp = _population_scalar_step(state, wc, r, cfg.eta, cfg.eps,
-                                                  cfg.normalize_attention)
-        trace.lprimes.append(lp)
-        fp = _population_factors(state, wc.K, cN, psum, pN, pnh_sq)
-        _check_finite(fp, t)
-        trace.rows.append(evaluate(fp, te_states, te_states[:, -1], pos, tm, cfg.eps,
-                                   normalize=cfg.normalize_attention, it=t, loss=loss))
-        if t in schedule:
-            trace.snapshots[t] = _snapshot(fp)
-    return trace
-
-
 def train(cfg: TrainConfig) -> TrainTrace:
     """Run the full loop; one MetricsRow per iteration t = 1..T (a single
     t=0 row when T=0), snapshots per schedule, mean l' recorded per step."""
     wc = cfg.walk_config()
-    pos = build_positional(cfg.M, wc.N)
-    init_rng = np.random.default_rng(cfg.seed + 2)
-    params = init_params(cfg, rng=init_rng)
+    geo = geometry(build_positional(cfg.M, wc.N), cfg.normalize_attention)
+    params = init_params(cfg, rng=np.random.default_rng(cfg.seed + 2))
     tr_states, te_states, tm = _datasets(cfg)
-    pnh = query_vector(pos, cfg.normalize_attention)
-    pnh_sq = pnh @ pnh
-    fp = factor(params, pos, cfg.normalize_attention)
+    fp = factor(params, geo)
 
-    trace = TrainTrace(config=cfg, init=params, pnh=pnh,
+    trace = TrainTrace(config=cfg, init=params, geometry=geo,
                        seeds={"train": cfg.seed, "test": cfg.seed + 1, "init": cfg.seed + 2})
-    schedule = cfg.snapshot_schedule()
-    if 0 in schedule:
-        trace.snapshots[0] = _snapshot(fp)
+    trace.snapshots[0] = _snapshot(fp)
     if cfg.iterations == 0:
-        trace.rows.append(evaluate(fp, te_states, te_states[:, -1], pos, tm, cfg.eps,
-                                   normalize=cfg.normalize_attention, it=0))
+        trace.rows.append(evaluate(fp, te_states, geo, tm))
         return trace
 
-    if cfg.grad_mode == POPULATION and cfg.init == ZERO:
-        return _train_population(cfg, pos, trace, te_states, tm)
-
+    schedule = cfg.snapshot_schedule()
+    pnh_sq = geo.pnh @ geo.pnh
+    scalar = cfg.grad_mode == POPULATION and cfg.init == ZERO
+    if scalar:
+        state, r = _PopulationState(), wc.require_deterministic_theory()
+        psum = geo.P[:, :-1].sum(axis=1)
     resample_rng = np.random.default_rng(cfg.seed + 3)
     for t in range(1, cfg.iterations + 1):
-        if cfg.resample and cfg.grad_mode == EMPIRICAL and cfg.qa_task is None:
-            tr_states = make_dataset(wc, cfg.train_size, rng=resample_rng)
-        bg = grad_batch(fp, tr_states, tr_states[:, -1], pos, cfg.eps,
-                        normalize=cfg.normalize_attention)
-        trace.lprimes.append(bg.lprime_mean)
-        fp = step(fp, bg, cfg.eta, pnh_sq)
+        if scalar:
+            state, loss, lp = _population_scalar_step(state, wc, r, cfg.eta, cfg.eps,
+                                                      cfg.normalize_attention)
+            fp = _population_factors(state, wc.K, geo, psum, pnh_sq)
+        else:
+            if cfg.resample:
+                tr_states = make_dataset(wc, cfg.train_size, rng=resample_rng)
+            bg = grad_batch(fp, tr_states, geo, cfg.eps)
+            fp, loss, lp = step(fp, bg, cfg.eta, pnh_sq), bg.loss, bg.lprime_mean
+        trace.lprimes.append(lp)
         _check_finite(fp, t)
-        trace.rows.append(evaluate(fp, te_states, te_states[:, -1], pos, tm, cfg.eps,
-                                   normalize=cfg.normalize_attention, it=t, loss=bg.loss))
+        trace.rows.append(evaluate(fp, te_states, geo, tm, it=t, loss=loss))
         if t in schedule:
             trace.snapshots[t] = _snapshot(fp)
     return trace

@@ -28,11 +28,6 @@ __all__ = [
 ]
 
 
-def mod_node(s: int, k: int) -> int:
-    """1-based wrap-around: the unique value in [1, k] congruent to s mod k."""
-    return (s - 1) % k + 1
-
-
 @dataclass(frozen=True)
 class WalkConfig:
     """Task geometry: K nodes on a circle, clockwise probability p,

@@ -52,15 +52,27 @@ def test_train_emits_artifacts(tmp_path):
 
 
 def test_eval_round_trips_saved_params(tmp_path):
-    out = tmp_path / "run"
-    cfg = _write_cfg(tmp_path, SMALL_CFG)
-    assert main(["train", "--out", str(out), "--config", cfg]) == 0
-    out2 = tmp_path / "eval"
-    rc = main(["eval", "--out", str(out2), "--config", cfg,
-               "--params", str(out / "params.bin")])
-    assert rc == 0
-    rec = json.loads((out2 / "eval.json").read_text())
-    assert 0.0 <= rec["accuracy"] <= 1.0
+    # eval of the saved params under the same config reproduces the final
+    # metrics.csv row: accuracy exactly, the rest up to the rounding of the
+    # dense W12 p^_N, W22 p^_N against the trainer's factored vectors
+    normalized = dict(SMALL_CFG, init="gaussian", sigma=0.05,
+                      normalize_attention=True)
+    for i, fields in enumerate((SMALL_CFG, normalized)):
+        out, out2 = tmp_path / f"run{i}", tmp_path / f"eval{i}"
+        cfg = _write_cfg(tmp_path, fields, name=f"cfg{i}.json")
+        assert main(["train", "--out", str(out), "--config", cfg]) == 0
+        rc = main(["eval", "--out", str(out2), "--config", cfg,
+                   "--params", str(out / "params.bin")])
+        assert rc == 0
+        rec = json.loads((out2 / "eval.json").read_text())
+        header, *rows = (out / "metrics.csv").read_text().splitlines()
+        final = dict(zip(header.split(","), map(float, rows[-1].split(","))))
+        assert rec["accuracy"] == final["accuracy"], fields
+        for name in ("kl", "v_dist", "f_dist", "attn_parent", "attn_other_max",
+                     "beta", "gamma"):
+            assert np.isfinite(rec[name]), (fields, name)
+            np.testing.assert_allclose(rec[name], final[name], rtol=1e-9, atol=0,
+                                       err_msg=f"{name} of {fields}")
 
 
 def test_check_population_run_passes(tmp_path):
@@ -117,10 +129,17 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert "config error:" in capsys.readouterr().err
     for fields in ({"resample": "no"}, {"normalize_attention": 1},
                    {"iterations": 2.5}, {"K": 4.5}, {"train_size": 8.5},
-                   {"eta": "1.0"}, {"snapshot_iters": [1.5]}):
+                   {"eta": "1.0"}, {"snapshot_iters": [1.5]},
+                   {"p": 1.5}, {"K": 1}, {"N": 1}, {"M": 8}):
         bad = _write_cfg(tmp_path, {**SMALL_CFG, **fields})
         assert main(["train", "--out", str(tmp_path / "d"), "--config", bad]) == 2, fields
         assert "config error:" in capsys.readouterr().err, fields
+    for fields in ({**POP_CFG, "resample": True},
+                   {"qa_task": "task1", "M": 80, "resample": True}):
+        bad = _write_cfg(tmp_path, fields)
+        assert main(["train", "--out", str(tmp_path / "e"), "--config", bad]) == 2, fields
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "resample" in err, fields
 
 
 RUN_FILES = ("metrics.csv", "params.bin", "v_final.csv", "curves.svg",

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from circlewalk.gradients import (factor, fd_grad, grad_batch, grad_example,
-                                  query_vector)
+from circlewalk.gradients import factor, fd_grad, geometry, grad_batch, grad_example
 from circlewalk.model import Params
 from circlewalk.posembed import build_positional
 from circlewalk.walkgen import WalkConfig, make_dataset, tokens_from_states
@@ -68,13 +67,13 @@ def test_batch_agrees_with_per_example_average():
     params = Params.gaussian(5, 30, 0.05, rng)
     pos = build_positional(30, 9)
     for normalize in (False, True):
-        bg = grad_batch(factor(params, pos, normalize), states, states[:, -1],
-                        pos, EPS, normalize=normalize)
+        geo = geometry(pos, normalize)
+        bg = grad_batch(factor(params, geo), states, geo, EPS)
         avg = _average([grad_example(params, X, int(s[-1]), pos, EPS,
                                      normalize=normalize)
                         for X, s in zip(tokens, states)])
         # the batch returns the left factors of the rank-one W gradients
-        pnh = query_vector(pos, normalize)
+        pnh = geo.pnh
         np.testing.assert_allclose(bg.gV, avg["gV"], atol=1e-13)
         np.testing.assert_allclose(np.outer(bg.a, pnh), avg["gW12"], atol=1e-13)
         np.testing.assert_allclose(np.outer(bg.b, pnh), avg["gW22"], atol=1e-13)
@@ -85,7 +84,8 @@ def test_batch_weights_and_diagnostics():
     states = make_dataset(cfg, 3, seed=1)
     params = Params.zeros(4, 16)
     pos = build_positional(16, 7)
-    bg = grad_batch(factor(params, pos), states, states[:, -1], pos, EPS)
+    geo = geometry(pos)
+    bg = grad_batch(factor(params, geo), states, geo, EPS)
     # zero init: f_y = 0, so every l' is exactly -1/eps
     np.testing.assert_allclose(bg.lprimes, -1.0 / EPS)
     assert bg.lprime_mean == pytest.approx(-1.0 / EPS)

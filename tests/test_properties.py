@@ -1,7 +1,9 @@
 """Property tests: the factored trainer against the dense per-episode
-oracle, the `params.bin` round trip, and the size of the snapshots."""
+oracle, the `params.bin` round trip, the size of the snapshots, and the
+exit code of `check` against its report."""
 
 import dataclasses
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -10,10 +12,11 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from circlewalk.artifacts import PARAMS_MAGIC, load_params, save_params
+from circlewalk.cli import main
 from circlewalk.gradients import grad_example
 from circlewalk.model import forward
 from circlewalk.posembed import build_positional
-from circlewalk.trainer import TrainConfig, init_params, train
+from circlewalk.trainer import TrainConfig, config_dict, init_params, train
 from circlewalk.walkgen import (enumerate_deterministic, make_dataset,
                                 tokens_from_states)
 
@@ -121,3 +124,17 @@ def test_snapshots_hold_no_m_by_m_array():
             for f in dataclasses.fields(snap):
                 arr = getattr(snap, f.name)
                 assert arr.size < base["M"] ** 2, (fields, t, f.name, arr.shape)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cfg=small_configs())
+def test_check_exits_1_exactly_when_the_report_fails(cfg):
+    # empirical runs draw 0 < p < 1 and population runs p in {0, 1}, so
+    # every config has a report; short random-walk runs mostly fail it and
+    # zero-init population runs pass it
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(config_dict(cfg)))
+        rc = main(["check", "--out", str(Path(tmp) / "out"), "--config", str(path)])
+        report = json.loads((Path(tmp) / "out" / "report.json").read_text())
+    assert rc == (0 if report["passed"] else 1), (rc, report["items"])

@@ -11,6 +11,7 @@ from circlewalk.theorycheck import (FAIL, PASS, Thresholds,
                                     check_random_theorem, decompose_v,
                                     first_step_toeplitz_grid, rate_fit,
                                     toeplitz_check)
+from circlewalk.gradients import geometry
 from circlewalk.trainer import TrainConfig, train
 from circlewalk.posembed import build_positional
 from circlewalk.walkgen import WalkConfig, make_dataset
@@ -99,7 +100,7 @@ def test_attention_separation_on_a_planted_winner():
     # plant a strong parent preference through W22: z_j = p_j . p_N * scale
     params = params.with_updates(W22=np.outer(pos.P[:, -2], pos.P[:, -1]))
     states = make_dataset(WalkConfig(K=K, p=0.5, N=N, M=M), 16, seed=0)
-    res = attention_separation_check(params, states, pos)
+    res = attention_separation_check(params, states, geometry(pos))
     assert res.margin > 0.0
     assert res.min_parent_weight > 1.0 / N
 

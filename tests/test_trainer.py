@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from circlewalk import trainer
-from circlewalk.gradients import attention, factor, grad_batch, query_vector
+from circlewalk.gradients import attention, factor, geometry, grad_batch
 from circlewalk.model import Params, forward
 from circlewalk.posembed import build_positional
 from circlewalk.trainer import (METRIC_FIELDS, TrainConfig, evaluate,
@@ -35,6 +35,15 @@ def test_config_validation():
         TrainConfig(train_size=0)
     with pytest.raises(ValueError):
         TrainConfig(test_size=0)
+    # ranges of the walk geometry, whatever the gradient mode
+    for bad in (dict(p=1.5), dict(p=-0.1), dict(K=1), dict(N=1), dict(N=9, M=5)):
+        with pytest.raises(ValueError):
+            TrainConfig(**bad)
+    # resampling applies to empirical walk training only
+    with pytest.raises(ValueError, match="resample"):
+        TrainConfig(p=1.0, N=97, grad_mode="population", resample=True)
+    with pytest.raises(ValueError, match="resample"):
+        TrainConfig(qa_task="task1", resample=True)
     # types: a JSON "no" is not a bool, 2.5 is not an iteration count
     for bad in (dict(resample="no"), dict(normalize_attention=1),
                 dict(iterations=2.5), dict(K=4.5), dict(train_size=8.5),
@@ -100,14 +109,14 @@ def test_batch_forward_matches_forward():
     pos = build_positional(24, 8)
     params = Params.gaussian(5, 24, 0.1, np.random.default_rng(1))
     for normalize in (False, True):
-        fp = factor(params, pos, normalize)
-        S = attention(fp, states, pos, normalize)
+        geo = geometry(pos, normalize)
+        fp = factor(params, geo)
+        S = attention(fp, states, geo)
         outs = [forward(params, X, pos, normalize=normalize)
                 for X in tokens_from_states(states, 5)]
         for i, out in enumerate(outs):
             np.testing.assert_allclose(S[i], out.S, atol=1e-13)
-        row = evaluate(fp, states, states[:, -1], pos, None, eps=0.1,
-                       normalize=normalize)
+        row = evaluate(fp, states, geo, None)
         pred = np.array([out.pred for out in outs])
         assert row.accuracy == pytest.approx(np.mean(pred == states[:, -1]))
         assert row.attn_parent == pytest.approx(np.mean([o.S[-2] for o in outs]))
@@ -117,16 +126,15 @@ def test_evaluate_fields():
     from circlewalk.markov import transition_matrix
     cfg = WalkConfig(K=4, p=0.5, N=9, M=40)
     states = make_dataset(cfg, 32, seed=0)
-    pos = build_positional(40, 9)
+    geo = geometry(build_positional(40, 9))
     params = Params.gaussian(4, 40, 0.1, np.random.default_rng(5))
-    row = evaluate(factor(params, pos), states, states[:, -1], pos,
-                   transition_matrix(4, 0.5), eps=0.1)
+    row = evaluate(factor(params, geo), states, geo, transition_matrix(4, 0.5))
     assert 0.0 <= row.accuracy <= 1.0
     assert np.isfinite(row.kl) and row.kl >= 0.0
     assert np.isfinite(row.v_dist)
     assert 0.0 <= row.attn_parent <= 1.0
     # no transition matrix (QA): comparison metrics are NaN
-    row_qa = evaluate(factor(params, pos), states, states[:, -1], pos, None, eps=0.1)
+    row_qa = evaluate(factor(params, geo), states, geo, None)
     assert np.isnan(row_qa.kl) and np.isnan(row_qa.v_dist)
     assert np.isfinite(row_qa.accuracy)
 
@@ -157,13 +165,12 @@ def test_population_scalar_path_matches_dense_gradients():
     cfg = TrainConfig(K=4, p=1.0, N=13, M=50, eta=1.0, eps=0.1, iterations=4,
                       grad_mode="population")
     tr = train(cfg)
-    pos = build_positional(50, 13)
-    pnh = query_vector(pos)
+    geo = geometry(build_positional(50, 13))
+    pnh = geo.pnh
     dense = init_params(cfg)
     states = enumerate_deterministic(cfg.walk_config())
     for t in range(1, 5):
-        bg = grad_batch(factor(dense, pos), states, states[:, -1], pos, cfg.eps,
-                        normalize=cfg.normalize_attention)
+        bg = grad_batch(factor(dense, geo), states, geo, cfg.eps)
         # dense GD step with the rank-one W gradients a p^_N^T, b p^_N^T
         dense = dense.with_updates(V=dense.V - cfg.eta * bg.gV,
                                    W12=dense.W12 - cfg.eta * np.outer(bg.a, pnh),
@@ -187,10 +194,10 @@ def test_population_structure_is_exact():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_logits_raise():
     params = Params.zeros(4, 40).with_updates(W22=np.full((40, 40), np.inf))
-    pos = build_positional(40, 9)
+    geo = geometry(build_positional(40, 9))
     states = make_dataset(WalkConfig(K=4, p=0.5, N=9, M=40), 4, seed=0)
     with pytest.raises(FloatingPointError):
-        grad_batch(factor(params, pos), states, states[:, -1], pos, 0.1)
+        grad_batch(factor(params, geo), states, geo, 0.1)
 
 
 @pytest.mark.parametrize("factor_name", ["a", "b"])

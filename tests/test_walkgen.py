@@ -5,18 +5,11 @@ import pytest
 
 from circlewalk.walkgen import (
     QA_INDEX, QA_K, QA_N, QA_WORDS, TASK1, TASK2, WalkConfig,
-    enumerate_deterministic, export_dataset, make_dataset, mod_node,
+    enumerate_deterministic, export_dataset, make_dataset,
     qa_dataset, qa_enumerate, qa_symmetry_statistic, tokens_from_states,
 )
 
 CFG = WalkConfig(K=6, p=0.5, N=25, M=128)
-
-
-def test_mod_node_wraps_one_based():
-    assert mod_node(7, 6) == 1
-    assert mod_node(0, 6) == 6
-    assert mod_node(6, 6) == 6
-    assert mod_node(-1, 6) == 5
 
 
 def test_config_validation():
