@@ -32,7 +32,7 @@ def save_params(params: Params, path) -> None:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
         for name in _BLOCK_ORDER:
             block = np.ascontiguousarray(getattr(params, name), dtype="<f8")
-            fh.write(block.tobytes())
+            fh.write(block.data)  # the buffer itself, no bytes copy
 
 
 def load_params(path) -> Params:

@@ -25,7 +25,7 @@ from .markov import (decay_bound_report, eigen_action_check, gamma_dominance_rep
                      shift_identities_check, transition_matrix)
 from .gradients import factor, geometry
 from .posembed import build_positional
-from .trainer import TrainConfig, config_dict, evaluate, train
+from .trainer import TrainConfig, config_dict, eval_set, evaluate, train
 from .walkgen import WalkConfig, export_dataset, make_dataset
 
 RECIPES: dict[str, dict] = {
@@ -153,7 +153,7 @@ def cmd_eval(args) -> int:
     else:
         states = make_dataset(wc, cfg.test_size, seed=cfg.seed + 1)
         tm = transition_matrix(wc.K, wc.p)
-    row = evaluate(factor(params, geo), states, geo, tm)
+    row = evaluate(factor(params, geo), eval_set(states, geo, tm, wc.K))
     record = {name: getattr(row, name) for name in
               ("accuracy", "kl", "v_dist", "f_dist", "attn_parent",
                "attn_other_max", "beta", "gamma")}

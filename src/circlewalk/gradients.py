@@ -13,12 +13,23 @@ vanish identically because the query carries no token.
 
 Both W gradients are rank one with the same right factor p^_N = p_N / c_N,
 so gradient descent keeps W12 = W12_0 + alpha p^_N^T and
-W22 = W22_0 + beta p^_N^T, and the logits
-z_j = (W12 p^_N)[s_j] / c_j + p_j^T (W22 p^_N) / c_j (no token term at the
-query, j = N) need only the K-vector wtok = W12 p^_N and the M-vector
-u = W22 p^_N.  The batched path (`FactoredParams`, `attention`,
-`grad_batch`) works on these vectors and never forms a K x M or M x M
+W22 = W22_0 + beta p^_N^T.  The logit of body position j is then a token
+term plus a positional term, z_j = t[s_j] + zpos_j with t = W12 p^_N / c
+and zpos = P^T W22 p^_N / c (no token term at the query, j = N); every
+body column has the same norm, so t is one K-vector.  The batched path
+(`FactoredParams`, `token_masses`, `attention`, `grad_batch`) carries
+only wtok = W12 p^_N and u = W22 p^_N and never forms a K x M or M x M
 block; `grad_example` and `fd_grad` are the dense per-episode oracle.
+
+The batched softmax works on token masses: xs[k, b], the weight episode b
+puts on token k, is exp(t_k) G[k, b] / Z_b with G[k, b] the sum of the
+positional weights e_j = exp(zpos_j - max zpos) over the positions of b
+holding k.  G is one `bincount` over a cell index fixed for the dataset
+(`token_index`), and f, l', dL/dV and dL/dW12 need only the K x B
+masses; dL/dW22 and the per-position attention need one gather each.
+Where e underflows at a position that can still carry weight (token and
+positional logit ranges both beyond exp's), the same softmax runs on the
+dense (B, N) logits instead.
 
 P, c and p^_N are fixed for a run, so `geometry` builds them once into a
 `Geometry` that every batched function takes in place of the positional
@@ -28,6 +39,7 @@ whose last column is the label.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +48,8 @@ from .model import Params, forward, loss_value
 from .posembed import PositionalMatrix
 
 __all__ = ["Grads", "BatchGrad", "Geometry", "geometry", "FactoredParams", "factor",
-           "attention", "grad_example", "grad_batch", "fd_grad"]
+           "TokenIndex", "token_index", "TokenMasses", "token_masses", "attention",
+           "grad_example", "grad_batch", "fd_grad"]
 
 
 @dataclass(frozen=True)
@@ -132,61 +145,165 @@ def grad_example(params: Params, X: np.ndarray, y: int, pos: PositionalMatrix,
     )
 
 
-def attention(fp: FactoredParams, states: np.ndarray, geo: Geometry) -> np.ndarray:
-    """Attention weights S (B, N) for a (B, N) state array.
+@dataclass(frozen=True)
+class TokenIndex:
+    """Index arrays of a (B, N) state array, fixed for the dataset."""
 
-    The token logits are wtok gathered by state and the positional logits
-    P^T u are shared by every episode.  Raises FloatingPointError on
-    non-finite logits.
+    cell: np.ndarray  # (B, N-1) flat cell (s_bj - 1) * B + b of each body token
+    present: np.ndarray  # (K,) bool: the token occurs in some body
+
+
+def token_index(states: np.ndarray, K: int) -> TokenIndex:
+    """The cell index of a state array into token-major (K, B) arrays,
+    built once per dataset."""
+    body = np.asarray(states)[:, :-1] - 1
+    B = body.shape[0]
+    present = np.bincount(body.ravel(), minlength=K) > 0
+    body *= B
+    body += np.arange(B)[:, None]
+    return TokenIndex(cell=body, present=present)
+
+
+# exp(-708) is still a normal double; below it the positional weights e_j
+# lose precision and reach 0 at -745
+_EXP_NORMAL = 708.0
+# a weight exp(-40) ~ 4e-18 below its row maximum is below rounding
+_NEGLIGIBLE = 40.0
+
+
+@dataclass(frozen=True)
+class TokenMasses:
+    """Attention of a batch kept per token, token-major so that sums over
+    the K tokens run across the batch: xs[k, b] is the weight episode b
+    puts on token k (the sum of S_bj over its body positions with
+    s_bj = k), and sN[b] = S_bN.  In the usual case S_bj = rate[s_bj, b] e_j
+    with rate = xs / G and the positional weights e; when e underflows at a
+    position that can still carry weight, the dense weights S are kept
+    instead (rate and e are None)."""
+
+    xs: np.ndarray  # (K, B)
+    sN: np.ndarray  # (B,)
+    rate: np.ndarray | None  # (K, B), 0 where G = 0
+    e: np.ndarray | None  # (N-1,) exp(zpos_j - max zpos) of the body
+    S: np.ndarray | None  # (B, N)
+
+    def position_sums(self, index: TokenIndex, v: np.ndarray) -> np.ndarray:
+        """sum_b S_bj v[s_bj, b] for every body position j; v is (K, B)."""
+        if self.S is None:
+            return self.e * np.take((self.rate * v).ravel(), index.cell).sum(axis=0)
+        return (self.S[:, :-1] * np.take(v.ravel(), index.cell)).sum(axis=0)
+
+    def body(self, index: TokenIndex) -> np.ndarray:
+        """The body weights S_bj, j < N, as a (B, N-1) array."""
+        if self.S is not None:
+            return self.S[:, :-1]
+        body = np.take(self.rate.ravel(), index.cell)
+        body *= self.e
+        return body
+
+
+def token_masses(fp: FactoredParams, states: np.ndarray, geo: Geometry,
+                 index: TokenIndex) -> TokenMasses:
+    """Softmax attention of a (B, N) state array from per-token masses.
+
+    The logit of body position j is t[s_bj] + zpos_j with t = wtok / c_body
+    (all body columns have the same norm) and zpos = P^T u / c; the query's
+    is zpos_N.  With e_j = exp(zpos_j - max zpos) and G[k, b] the sum of e_j
+    over the positions of episode b holding token k, the mass on token k is
+    exp(t_k + log G[k, b] - r_b) / Z_b, shifted by the row maximum r_b as a
+    dense softmax would be.  Raises FloatingPointError on non-finite
+    logits.
     """
-    states = np.asarray(states)
     B, N = states.shape
-    c = geo.c
-    zpos = (geo.P.T @ fp.u) / c  # (N,)
-    z = np.empty((B, N))
-    np.divide(fp.wtok[states[:, :-1] - 1], c[:-1], out=z[:, :-1])
-    z[:, :-1] += zpos[:-1]
-    z[:, -1] = zpos[-1]
-    if not np.all(np.isfinite(z)):
+    K = fp.V.shape[0]
+    zpos = (geo.P.T @ fp.u) / geo.c
+    t = np.where(index.present, fp.wtok / geo.c[0], 0.0)  # absent tokens never enter
+    zmin, zmax, tmin, tmax = (float(x) for x in (zpos.min(), zpos.max(), t.min(), t.max()))
+    if not (math.isfinite(tmin + zmin) and math.isfinite(tmax + zmax)):
         raise FloatingPointError("non-finite attention logits")
+    gap = zmax - zpos[:-1]
+    if zmax - zmin > _EXP_NORMAL:
+        far = gap[gap > _EXP_NORMAL]
+        spread = max(tmax, 0.0) - min(tmin, 0.0)  # the query has no token term
+        if far.size and far.min() < spread + _NEGLIGIBLE:
+            return _dense_masses(t, zpos, states, index)
+
+    e = np.exp(-gap)
+    G = np.bincount(index.cell.ravel(), np.tile(e, B), minlength=K * B).reshape(K, B)
+    occupied = G > 0
+    xs = np.log(G, out=np.full((K, B), -np.inf), where=occupied)
+    xs += t[:, None]  # the logits L = t + log G, -inf where G = 0
+    zN = zpos[-1] - zmax
+    r = np.maximum(xs.max(axis=0), zN)
+    xs -= r
+    np.exp(xs, out=xs)
+    sN = np.exp(zN - r)
+    Z = xs.sum(axis=0) + sN
+    xs /= Z
+    sN /= Z
+    rate = np.divide(xs, G, out=np.zeros((K, B)), where=occupied)
+    return TokenMasses(xs=xs, sN=sN, rate=rate, e=e, S=None)
+
+
+def _dense_masses(t: np.ndarray, zpos: np.ndarray, states: np.ndarray,
+                  index: TokenIndex) -> TokenMasses:
+    """The same softmax over the (B, N) logits, for logit ranges where the
+    positional weights alone do not fit in a double."""
+    B, K = states.shape[0], t.shape[0]
+    z = np.empty(states.shape)
+    np.add(t[states[:, :-1] - 1], zpos[:-1], out=z[:, :-1])
+    z[:, -1] = zpos[-1]
     z -= z.max(axis=1, keepdims=True)
     np.exp(z, out=z)
     z /= z.sum(axis=1, keepdims=True)
-    return z
+    xs = np.bincount(index.cell.ravel(), z[:, :-1].ravel(), minlength=K * B).reshape(K, B)
+    return TokenMasses(xs=xs, sN=z[:, -1], rate=None, e=None, S=z)
+
+
+def attention(fp: FactoredParams, states: np.ndarray, geo: Geometry) -> np.ndarray:
+    """Attention weights S (B, N) for a (B, N) state array, expanded from
+    its token masses.  Raises FloatingPointError on non-finite logits."""
+    states = np.asarray(states)
+    index = token_index(states, fp.V.shape[0])
+    m = token_masses(fp, states, geo, index)
+    return np.column_stack((m.body(index), m.sN))
 
 
 def grad_batch(fp: FactoredParams, states: np.ndarray, geo: Geometry,
-               eps: float) -> BatchGrad:
+               eps: float, index: TokenIndex | None = None) -> BatchGrad:
     """Uniform-average gradient over a batch of episodes, labelled by the
-    last column of `states`.
+    last column of `states`; `index` is its `token_index`, built here when
+    not given.
 
-    Returns gV and the left factors a (K) and b (M) of the rank-one W
-    gradients; no per-example block and no outer product is formed.
-    Agrees with averaging `grad_example` to rounding error.
+    From the token masses, with wl = l' / B: f_b = V xs_b,
+    gV = sum_b wl_b e_{y_b} xs_b^T, a = sum_b wl_b xs_b * (V[y_b] - f_{y,b})
+    / c_body, and b = P D with D_j = sum_b wl_b S_bj (V[y_b, s_bj] - f_{y,b})
+    / c_j, whose body part is one gather and one column sum.  Agrees with
+    averaging `grad_example` to rounding error.
     """
     states = np.asarray(states)
     B, N = states.shape
     K = fp.V.shape[0]
+    if index is None:
+        index = token_index(states, K)
     weights = np.full(B, 1.0 / B)
-    S = attention(fp, states, geo)
+    m = token_masses(fp, states, geo, index)
 
-    tok = states[:, :-1] - 1
-    cell = ((states[:, -1] - 1) * K)[:, None] + tok  # flat index of V[y, s_j]
-    q = np.zeros((B, N))
-    q[:, :-1] = fp.V.ravel()[cell]
-    f_y = np.einsum("bj,bj->b", S, q)
+    y = states[:, -1] - 1
+    f_y = (fp.V @ m.xs)[y, np.arange(B)]
     losses = -np.log(f_y + eps)
     lp = -1.0 / (f_y + eps)
-    d = q - f_y[:, None]
-    d *= S
-
     wl = weights * lp
-    gV = np.bincount(cell.ravel(), (wl[:, None] * S[:, :-1]).ravel(),
-                     minlength=K * K).reshape(K, K)
-    wd = wl[:, None] * d / geo.c
-    a = np.bincount(tok.ravel(), wd[:, :-1].ravel(), minlength=K)
-    b = geo.P @ wd.sum(axis=0)
-    return BatchGrad(gV=gV, a=a, b=b, loss=float(weights @ losses),
+
+    gV = np.bincount(((y * K)[None, :] + np.arange(K)[:, None]).ravel(),
+                     (m.xs * wl).ravel(), minlength=K * K).reshape(K, K)
+    g = fp.V.T[:, y] - f_y  # (K, B): q - f_y for every token of each episode
+    g *= wl
+    a = (m.xs * g).sum(axis=1) / geo.c[0]
+    D = np.empty(N)
+    D[:-1] = m.position_sums(index, g) / geo.c[:-1]
+    D[-1] = -(wl * m.sN) @ f_y / geo.c[-1]  # the query token is zero, so q_N = 0
+    return BatchGrad(gV=gV, a=a, b=geo.P @ D, loss=float(weights @ losses),
                      lprime_mean=float(weights @ lp), lprimes=lp)
 
 

@@ -18,6 +18,7 @@ __all__ = [
     "shift_matrix",
     "matrix_power",
     "optimal_predictor",
+    "decompose_v",
     "circulant_eigenvalues",
     "eigen_action_check",
     "DecayBoundReport",
@@ -85,6 +86,15 @@ def optimal_predictor(tm: TransitionMatrix, X: np.ndarray) -> np.ndarray:
     if not (np.count_nonzero(col) == 1 and np.isclose(col.sum(), 1.0)):
         raise ValueError("column N-1 of X must be one-hot")
     return tm.Pi.T @ col
+
+
+def decompose_v(V: np.ndarray, Pi: np.ndarray) -> tuple[float, float]:
+    """Split V = beta * Pi^T + residual by orthogonal projection; returns
+    (beta, max-norm of the residual)."""
+    PiT = Pi.T
+    beta = float(np.sum(V * PiT) / np.sum(PiT * PiT))
+    gamma = float(np.max(np.abs(V - beta * PiT)))
+    return beta, gamma
 
 
 def circulant_eigenvalues(K: int, p: float) -> np.ndarray:

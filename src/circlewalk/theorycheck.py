@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gradients import Geometry, attention, factor
+from .gradients import FactoredParams, Geometry, attention, factor
+from .markov import decompose_v
 from .model import Params
 from .trainer import TrainConfig, TrainTrace, first_step_oracle_v
 from .walkgen import enumerate_deterministic
@@ -25,15 +26,6 @@ __all__ = [
 ]
 
 PASS, FAIL, INSUFFICIENT = "pass", "fail", "insufficient"
-
-
-def decompose_v(V: np.ndarray, Pi: np.ndarray) -> tuple[float, float]:
-    """Split V = beta * Pi^T + residual by orthogonal projection; returns
-    (beta, max-norm of the residual)."""
-    PiT = Pi.T
-    beta = float(np.sum(V * PiT) / np.sum(PiT * PiT))
-    gamma = float(np.max(np.abs(V - beta * PiT)))
-    return beta, gamma
 
 
 def toeplitz_check(V: np.ndarray, K: int) -> float:
@@ -200,20 +192,27 @@ def check_deterministic_theorem(trace: TrainTrace, tol: float = 1e-12) -> Determ
     acc_err = float(np.max(np.abs(trace.series("accuracy") - 1.0 / wc.K)))
     items["chance_accuracy"] = PASS if acc_err == 0.0 else FAIL
 
+    # the logit vectors of each snapshot from its factors: W12 p^_N =
+    # W12_0 p^_N + |p^_N|^2 alpha, likewise W22 p^_N; only W12 is built dense
+    init, pnh = trace.init, geo.pnh
+    pnh_sq = pnh @ pnh
+    wtok0, u0 = init.W12 @ pnh, init.W22 @ pnh
     v_resid = 0.0
     s_resid = 0.0
     w12_spread = 0.0
-    for t in trace.snapshots:
-        snap = trace.params(t)  # dense, so the check reads W12 and W22 themselves
+    for snap in trace.snapshots.values():
         vmax = float(np.max(np.abs(snap.V)))
         if vmax > 0:
             v_resid = max(v_resid, float(snap.V.max() - snap.V.min()) / vmax)
-        S = attention(factor(snap, geo), states, geo)
-        body = S[:, :-1]
+        fp = FactoredParams(V=snap.V, wtok=wtok0 + pnh_sq * snap.alpha,
+                            u=u0 + pnh_sq * snap.beta, alpha=snap.alpha, beta=snap.beta)
+        body = attention(fp, states, geo)[:, :-1]
         s_resid = max(s_resid, float(np.max(body.max(axis=1) - body.min(axis=1))))
-        wmax = float(np.max(np.abs(snap.W12)))
+        W12 = np.outer(snap.alpha, pnh)
+        W12 += init.W12
+        wmax = float(np.max(np.abs(W12)))
         if wmax > 0:
-            spread = float(np.max(snap.W12.max(axis=0) - snap.W12.min(axis=0))) / wmax
+            spread = float(np.max(W12.max(axis=0) - W12.min(axis=0))) / wmax
             w12_spread = max(w12_spread, spread)
     items["v_uniformity"] = PASS if v_resid <= tol else FAIL
     items["attention_uniformity"] = PASS if s_resid <= tol else FAIL

@@ -12,10 +12,16 @@ its `Geometry` (P, column norms, p^_N) once.  One loop body serves both
 gradient modes: each iteration advances the factored parameters either by
 `grad_batch` + `step` or, for zero-init population runs, by the exact
 scalar recursion, then records l', guards against non-finite parameters,
-evaluates and snapshots.  One iteration costs O(B*N + M*N) and no K x M
-or M x M block is touched.  Snapshots keep V, alpha and beta; the trace
-keeps the init blocks and the geometry once and builds dense `Params`
-only on request (`TrainTrace.params`, `final_params`).
+evaluates and snapshots.  Gradient and metrics come from the per-token
+attention masses (see `gradients`): one iteration costs three products
+with P (O(M*N)), a few passes over each dataset's (B, N) cell index (the
+`bincount` of the positional weights, one gather for dL/dW22 and one for
+the attention metrics) and O(B*K) for the rest; no K x M or M x M block
+is touched.  The cell index of each dataset is built once (`token_index`,
+and `eval_set` for the test set with its other per-run constants), once
+per fresh dataset under `resample`.  Snapshots keep V, alpha and beta;
+the trace keeps the init blocks and the geometry once and builds dense
+`Params` only on request (`TrainTrace.params`, `final_params`).
 """
 
 from __future__ import annotations
@@ -26,16 +32,17 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import walkgen
-from .gradients import (BatchGrad, FactoredParams, Geometry, attention, factor,
-                        geometry, grad_batch)
-from .markov import TransitionMatrix, transition_matrix
+from .gradients import (BatchGrad, FactoredParams, Geometry, TokenIndex, factor,
+                        geometry, grad_batch, token_index, token_masses)
+from .markov import TransitionMatrix, decompose_v, transition_matrix
 from .model import Params
 from .posembed import build_positional
 from .walkgen import WalkConfig, make_dataset, enumerate_deterministic
 
 __all__ = [
     "TrainConfig", "MetricsRow", "Snapshot", "TrainTrace",
-    "init_params", "step", "first_step_oracle_v", "train", "evaluate",
+    "init_params", "step", "first_step_oracle_v", "train", "EvalSet", "eval_set",
+    "evaluate",
 ]
 
 ZERO = "zero"
@@ -227,41 +234,69 @@ def first_step_oracle_v(cfg: TrainConfig) -> np.ndarray:
     return cfg.eta / (cfg.eps * wc.N * wc.K) * acc
 
 
-def evaluate(fp: FactoredParams, states: np.ndarray, geo: Geometry,
-             tm: TransitionMatrix | None, it: int = 0,
-             loss: float = float("nan")) -> MetricsRow:
-    """Test-set metrics on a (B, N) state array labelled by its last
-    column; the matrix-comparison fields are NaN when no transition matrix
-    applies (QA tasks) or a norm vanishes (zero init)."""
-    from .theorycheck import decompose_v
+@dataclass(frozen=True)
+class EvalSet:
+    """A (B, N) test state array with what `evaluate` derives from it once
+    per run: its token index and, for walks, the true conditionals
+    q_b = Pi[s_{b,N-1}] (token-major, like the masses), their support and
+    Pi^T / |Pi|_F."""
 
+    states: np.ndarray
+    geo: Geometry
+    index: TokenIndex
+    weights: np.ndarray  # (B,) uniform
+    tm: TransitionMatrix | None = None
+    q: np.ndarray | None = None  # (K, B)
+    q_pos: np.ndarray | None = None  # q > 0
+    q_safe: np.ndarray | None = None  # q with 1 where q = 0
+    pit_unit: np.ndarray | None = None  # Pi^T / |Pi|_F
+
+
+def eval_set(states: np.ndarray, geo: Geometry, tm: TransitionMatrix | None,
+             K: int) -> EvalSet:
+    """Test set of a run; `tm` is None where no transition matrix applies
+    (QA tasks)."""
     states = np.asarray(states)
-    B = states.shape[0]
-    K = fp.V.shape[0]
-    weights = np.full(B, 1.0 / B)
-    S = attention(fp, states, geo)
-    cell = (np.arange(B) * K)[:, None] + (states[:, :-1] - 1)  # flat index of xs[b, s_j]
-    xs = np.bincount(cell.ravel(), S[:, :-1].ravel(), minlength=B * K).reshape(B, K)
-    f = xs @ fp.V.T
-    pred = np.argmax(f, axis=1) + 1  # first-max tie rule
+    common = dict(states=states, geo=geo, index=token_index(states, K),
+                  weights=np.full(states.shape[0], 1.0 / states.shape[0]))
+    if tm is None:
+        return EvalSet(**common)
+    q = tm.Pi.T[:, states[:, -2] - 1]
+    q_pos = q > 0
+    return EvalSet(**common, tm=tm, q=q, q_pos=q_pos, q_safe=np.where(q_pos, q, 1.0),
+                   pit_unit=tm.Pi.T / np.linalg.norm(tm.Pi))
+
+
+def evaluate(fp: FactoredParams, test: EvalSet, it: int = 0,
+             loss: float = float("nan")) -> MetricsRow:
+    """Test-set metrics: accuracy, KL and f_dist from f = V xs, the
+    attention fields from the body weights S_bj; the matrix-comparison
+    fields are NaN when no transition matrix applies (QA tasks) or a norm
+    vanishes (zero init)."""
+    states, weights = test.states, test.weights
+    m = token_masses(fp, states, test.geo, test.index)
+    f = fp.V @ m.xs  # (K, B)
+    pred = np.argmax(f, axis=0) + 1  # first-max tie rule
     accuracy = float(weights @ (pred == states[:, -1]))
-    attn_parent = float(weights @ S[:, -2])
-    attn_other_max = float(weights @ np.maximum(S[:, :-2].max(axis=1), S[:, -1]))
+    body = m.body(test.index)
+    attn_parent = float(weights @ body[:, -1])
+    attn_other_max = float(weights @ np.maximum(body[:, :-1].max(axis=1), m.sN))
 
     kl = v_dist = f_dist = beta = gamma = float("nan")
-    if tm is not None:
-        q = tm.Pi[states[:, -2] - 1]  # true conditional, rows (B, K)
-        fm = np.clip(f, 0.0, None) + 1e-12
-        fm = fm / fm.sum(axis=1, keepdims=True)
-        terms = np.where(q > 0, q * np.log(np.where(q > 0, q, 1.0) / fm), 0.0)
-        kl = float(weights @ terms.sum(axis=1))
-        fn = np.linalg.norm(f, axis=1)
+    if test.tm is not None:
+        q = test.q
+        fm = np.maximum(f, 0.0)
+        fm += 1e-12
+        fm /= fm.sum(axis=0)
+        terms = np.where(test.q_pos, q * np.log(test.q_safe / fm), 0.0)
+        kl = float(weights @ terms.sum(axis=0))
+        fn = np.linalg.norm(f, axis=0)
         if np.all(fn > 0):
-            f_dist = float(weights @ np.linalg.norm(f / fn[:, None] - q, axis=1))
+            f_dist = float(weights @ np.linalg.norm(f / fn - q, axis=0))
         vF = np.linalg.norm(fp.V)
         if vF > 0:
-            v_dist = float(np.linalg.norm(fp.V / vF - tm.Pi.T / np.linalg.norm(tm.Pi)))
-        beta, gamma = decompose_v(fp.V, tm.Pi)
+            v_dist = float(np.linalg.norm(fp.V / vF - test.pit_unit))
+        beta, gamma = decompose_v(fp.V, test.tm.Pi)
     return MetricsRow(iter=it, loss=loss, accuracy=accuracy, kl=kl,
                       v_dist=v_dist, f_dist=f_dist, attn_parent=attn_parent,
                       attn_other_max=attn_other_max, beta=beta, gamma=gamma)
@@ -360,13 +395,14 @@ def train(cfg: TrainConfig) -> TrainTrace:
     geo = geometry(build_positional(cfg.M, wc.N), cfg.normalize_attention)
     params = init_params(cfg, rng=np.random.default_rng(cfg.seed + 2))
     tr_states, te_states, tm = _datasets(cfg)
+    test = eval_set(te_states, geo, tm, wc.K)
     fp = factor(params, geo)
 
     trace = TrainTrace(config=cfg, init=params, geometry=geo,
                        seeds={"train": cfg.seed, "test": cfg.seed + 1, "init": cfg.seed + 2})
     trace.snapshots[0] = _snapshot(fp)
     if cfg.iterations == 0:
-        trace.rows.append(evaluate(fp, te_states, geo, tm))
+        trace.rows.append(evaluate(fp, test))
         return trace
 
     schedule = cfg.snapshot_schedule()
@@ -375,6 +411,8 @@ def train(cfg: TrainConfig) -> TrainTrace:
     if scalar:
         state, r = _PopulationState(), wc.require_deterministic_theory()
         psum = geo.P[:, :-1].sum(axis=1)
+    else:
+        tr_index = token_index(tr_states, wc.K)
     resample_rng = np.random.default_rng(cfg.seed + 3)
     for t in range(1, cfg.iterations + 1):
         if scalar:
@@ -384,11 +422,12 @@ def train(cfg: TrainConfig) -> TrainTrace:
         else:
             if cfg.resample:
                 tr_states = make_dataset(wc, cfg.train_size, rng=resample_rng)
-            bg = grad_batch(fp, tr_states, geo, cfg.eps)
+                tr_index = token_index(tr_states, wc.K)
+            bg = grad_batch(fp, tr_states, geo, cfg.eps, tr_index)
             fp, loss, lp = step(fp, bg, cfg.eta, pnh_sq), bg.loss, bg.lprime_mean
         trace.lprimes.append(lp)
         _check_finite(fp, t)
-        trace.rows.append(evaluate(fp, te_states, geo, tm, it=t, loss=loss))
+        trace.rows.append(evaluate(fp, test, it=t, loss=loss))
         if t in schedule:
             trace.snapshots[t] = _snapshot(fp)
     return trace

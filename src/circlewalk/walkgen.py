@@ -93,11 +93,16 @@ def make_dataset(
     if rng is None:
         rng = np.random.default_rng(seed)
     s1 = rng.integers(1, cfg.K + 1, size=count)
-    steps = np.where(rng.random((count, cfg.N - 1)) < cfg.p, 1, -1)
-    raw = s1[:, None] + np.concatenate(
-        [np.zeros((count, 1), dtype=np.int64), np.cumsum(steps, axis=1)], axis=1
-    )
-    return (raw - 1) % cfg.K + 1
+    states = np.empty((count, cfg.N), dtype=np.int64)
+    states[:, 0] = 0
+    # c clockwise steps among the first j give s_{j+1} = s_1 + 2c - j (mod K)
+    np.cumsum(rng.random((count, cfg.N - 1)) < cfg.p, axis=1, out=states[:, 1:])
+    states *= 2
+    states -= np.arange(cfg.N)
+    states += (s1 - 1)[:, None]
+    states %= cfg.K
+    states += 1
+    return states
 
 
 def enumerate_deterministic(cfg: WalkConfig) -> np.ndarray:

@@ -40,6 +40,26 @@ def test_params_file_layout(tmp_path):
     assert len(raw) == header_end + n_payload
 
 
+def test_params_payload_is_the_blocks_bytes(tmp_path):
+    rng = np.random.default_rng(1)
+    K, M = 3, 7
+    # a transposed (Fortran-ordered) W21 and a big-endian W22 are written
+    # as row-major little-endian like the rest
+    params = Params.gaussian(K, M, 1.0, rng).with_updates(
+        W21=np.asfortranarray(rng.standard_normal((M, K))),
+        W22=rng.standard_normal((M, M)).astype(">f8"))
+    path = tmp_path / "params.bin"
+    save_params(params, path)
+    raw = path.read_bytes()
+    header_end = raw.index(b"\n", len(PARAMS_MAGIC)) + 1
+    expected = b"".join(np.ascontiguousarray(getattr(params, name), dtype="<f8").tobytes()
+                        for name in ("V", "W11", "W12", "W21", "W22"))
+    assert raw[header_end:] == expected
+    loaded = load_params(path)
+    for name in ("V", "W11", "W12", "W21", "W22"):
+        np.testing.assert_array_equal(getattr(loaded, name), getattr(params, name))
+
+
 def test_load_rejects_bad_magic_and_truncation(tmp_path):
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"NOTAPARAMS" + b"\x00" * 100)

@@ -1,0 +1,183 @@
+"""The token-mass path (`attention`, `grad_batch`, `evaluate`) against the
+dense per-episode oracle (`forward`, `grad_example`) where logits are
+extreme, tokens are missing, and columns are or are not normalized."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from circlewalk.gradients import (attention, factor, geometry, grad_batch,
+                                  grad_example, token_index, token_masses)
+from circlewalk.markov import decompose_v, transition_matrix
+from circlewalk.model import Params, forward
+from circlewalk.posembed import build_positional
+from circlewalk.trainer import TrainConfig, eval_set, evaluate, train
+from circlewalk.walkgen import (QA_K, QA_N, TASK1, WalkConfig, make_dataset,
+                                qa_dataset, tokens_from_states)
+
+EPS = 0.1
+K, N, M = 4, 9, 40
+
+
+def _planted(t, zpos, normalize, rng, K=K, N=N, M=M):
+    """Dense parameters whose token logits are t (K) and positional logits
+    zpos (N): W12 = w p^_N^T / |p^_N|^2 and W22 = v p^_N^T / |p^_N|^2 with
+    w = t c_body and P^T v = zpos * c (P has orthogonal columns)."""
+    pos = build_positional(M, N)
+    geo = geometry(pos, normalize)
+    pnh = geo.pnh / (geo.pnh @ geo.pnh)
+    v = pos.P @ (np.asarray(zpos) * geo.c) / ((M + 1) / 2)
+    return pos, Params.gaussian(K, M, 0.3, rng).with_updates(
+        V=rng.uniform(0.1, 1.0, (K, K)),  # f_y + eps > 0
+        W12=np.outer(np.asarray(t) * geo.c[0], pnh), W22=np.outer(v, pnh))
+
+
+def _oracle(params, states, pos, normalize, Pi):
+    """Per-episode dense forward passes and gradients, averaged."""
+    outs = [forward(params, X, pos, normalize=normalize)
+            for X in tokens_from_states(states, params.K)]
+    grads = [grad_example(params, X, int(s[-1]), pos, EPS, normalize=normalize)
+             for X, s in zip(tokens_from_states(states, params.K), states)]
+    f = np.array([o.f for o in outs])
+    S = np.array([o.S for o in outs])
+    y = states[:, -1] - 1
+    f_y = f[np.arange(len(states)), y]
+    exp = dict(
+        S=S, f=f, gV=np.mean([g.gV for g in grads], axis=0),
+        gW12=np.mean([g.gW12 for g in grads], axis=0),
+        gW22=np.mean([g.gW22 for g in grads], axis=0),
+        loss=np.mean(-np.log(f_y + EPS)), lprimes=-1.0 / (f_y + EPS),
+        accuracy=np.mean(np.array([o.pred for o in outs]) == states[:, -1]),
+        attn_parent=np.mean(S[:, -2]),
+        attn_other_max=np.mean(np.maximum(S[:, :-2].max(axis=1), S[:, -1])))
+    if Pi is not None:
+        q = Pi[states[:, -2] - 1]
+        fm = np.clip(f, 0.0, None) + 1e-12
+        fm = fm / fm.sum(axis=1, keepdims=True)
+        terms = np.where(q > 0, q * np.log(np.where(q > 0, q, 1.0) / fm), 0.0)
+        exp["kl"] = np.mean(terms.sum(axis=1))
+        fn = np.linalg.norm(f, axis=1, keepdims=True)
+        exp["f_dist"] = np.mean(np.linalg.norm(f / fn - q, axis=1))
+        V = params.V
+        exp["v_dist"] = np.linalg.norm(V / np.linalg.norm(V) - Pi.T / np.linalg.norm(Pi))
+        exp["beta"], exp["gamma"] = decompose_v(V, Pi)
+    return exp
+
+
+def _assert_matches_oracle(params, states, pos, normalize, Pi=None,
+                           rtol=1e-9, atol=1e-12):
+    geo = geometry(pos, normalize)
+    fp = factor(params, geo)
+    exp = _oracle(params, states, pos, normalize, Pi)
+    np.testing.assert_allclose(attention(fp, states, geo), exp["S"], rtol=rtol, atol=atol)
+
+    bg = grad_batch(fp, states, geo, EPS)
+    # per-block scale: gradients that are rounding noise around 0 compare
+    # against the block's own magnitude
+    for got, want in ((bg.gV, exp["gV"]), (np.outer(bg.a, geo.pnh), exp["gW12"]),
+                      (np.outer(bg.b, geo.pnh), exp["gW22"])):
+        np.testing.assert_allclose(got, want, rtol=rtol,
+                                   atol=atol + rtol * np.max(np.abs(want)))
+    np.testing.assert_allclose(bg.loss, exp["loss"], rtol=rtol, atol=atol)
+    np.testing.assert_allclose(bg.lprimes, exp["lprimes"], rtol=rtol, atol=atol)
+
+    tm = None if Pi is None else transition_matrix(params.K, 0.5)
+    row = evaluate(fp, eval_set(states, geo, tm, params.K))
+    assert row.accuracy == exp["accuracy"]
+    fields = ["attn_parent", "attn_other_max"]
+    if Pi is not None:
+        fields += ["kl", "f_dist", "v_dist", "beta", "gamma"]
+    for name in fields:
+        np.testing.assert_allclose(getattr(row, name), exp[name], rtol=rtol, atol=atol,
+                                   err_msg=name)
+    return token_masses(fp, states, geo, token_index(states, params.K))
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_positional_spread_beyond_the_exp_range(normalize):
+    # positional logits fall by 250 per position, 2000 in all: most e_j
+    # underflow, and the token logits are too close to bring them back
+    rng = np.random.default_rng(0)
+    zpos = -250.0 * np.arange(N)[::-1]
+    pos, params = _planted(rng.uniform(-3, 3, K), zpos, normalize, rng)
+    states = make_dataset(WalkConfig(K=K, p=0.5, N=N, M=M), 12, seed=1)
+    m = _assert_matches_oracle(params, states, pos, normalize,
+                               transition_matrix(K, 0.5).Pi)
+    assert m.S is None  # the token-mass form holds
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_query_logit_far_above_the_body(normalize):
+    # the query outweighs every body position by more than exp's range,
+    # so the softmax is one-hot on it and the row shift must come from it
+    rng = np.random.default_rng(3)
+    zpos = rng.uniform(-2, 2, N)
+    zpos[-1] = 900.0
+    pos, params = _planted(rng.uniform(-3, 3, K), zpos, normalize, rng)
+    states = make_dataset(WalkConfig(K=K, p=0.5, N=N, M=M), 6, seed=2)
+    m = _assert_matches_oracle(params, states, pos, normalize)
+    np.testing.assert_array_equal(m.sN, 1.0)
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_token_spread_that_outweighs_underflowed_positions(normalize):
+    # token 1 outweighs the others by 1500, more than the 800 gap to the
+    # positions where it sits, so the positional weights alone underflow
+    # where the softmax puts its mass: the dense softmax takes over
+    rng = np.random.default_rng(1)
+    states = np.array([[2, 3, 1, 2, 3, 4, 2, 3, 4], [1, 2, 3, 4, 1, 2, 3, 4, 1]])
+    zpos = np.where(states[0] == 1, -800.0, 0.0)
+    zpos[-1] = -5.0
+    pos, params = _planted([1500.0, 0.0, 1.0, -2.0], zpos, normalize, rng)
+    m = _assert_matches_oracle(params, states, pos, normalize)
+    assert m.S is not None
+    np.testing.assert_allclose(m.xs[0, 0], 1.0)  # all of episode 0's weight on token 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # |V|^2 in v_dist at 1e300
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("eta", [1e3, 1e300])
+def test_trained_with_huge_step_sizes(eta, normalize):
+    # two steps at eta 1e3 or 1e300 leave token logits that spread by
+    # more than eta / 1000 and positional logits that spread 50x more:
+    # without normalization a softmax that is one-hot up to rounding
+    cfg = TrainConfig(K=K, p=0.5, N=N, M=M, eta=eta, iterations=2, train_size=16,
+                      test_size=16, normalize_attention=normalize, seed=3)
+    trace = train(cfg)
+    params = trace.params(2)
+    geo = trace.geometry
+    wtok = params.W12 @ geo.pnh / geo.c[0]
+    assert np.ptp(wtok) > eta / 1000 and np.all(np.isfinite(wtok))
+    states = make_dataset(cfg.walk_config(), 16, seed=cfg.seed + 1)
+    _assert_matches_oracle(params, states, build_positional(M, N), normalize,
+                           transition_matrix(K, 0.5).Pi)
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_tokens_absent_from_the_batch(normalize):
+    # one QA question uses 13 of the 19 words; the others get huge token
+    # logits, which must not reach the softmax, nor push it off the
+    # token-mass form when a position lies beyond the exp range
+    rng = np.random.default_rng(2)
+    states = qa_dataset(TASK1, 1, seed=4)
+    n = QA_N[TASK1]
+    absent = np.setdiff1d(np.arange(1, QA_K + 1), states[0, :-1]) - 1
+    assert absent.size > 0
+    t = rng.uniform(-1, 1, QA_K)
+    t[absent] = 1e300
+    zpos = rng.uniform(-2, 2, n)
+    zpos[0] = -1000.0
+    pos, params = _planted(t, zpos, normalize, rng, K=QA_K, N=n, M=80)
+    m = _assert_matches_oracle(params, states, pos, normalize)
+    assert m.S is None
+    np.testing.assert_array_equal(m.xs[absent], 0.0)
+    # not even non-finite logits of absent tokens reach it
+    geo = geometry(pos, normalize)
+    fp = factor(params, geo)
+    for bad in (np.inf, np.nan):
+        wtok = fp.wtok.copy()
+        wtok[absent] = bad
+        np.testing.assert_array_equal(
+            attention(dataclasses.replace(fp, wtok=wtok), states, geo),
+            attention(fp, states, geo))

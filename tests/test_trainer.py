@@ -9,7 +9,7 @@ from circlewalk import trainer
 from circlewalk.gradients import attention, factor, geometry, grad_batch
 from circlewalk.model import Params, forward
 from circlewalk.posembed import build_positional
-from circlewalk.trainer import (METRIC_FIELDS, TrainConfig, evaluate,
+from circlewalk.trainer import (METRIC_FIELDS, TrainConfig, eval_set, evaluate,
                                 first_step_oracle_v, init_params, train)
 from circlewalk.walkgen import (WalkConfig, enumerate_deterministic,
                                 make_dataset, tokens_from_states)
@@ -116,7 +116,7 @@ def test_batch_forward_matches_forward():
                 for X in tokens_from_states(states, 5)]
         for i, out in enumerate(outs):
             np.testing.assert_allclose(S[i], out.S, atol=1e-13)
-        row = evaluate(fp, states, geo, None)
+        row = evaluate(fp, eval_set(states, geo, None, 5))
         pred = np.array([out.pred for out in outs])
         assert row.accuracy == pytest.approx(np.mean(pred == states[:, -1]))
         assert row.attn_parent == pytest.approx(np.mean([o.S[-2] for o in outs]))
@@ -128,13 +128,13 @@ def test_evaluate_fields():
     states = make_dataset(cfg, 32, seed=0)
     geo = geometry(build_positional(40, 9))
     params = Params.gaussian(4, 40, 0.1, np.random.default_rng(5))
-    row = evaluate(factor(params, geo), states, geo, transition_matrix(4, 0.5))
+    row = evaluate(factor(params, geo), eval_set(states, geo, transition_matrix(4, 0.5), 4))
     assert 0.0 <= row.accuracy <= 1.0
     assert np.isfinite(row.kl) and row.kl >= 0.0
     assert np.isfinite(row.v_dist)
     assert 0.0 <= row.attn_parent <= 1.0
     # no transition matrix (QA): comparison metrics are NaN
-    row_qa = evaluate(factor(params, geo), states, geo, None)
+    row_qa = evaluate(factor(params, geo), eval_set(states, geo, None, 4))
     assert np.isnan(row_qa.kl) and np.isnan(row_qa.v_dist)
     assert np.isfinite(row_qa.accuracy)
 

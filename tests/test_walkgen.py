@@ -44,6 +44,29 @@ def test_dataset_seeded_reproducible():
     assert not np.array_equal(a, c)
 
 
+def _former_make_dataset(cfg, count, rng):
+    """The earlier formula: +-1 steps, a prepended zero, an allocating modulus."""
+    s1 = rng.integers(1, cfg.K + 1, size=count)
+    steps = np.where(rng.random((count, cfg.N - 1)) < cfg.p, 1, -1)
+    raw = s1[:, None] + np.concatenate(
+        [np.zeros((count, 1), dtype=np.int64), np.cumsum(steps, axis=1)], axis=1)
+    return (raw - 1) % cfg.K + 1
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_make_dataset_keeps_the_former_stream(p):
+    cfg = WalkConfig(K=6, p=p, N=25, M=128)
+    for seed in range(5):
+        np.testing.assert_array_equal(
+            make_dataset(cfg, 40, seed=seed),
+            _former_make_dataset(cfg, 40, np.random.default_rng(seed)))
+    # consecutive draws from one generator, as resampling makes them
+    ours, former = np.random.default_rng(9), np.random.default_rng(9)
+    for count in (1, 7, 40):
+        np.testing.assert_array_equal(make_dataset(cfg, count, rng=ours),
+                                      _former_make_dataset(cfg, count, former))
+
+
 def test_tokens_one_hot_with_zero_query_column():
     states = make_dataset(CFG, 1, seed=0)[0]
     X = tokens_from_states(states[None, :], CFG.K)[0]
