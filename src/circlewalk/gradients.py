@@ -12,29 +12,33 @@ attention input is column-normalized (1 otherwise).  dL/dW11 and dL/dW21
 vanish identically because the query carries no token.
 
 Both W gradients are rank one with the same right factor p^_N = p_N / c_N,
-so gradient descent keeps W12 = W12_0 + alpha p^_N^T and
-W22 = W22_0 + beta p^_N^T.  The logit of body position j is then a token
-term plus a positional term, z_j = t[s_j] + zpos_j with t = W12 p^_N / c
-and zpos = P^T W22 p^_N / c (no token term at the query, j = N); every
-body column has the same norm, so t is one K-vector.  The batched path
-(`FactoredParams`, `token_masses`, `attention`, `grad_batch`) carries
-only wtok = W12 p^_N and u = W22 p^_N and never forms a K x M or M x M
-block; `grad_example` and `fd_grad` are the dense per-episode oracle.
+and the left factor of dL/dW22 is P D with D_j = l' d_j / c_j, so gradient
+descent keeps W12 = W12_0 + alpha p^_N^T and W22 = W22_0 + (P gamma) p^_N^T
+with alpha in R^K and gamma in R^N.  The logit of body position j is a
+token term plus a positional term, z_j = t[s_j] + zpos_j with
+t = W12 p^_N / c and zpos = P^T W22 p^_N / c (no token term at the query,
+j = N).  P has orthogonal columns, P^T P = phi I with phi = (M+1)/2, so a
+step of W22 by -eta (P D) p^_N^T moves zpos by -eta |p^_N|^2 phi D / c,
+and every body column has the same norm, so t is one K-vector.  The
+batched path (`FactoredParams`, `token_masses`, `attention`, `grad_batch`)
+holds nothing of length M; `grad_example` and `fd_grad` are the dense
+per-episode oracle.
 
 The batched softmax works on token masses: xs[k, b], the weight episode b
 puts on token k, is exp(t_k) G[k, b] / Z_b with G[k, b] the sum of the
 positional weights e_j = exp(zpos_j - max zpos) over the positions of b
 holding k.  G is one `bincount` over a cell index fixed for the dataset
 (`token_index`), and f, l', dL/dV and dL/dW12 need only the K x B
-masses; dL/dW22 and the per-position attention need one gather each.
+masses; D and the per-position attention need one gather each.
 Where e underflows at a position that can still carry weight (token and
 positional logit ranges both beyond exp's), the same softmax runs on the
 dense (B, N) logits instead.
 
-P, c and p^_N are fixed for a run, so `geometry` builds them once into a
-`Geometry` that every batched function takes in place of the positional
-matrix and the normalization flag.  A batch is a (B, N) state array
-whose last column is the label.
+P, c, p^_N and the step sizes of the logit vectors are fixed for a run, so
+`geometry` builds them once into a `Geometry` that every batched function
+takes in place of the positional matrix and the normalization flag; only
+`factor` reads P.  A batch is a (B, N) state array whose last column is
+the label.
 """
 
 from __future__ import annotations
@@ -67,13 +71,13 @@ class Grads:
 class BatchGrad:
     """Uniform-average gradient over a batch plus per-example diagnostics.
 
-    dL/dW12 = a p^_N^T and dL/dW22 = b p^_N^T; only the left factors are
-    kept, and dL/dW11 = dL/dW21 = 0.
+    dL/dW12 = a p^_N^T and dL/dW22 = (P D) p^_N^T; only a and D are kept,
+    and dL/dW11 = dL/dW21 = 0.
     """
 
     gV: np.ndarray  # (K, K)
     a: np.ndarray  # (K,)
-    b: np.ndarray  # (M,)
+    D: np.ndarray  # (N,)
     loss: float
     lprime_mean: float
     lprimes: np.ndarray
@@ -86,38 +90,45 @@ class Geometry:
     P: np.ndarray  # (M, N) positional matrix
     c: np.ndarray  # (N,) augmented column norms; ones without normalization
     pnh: np.ndarray  # (M,) p^_N = p_N / c_N
+    pnh_sq: float  # |p^_N|^2: W12 -= eta a p^_N^T moves wtok by -eta pnh_sq a
+    zrate: np.ndarray  # (N,) |p^_N|^2 phi / c: W22 -= eta (P D) p^_N^T moves zpos by -eta zrate D
 
 
 def geometry(pos: PositionalMatrix, normalize: bool = False) -> Geometry:
-    """P, the norms c_j of the augmented columns [x_j; p_j] when the
-    attention input is column-normalized (the query column has no token
-    part), and p^_N."""
+    """P, p^_N, the logit step sizes and the norms c_j of the augmented
+    columns [x_j; p_j] when the attention input is column-normalized: each
+    p_j has squared norm phi = (M+1)/2, and x_j is a unit token except at
+    the query.  One exact body norm keeps equal body logits equal."""
+    phi = (pos.M + 1) / 2.0
+    c = np.ones(pos.N)
     if normalize:
-        pn = np.linalg.norm(pos.P, axis=0)
-        c = np.sqrt(1.0 + pn**2)
-        c[-1] = pn[-1]
-    else:
-        c = np.ones(pos.N)
-    return Geometry(P=pos.P, c=c, pnh=pos.P[:, -1] / c[-1])
+        c[:-1] = math.sqrt(1.0 + phi)
+        c[-1] = math.sqrt(phi)
+    pnh = pos.P[:, -1] / c[-1]
+    pnh_sq = float(pnh @ pnh)
+    return Geometry(P=pos.P, c=c, pnh=pnh, pnh_sq=pnh_sq, zrate=pnh_sq * phi / c)
 
 
 @dataclass(frozen=True)
 class FactoredParams:
-    """The parameters as the batched model sees them: V, wtok = W12 p^_N,
-    u = W22 p^_N, and the left factors gradient descent has added since
-    init, W12 = W12_0 + alpha p^_N^T and W22 = W22_0 + beta p^_N^T."""
+    """The parameters as the batched model sees them: V, the token logit
+    vector wtok = W12 p^_N, the positional logits zpos = P^T W22 p^_N / c,
+    and the factors gradient descent has added since init,
+    W12 = W12_0 + alpha p^_N^T and W22 = W22_0 + (P gamma) p^_N^T."""
 
     V: np.ndarray  # (K, K)
     wtok: np.ndarray  # (K,)
-    u: np.ndarray  # (M,)
+    zpos: np.ndarray  # (N,)
     alpha: np.ndarray  # (K,)
-    beta: np.ndarray  # (M,)
+    gamma: np.ndarray  # (N,)
 
 
 def factor(params: Params, geo: Geometry) -> FactoredParams:
-    """Factored view of dense parameters, with zero left factors."""
-    return FactoredParams(V=params.V, wtok=params.W12 @ geo.pnh, u=params.W22 @ geo.pnh,
-                          alpha=np.zeros(params.K), beta=np.zeros(params.M))
+    """Factored view of dense parameters, with zero alpha and gamma (the
+    only function of the batched path that reads P)."""
+    return FactoredParams(V=params.V, wtok=params.W12 @ geo.pnh,
+                          zpos=(geo.P.T @ (params.W22 @ geo.pnh)) / geo.c,
+                          alpha=np.zeros(params.K), gamma=np.zeros_like(geo.c))
 
 
 def grad_example(params: Params, X: np.ndarray, y: int, pos: PositionalMatrix,
@@ -207,18 +218,18 @@ def token_masses(fp: FactoredParams, states: np.ndarray, geo: Geometry,
     """Softmax attention of a (B, N) state array from per-token masses.
 
     The logit of body position j is t[s_bj] + zpos_j with t = wtok / c_body
-    (all body columns have the same norm) and zpos = P^T u / c; the query's
-    is zpos_N.  With e_j = exp(zpos_j - max zpos) and G[k, b] the sum of e_j
-    over the positions of episode b holding token k, the mass on token k is
+    (all body columns have the same norm); the query's is zpos_N.  With
+    e_j = exp(zpos_j - max zpos) and G[k, b] the sum of e_j over the
+    positions of episode b holding token k, the mass on token k is
     exp(t_k + log G[k, b] - r_b) / Z_b, shifted by the row maximum r_b as a
     dense softmax would be.  Raises FloatingPointError on non-finite
     logits.
     """
     B, N = states.shape
     K = fp.V.shape[0]
-    zpos = (geo.P.T @ fp.u) / geo.c
+    zpos = fp.zpos
     t = np.where(index.present, fp.wtok / geo.c[0], 0.0)  # absent tokens never enter
-    zmin, zmax, tmin, tmax = (float(x) for x in (zpos.min(), zpos.max(), t.min(), t.max()))
+    zmin, zmax, tmin, tmax = float(zpos.min()), float(zpos.max()), float(t.min()), float(t.max())
     if not (math.isfinite(tmin + zmin) and math.isfinite(tmax + zmax)):
         raise FloatingPointError("non-finite attention logits")
     gap = zmax - zpos[:-1]
@@ -229,7 +240,9 @@ def token_masses(fp: FactoredParams, states: np.ndarray, geo: Geometry,
             return _dense_masses(t, zpos, states, index)
 
     e = np.exp(-gap)
-    G = np.bincount(index.cell.ravel(), np.tile(e, B), minlength=K * B).reshape(K, B)
+    w = np.empty(index.cell.shape)
+    w[:] = e  # e_j at every cell (b, j)
+    G = np.bincount(index.cell.ravel(), w.ravel(), minlength=K * B).reshape(K, B)
     occupied = G > 0
     xs = np.log(G, out=np.full((K, B), -np.inf), where=occupied)
     xs += t[:, None]  # the logits L = t + log G, -inf where G = 0
@@ -270,15 +283,17 @@ def attention(fp: FactoredParams, states: np.ndarray, geo: Geometry) -> np.ndarr
 
 
 def grad_batch(fp: FactoredParams, states: np.ndarray, geo: Geometry,
-               eps: float, index: TokenIndex | None = None) -> BatchGrad:
+               eps: float, index: TokenIndex | None = None,
+               masses: TokenMasses | None = None) -> BatchGrad:
     """Uniform-average gradient over a batch of episodes, labelled by the
     last column of `states`; `index` is its `token_index`, built here when
+    not given, and `masses` its `token_masses` at `fp`, computed here when
     not given.
 
     From the token masses, with wl = l' / B: f_b = V xs_b,
     gV = sum_b wl_b e_{y_b} xs_b^T, a = sum_b wl_b xs_b * (V[y_b] - f_{y,b})
-    / c_body, and b = P D with D_j = sum_b wl_b S_bj (V[y_b, s_bj] - f_{y,b})
-    / c_j, whose body part is one gather and one column sum.  Agrees with
+    / c_body, and D_j = sum_b wl_b S_bj (V[y_b, s_bj] - f_{y,b}) / c_j,
+    whose body part is one gather and one column sum.  Agrees with
     averaging `grad_example` to rounding error.
     """
     states = np.asarray(states)
@@ -287,7 +302,7 @@ def grad_batch(fp: FactoredParams, states: np.ndarray, geo: Geometry,
     if index is None:
         index = token_index(states, K)
     weights = np.full(B, 1.0 / B)
-    m = token_masses(fp, states, geo, index)
+    m = token_masses(fp, states, geo, index) if masses is None else masses
 
     y = states[:, -1] - 1
     f_y = (fp.V @ m.xs)[y, np.arange(B)]
@@ -303,7 +318,7 @@ def grad_batch(fp: FactoredParams, states: np.ndarray, geo: Geometry,
     D = np.empty(N)
     D[:-1] = m.position_sums(index, g) / geo.c[:-1]
     D[-1] = -(wl * m.sN) @ f_y / geo.c[-1]  # the query token is zero, so q_N = 0
-    return BatchGrad(gV=gV, a=a, b=geo.P @ D, loss=float(weights @ losses),
+    return BatchGrad(gV=gV, a=a, D=D, loss=float(weights @ losses),
                      lprime_mean=float(weights @ lp), lprimes=lp)
 
 

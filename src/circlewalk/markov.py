@@ -92,8 +92,8 @@ def decompose_v(V: np.ndarray, Pi: np.ndarray) -> tuple[float, float]:
     """Split V = beta * Pi^T + residual by orthogonal projection; returns
     (beta, max-norm of the residual)."""
     PiT = Pi.T
-    beta = float(np.sum(V * PiT) / np.sum(PiT * PiT))
-    gamma = float(np.max(np.abs(V - beta * PiT)))
+    beta = float((V * PiT).sum() / (PiT * PiT).sum())
+    gamma = float(np.abs(V - beta * PiT).max())
     return beta, gamma
 
 

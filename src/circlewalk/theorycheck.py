@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gradients import FactoredParams, Geometry, attention, factor
+from .gradients import Geometry, attention, factor
 from .markov import decompose_v
 from .model import Params
 from .trainer import TrainConfig, TrainTrace, first_step_oracle_v
@@ -192,11 +192,7 @@ def check_deterministic_theorem(trace: TrainTrace, tol: float = 1e-12) -> Determ
     acc_err = float(np.max(np.abs(trace.series("accuracy") - 1.0 / wc.K)))
     items["chance_accuracy"] = PASS if acc_err == 0.0 else FAIL
 
-    # the logit vectors of each snapshot from its factors: W12 p^_N =
-    # W12_0 p^_N + |p^_N|^2 alpha, likewise W22 p^_N; only W12 is built dense
-    init, pnh = trace.init, geo.pnh
-    pnh_sq = pnh @ pnh
-    wtok0, u0 = init.W12 @ pnh, init.W22 @ pnh
+    init = trace.init
     v_resid = 0.0
     s_resid = 0.0
     w12_spread = 0.0
@@ -204,11 +200,9 @@ def check_deterministic_theorem(trace: TrainTrace, tol: float = 1e-12) -> Determ
         vmax = float(np.max(np.abs(snap.V)))
         if vmax > 0:
             v_resid = max(v_resid, float(snap.V.max() - snap.V.min()) / vmax)
-        fp = FactoredParams(V=snap.V, wtok=wtok0 + pnh_sq * snap.alpha,
-                            u=u0 + pnh_sq * snap.beta, alpha=snap.alpha, beta=snap.beta)
-        body = attention(fp, states, geo)[:, :-1]
+        body = attention(snap, states, geo)[:, :-1]
         s_resid = max(s_resid, float(np.max(body.max(axis=1) - body.min(axis=1))))
-        W12 = np.outer(snap.alpha, pnh)
+        W12 = np.outer(snap.alpha, geo.pnh)
         W12 += init.W12
         wmax = float(np.max(np.abs(W12)))
         if wmax > 0:
@@ -220,13 +214,16 @@ def check_deterministic_theorem(trace: TrainTrace, tol: float = 1e-12) -> Determ
 
     t2_err = None
     if 2 in trace.snapshots and len(trace.lprimes) >= 2:
+        # zero init, uniform attention in both steps: V1 = -eta l'_0 r/(N K),
+        # then W22's left factor gains -eta l'_1 d_j / c_j with d_j = V1/N^2 on
+        # the body, -(N-1) V1/N^2 at the query; W12's, r/c_body times the former
         lp0, lp1 = trace.lprimes[0], trace.lprimes[1]
         N, K, eta = wc.N, wc.K, cfg.eta
-        pN = geo.P[:, -1]
-        w12_exp = lp0 * lp1 * eta**2 * r**2 / (N**3 * K) * np.outer(np.ones(K), pN)
-        psum = geo.P[:, :-1].sum(axis=1)
-        w22_exp = np.outer(
-            lp0 * lp1 * (eta**2 * r / (N**3 * K) * psum - eta**2 * r**2 / N**3 * pN), pN)
+        c, pN = geo.c, geo.P[:, -1]
+        scale = lp0 * lp1 * eta**2 * r / (N**3 * K * c[-1])
+        w12_exp = scale * r / c[0] * np.outer(np.ones(K), pN)
+        left = geo.P[:, :-1] @ (1.0 / c[:-1]) - (N - 1) / c[-1] * pN
+        w22_exp = np.outer(scale * left, pN)
         snap = trace.params(2)
         t2_err = max(float(np.max(np.abs(snap.W12 - w12_exp))),
                      float(np.max(np.abs(snap.W22 - w22_exp))))

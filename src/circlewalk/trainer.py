@@ -3,44 +3,46 @@
 Supports zero or Gaussian initialization, full-batch empirical gradients
 over a fixed seeded dataset (optionally resampled each iteration), and the
 exact population gradient in the deterministic-walk regime (p in {0,1},
-N = r*K + 1) where the K possible episodes can be enumerated.
+N = r*K + 1) where the K possible episodes can be enumerated and form both
+the training and the test batch.
 
-Training runs on the factored parameters (`FactoredParams`): V, the logit
-vectors wtok = W12 p^_N and u = W22 p^_N, and the left factors alpha,
-beta of W12 - W12_0 and W22 - W22_0 (see `gradients`).  The run builds
-its `Geometry` (P, column norms, p^_N) once.  One loop body serves both
-gradient modes: each iteration advances the factored parameters either by
-`grad_batch` + `step` or, for zero-init population runs, by the exact
-scalar recursion, then records l', guards against non-finite parameters,
-evaluates and snapshots.  Gradient and metrics come from the per-token
-attention masses (see `gradients`): one iteration costs three products
-with P (O(M*N)), a few passes over each dataset's (B, N) cell index (the
-`bincount` of the positional weights, one gather for dL/dW22 and one for
-the attention metrics) and O(B*K) for the rest; no K x M or M x M block
-is touched.  The cell index of each dataset is built once (`token_index`,
-and `eval_set` for the test set with its other per-run constants), once
-per fresh dataset under `resample`.  Snapshots keep V, alpha and beta;
-the trace keeps the init blocks and the geometry once and builds dense
+Training runs on the factored parameters (`FactoredParams`): V, the token
+logit vector wtok = W12 p^_N, the positional logits zpos, and the factors
+alpha, gamma of W12 - W12_0 = alpha p^_N^T and W22 - W22_0 =
+(P gamma) p^_N^T (see `gradients`).  The run builds its `Geometry` once.
+Every iteration is `grad_batch` + `step`, then a guard against non-finite
+parameters, `evaluate` and a snapshot; population runs hand the test
+set's token masses from `evaluate` to the next `grad_batch`, since they
+train on the same batch at the same parameters.  Gradient and metrics come
+from the per-token attention masses: one iteration costs a few passes over
+each dataset's (B, N) cell index (the `bincount` of the positional
+weights, one gather for D and one for the attention metrics), O(B*K) for
+the rest and O(K^2 + N) for the step; nothing of length M is touched.  The
+cell index of each dataset is built once (`token_index`, and `eval_set`
+for the test set with its other per-run constants), once per fresh dataset
+under `resample`.  Snapshots are the factored parameters themselves; the
+trace keeps the init blocks and the geometry once and builds dense
 `Params` only on request (`TrainTrace.params`, `final_params`).
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from . import walkgen
-from .gradients import (BatchGrad, FactoredParams, Geometry, TokenIndex, factor,
-                        geometry, grad_batch, token_index, token_masses)
+from .gradients import (BatchGrad, FactoredParams, Geometry, TokenIndex, TokenMasses,
+                        factor, geometry, grad_batch, token_index, token_masses)
 from .markov import TransitionMatrix, decompose_v, transition_matrix
 from .model import Params
 from .posembed import build_positional
 from .walkgen import WalkConfig, make_dataset, enumerate_deterministic
 
 __all__ = [
-    "TrainConfig", "MetricsRow", "Snapshot", "TrainTrace",
+    "TrainConfig", "MetricsRow", "TrainTrace",
     "init_params", "step", "first_step_oracle_v", "train", "EvalSet", "eval_set",
     "evaluate",
 ]
@@ -156,39 +158,29 @@ class MetricsRow:
         return tuple(getattr(self, f) for f in METRIC_FIELDS)
 
 
-@dataclass(frozen=True)
-class Snapshot:
-    """Parameters at one iteration: W12 = W12_0 + alpha p^_N^T and
-    W22 = W22_0 + beta p^_N^T with the trace's init blocks and p^_N."""
-
-    V: np.ndarray  # (K, K)
-    alpha: np.ndarray  # (K,)
-    beta: np.ndarray  # (M,)
-
-
 @dataclass
 class TrainTrace:
     config: TrainConfig
     init: Params  # the initial blocks, held once
     geometry: Geometry  # P, column norms and p^_N of the run
     rows: list[MetricsRow] = field(default_factory=list)
-    snapshots: dict[int, Snapshot] = field(default_factory=dict)
+    snapshots: dict[int, FactoredParams] = field(default_factory=dict)
     lprimes: list[float] = field(default_factory=list)  # mean l' at each pre-step t
     seeds: dict[str, int] = field(default_factory=dict)
 
     def params(self, t: int) -> Params:
-        """Dense parameters of snapshot t, built on each call (K x M and
-        M x M blocks; the trace does not keep them)."""
-        snap = self.snapshots[t]
-        pnh = self.geometry.pnh
-        W12 = np.outer(snap.alpha, pnh)
+        """Dense parameters of snapshot t, W12 = W12_0 + alpha p^_N^T and
+        W22 = W22_0 + (P gamma) p^_N^T, built on each call (K x M and M x M
+        blocks; the trace does not keep them)."""
+        snap, geo = self.snapshots[t], self.geometry
+        W12 = np.outer(snap.alpha, geo.pnh)
         W12 += self.init.W12
-        W22 = np.outer(snap.beta, pnh)
+        W22 = np.outer(geo.P @ snap.gamma, geo.pnh)
         W22 += self.init.W22
         return self.init.with_updates(V=snap.V, W12=W12, W22=W22)
 
     @property
-    def final_snapshot(self) -> Snapshot:
+    def final_snapshot(self) -> FactoredParams:
         return self.snapshots[max(self.snapshots)]
 
     @property
@@ -208,16 +200,17 @@ def init_params(cfg: TrainConfig, rng: np.random.Generator | None = None) -> Par
     return Params.gaussian(wc.K, cfg.M, cfg.sigma, rng)
 
 
-def step(fp: FactoredParams, bg: BatchGrad, eta: float, pnh_sq: float) -> FactoredParams:
-    """One plain gradient-descent update in O(K^2 + M).  W12 -= eta a p^_N^T
-    moves wtok = W12 p^_N by -eta |p^_N|^2 a, and likewise W22 moves u;
+def step(fp: FactoredParams, bg: BatchGrad, eta: float, geo: Geometry) -> FactoredParams:
+    """One plain gradient-descent update in O(K^2 + N).  W12 -= eta a p^_N^T
+    moves wtok = W12 p^_N by -eta |p^_N|^2 a, and W22 -= eta (P D) p^_N^T
+    moves zpos = P^T W22 p^_N / c by -eta |p^_N|^2 phi D / c (P^T P = phi I);
     W11/W21 carry zero gradient."""
     return FactoredParams(
         V=fp.V - eta * bg.gV,
-        wtok=fp.wtok - eta * pnh_sq * bg.a,
-        u=fp.u - eta * pnh_sq * bg.b,
+        wtok=fp.wtok - eta * geo.pnh_sq * bg.a,
+        zpos=fp.zpos - eta * geo.zrate * bg.D,
         alpha=fp.alpha - eta * bg.a,
-        beta=fp.beta - eta * bg.b,
+        gamma=fp.gamma - eta * bg.D,
     )
 
 
@@ -268,15 +261,16 @@ def eval_set(states: np.ndarray, geo: Geometry, tm: TransitionMatrix | None,
 
 
 def evaluate(fp: FactoredParams, test: EvalSet, it: int = 0,
-             loss: float = float("nan")) -> MetricsRow:
+             loss: float = float("nan"), masses: TokenMasses | None = None) -> MetricsRow:
     """Test-set metrics: accuracy, KL and f_dist from f = V xs, the
     attention fields from the body weights S_bj; the matrix-comparison
     fields are NaN when no transition matrix applies (QA tasks) or a norm
-    vanishes (zero init)."""
+    vanishes (zero init).  `masses` is the test set's `token_masses` at
+    `fp`, computed here when not given."""
     states, weights = test.states, test.weights
-    m = token_masses(fp, states, test.geo, test.index)
+    m = token_masses(fp, states, test.geo, test.index) if masses is None else masses
     f = fp.V @ m.xs  # (K, B)
-    pred = np.argmax(f, axis=0) + 1  # first-max tie rule
+    pred = f.argmax(axis=0) + 1  # first-max tie rule
     accuracy = float(weights @ (pred == states[:, -1]))
     body = m.body(test.index)
     attn_parent = float(weights @ body[:, -1])
@@ -290,16 +284,29 @@ def evaluate(fp: FactoredParams, test: EvalSet, it: int = 0,
         fm /= fm.sum(axis=0)
         terms = np.where(test.q_pos, q * np.log(test.q_safe / fm), 0.0)
         kl = float(weights @ terms.sum(axis=0))
-        fn = np.linalg.norm(f, axis=0)
-        if np.all(fn > 0):
-            f_dist = float(weights @ np.linalg.norm(f / fn - q, axis=0))
-        vF = np.linalg.norm(fp.V)
-        if vF > 0:
-            v_dist = float(np.linalg.norm(fp.V / vF - test.pit_unit))
+        fu = _unit(f, axis=0)
+        if fu is not None:
+            fu -= q
+            f_dist = float(weights @ np.sqrt((fu * fu).sum(axis=0)))
+        vu = _unit(fp.V)
+        if vu is not None:
+            vu -= test.pit_unit
+            v_dist = math.sqrt(float((vu * vu).sum()))
         beta, gamma = decompose_v(fp.V, test.tm.Pi)
     return MetricsRow(iter=it, loss=loss, accuracy=accuracy, kl=kl,
                       v_dist=v_dist, f_dist=f_dist, attn_parent=attn_parent,
                       attn_other_max=attn_other_max, beta=beta, gamma=gamma)
+
+
+def _unit(x: np.ndarray, axis: int | None = None) -> np.ndarray | None:
+    """x over its l2 norm (along `axis`), or None where that norm is 0;
+    x is scaled by its max-abs first, so its sum of squares cannot overflow."""
+    scale = np.abs(x).max(axis=axis, keepdims=True)
+    if not (scale > 0).all():
+        return None
+    x = x / scale
+    x /= np.sqrt((x * x).sum(axis=axis, keepdims=True))
+    return x
 
 
 def _datasets(cfg: TrainConfig):
@@ -316,76 +323,10 @@ def _datasets(cfg: TrainConfig):
             make_dataset(wc, cfg.test_size, seed=cfg.seed + 1), tm)
 
 
-@dataclass
-class _PopulationState:
-    """Scalar coefficients of the exact population-GD recursion at p in
-    {0,1} with zero init: V = v*1_{KxK}, W12 = g*1_K p_N^T,
-    W22 = (a*sum_{j<N} p_j + b*p_N) p_N^T.
-
-    The dynamics provably preserve this structure, so iterating the four
-    scalars is the same mathematical recursion as dense GD but immune to
-    the rounding asymmetry of large matrix products; the dense and scalar
-    paths agree to rounding error (tested), and only the scalar path keeps
-    the all-equal structure bit-exact over many iterations.
-    """
-
-    v: float = 0.0
-    g: float = 0.0
-    a: float = 0.0
-    b: float = 0.0
-
-
-def _population_scalar_step(state: _PopulationState, wc: WalkConfig, r: int,
-                            eta: float, eps: float, normalize: bool):
-    """One exact GD step on the scalar coefficients; returns
-    (new state, mean loss, l')."""
-    N = wc.N
-    phi = (wc.M + 1) / 2.0  # squared norm of every positional column
-    if normalize:
-        cb = np.sqrt(1.0 + phi)  # body columns carry a unit token part
-        cq = np.sqrt(phi)
-    else:
-        cb = cq = 1.0
-    z_body = (state.g * phi + state.a * phi**2) / (cb * cq)
-    z_query = state.b * phi**2 / (cq * cq)
-    zmax = max(z_body, z_query)
-    e_b, e_q = np.exp(z_body - zmax), np.exp(z_query - zmax)
-    denom = (N - 1) * e_b + e_q
-    sig, sig_q = e_b / denom, e_q / denom  # shared body weight, query weight
-
-    f_y = state.v * (N - 1) * sig
-    loss = -float(np.log(f_y + eps))
-    lp = -1.0 / (f_y + eps)
-    m = f_y  # sum_j S_j q_j with q_j = v on the body
-    dv = sig * (state.v - m)  # d_j for every body position
-    dq = -sig_q * m
-    new = _PopulationState(
-        v=state.v - eta * lp * sig * r / wc.K,
-        g=state.g - eta * lp * dv * r / (cb * cq),
-        a=state.a - eta * lp * dv / (cb * cq),
-        b=state.b - eta * lp * dq / (cq * cq),
-    )
-    return new, loss, lp
-
-
-def _population_factors(state: _PopulationState, K: int, geo: Geometry,
-                        psum: np.ndarray, pnh_sq: float) -> FactoredParams:
-    """Factored parameters of the scalar state: with p_N = c_N p^_N,
-    alpha = g c_N 1_K and beta = c_N (a sum_{j<N} p_j + b p_N)."""
-    cN = geo.c[-1]
-    alpha = np.full(K, state.g * cN)
-    beta = cN * (state.a * psum + state.b * geo.P[:, -1])
-    return FactoredParams(V=np.full((K, K), state.v), wtok=pnh_sq * alpha,
-                          u=pnh_sq * beta, alpha=alpha, beta=beta)
-
-
 def _check_finite(fp: FactoredParams, t: int) -> None:
-    if not all(np.all(np.isfinite(x)) for x in (fp.V, fp.alpha, fp.beta)):
+    if not (np.isfinite(fp.V).all() and np.isfinite(fp.alpha).all()
+            and np.isfinite(fp.gamma).all()):
         raise FloatingPointError(f"non-finite parameters at iteration {t}")
-
-
-def _snapshot(fp: FactoredParams) -> Snapshot:
-    return Snapshot(V=fp.V, alpha=fp.alpha, beta=fp.beta)
 
 
 def train(cfg: TrainConfig) -> TrainTrace:
@@ -400,36 +341,31 @@ def train(cfg: TrainConfig) -> TrainTrace:
 
     trace = TrainTrace(config=cfg, init=params, geometry=geo,
                        seeds={"train": cfg.seed, "test": cfg.seed + 1, "init": cfg.seed + 2})
-    trace.snapshots[0] = _snapshot(fp)
+    trace.snapshots[0] = fp
     if cfg.iterations == 0:
         trace.rows.append(evaluate(fp, test))
         return trace
 
     schedule = cfg.snapshot_schedule()
-    pnh_sq = geo.pnh @ geo.pnh
-    scalar = cfg.grad_mode == POPULATION and cfg.init == ZERO
-    if scalar:
-        state, r = _PopulationState(), wc.require_deterministic_theory()
-        psum = geo.P[:, :-1].sum(axis=1)
-    else:
-        tr_index = token_index(tr_states, wc.K)
+    # population runs train on the test batch, so the masses evaluate takes
+    # at fp are the next gradient's
+    population = cfg.grad_mode == POPULATION
+    tr_index = test.index if population else token_index(tr_states, wc.K)
+    tr_masses = None
     resample_rng = np.random.default_rng(cfg.seed + 3)
     for t in range(1, cfg.iterations + 1):
-        if scalar:
-            state, loss, lp = _population_scalar_step(state, wc, r, cfg.eta, cfg.eps,
-                                                      cfg.normalize_attention)
-            fp = _population_factors(state, wc.K, geo, psum, pnh_sq)
-        else:
-            if cfg.resample:
-                tr_states = make_dataset(wc, cfg.train_size, rng=resample_rng)
-                tr_index = token_index(tr_states, wc.K)
-            bg = grad_batch(fp, tr_states, geo, cfg.eps, tr_index)
-            fp, loss, lp = step(fp, bg, cfg.eta, pnh_sq), bg.loss, bg.lprime_mean
-        trace.lprimes.append(lp)
+        if cfg.resample:
+            tr_states = make_dataset(wc, cfg.train_size, rng=resample_rng)
+            tr_index = token_index(tr_states, wc.K)
+        bg = grad_batch(fp, tr_states, geo, cfg.eps, tr_index, tr_masses)
+        fp = step(fp, bg, cfg.eta, geo)
+        trace.lprimes.append(bg.lprime_mean)
         _check_finite(fp, t)
-        trace.rows.append(evaluate(fp, test, it=t, loss=loss))
+        masses = token_masses(fp, test.states, geo, test.index)
+        trace.rows.append(evaluate(fp, test, it=t, loss=bg.loss, masses=masses))
+        tr_masses = masses if population else None
         if t in schedule:
-            trace.snapshots[t] = _snapshot(fp)
+            trace.snapshots[t] = fp
     return trace
 
 

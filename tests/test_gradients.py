@@ -72,11 +72,11 @@ def test_batch_agrees_with_per_example_average():
         avg = _average([grad_example(params, X, int(s[-1]), pos, EPS,
                                      normalize=normalize)
                         for X, s in zip(tokens, states)])
-        # the batch returns the left factors of the rank-one W gradients
+        # the batch returns a and D: dL/dW12 = a p^_N^T, dL/dW22 = (P D) p^_N^T
         pnh = geo.pnh
         np.testing.assert_allclose(bg.gV, avg["gV"], atol=1e-13)
         np.testing.assert_allclose(np.outer(bg.a, pnh), avg["gW12"], atol=1e-13)
-        np.testing.assert_allclose(np.outer(bg.b, pnh), avg["gW22"], atol=1e-13)
+        np.testing.assert_allclose(np.outer(pos.P @ bg.D, pnh), avg["gW22"], atol=1e-13)
 
 
 def test_batch_weights_and_diagnostics():

@@ -1,6 +1,6 @@
 """Property tests: the factored trainer against the dense per-episode
-oracle, the `params.bin` round trip, the size of the snapshots, and the
-exit code of `check` against its report."""
+oracle, the `params.bin` round trip, the size of the snapshots, the exit
+code of `check` against its report, and the deterministic-walk trap."""
 
 import dataclasses
 import json
@@ -116,14 +116,16 @@ def test_params_bin_round_trips(cfg):
 
 
 def test_snapshots_hold_no_m_by_m_array():
+    # nor any array of M entries: a snapshot is O(K^2 + N)
     base = dict(K=4, N=13, M=60, iterations=6, train_size=16, test_size=16)
     for fields in (dict(p=0.5), dict(p=0.5, init="gaussian", sigma=0.05),
-                   dict(p=1.0, grad_mode="population")):
+                   dict(p=1.0, grad_mode="population"),
+                   dict(p=1.0, grad_mode="population", normalize_attention=True)):
         trace = train(TrainConfig(**base, **fields))
         for t, snap in trace.snapshots.items():
             for f in dataclasses.fields(snap):
                 arr = getattr(snap, f.name)
-                assert arr.size < base["M"] ** 2, (fields, t, f.name, arr.shape)
+                assert arr.size < base["M"], (fields, t, f.name, arr.shape)
 
 
 @settings(max_examples=30, deadline=None)
@@ -138,3 +140,22 @@ def test_check_exits_1_exactly_when_the_report_fails(cfg):
         rc = main(["check", "--out", str(Path(tmp) / "out"), "--config", str(path)])
         report = json.loads((Path(tmp) / "out" / "report.json").read_text())
     assert rc == (0 if report["passed"] else 1), (rc, report["items"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(K=st.integers(2, 6), r=st.integers(1, 3), eta=st.floats(0.01, 10.0),
+       normalize=st.booleans(), T=st.integers(2, 6))
+def test_zero_init_population_check_passes(K, r, eta, normalize, T):
+    # the deterministic-walk trap: from zero init the exact population
+    # gradient keeps every structure residual at 0, the accuracy at 1/K and
+    # the second iterate on its closed form, for any step size, with or
+    # without normalized attention columns
+    N = r * K + 1
+    cfg = TrainConfig(K=K, p=1.0, N=N, M=math.ceil(N ** 1.5), eta=eta, eps=0.1,
+                      iterations=T, grad_mode="population", normalize_attention=normalize)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(config_dict(cfg)))
+        rc = main(["check", "--out", str(Path(tmp) / "out"), "--config", str(path)])
+        report = json.loads((Path(tmp) / "out" / "report.json").read_text())
+    assert rc == 0, report

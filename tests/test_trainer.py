@@ -1,4 +1,4 @@
-"""Training loop, evaluation metrics, and the population recursion."""
+"""Training loop, evaluation metrics, and the population runs."""
 
 import dataclasses
 
@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from circlewalk import trainer
-from circlewalk.gradients import attention, factor, geometry, grad_batch
+from circlewalk.gradients import (attention, factor, geometry, grad_batch,
+                                  grad_example, token_index)
+from circlewalk.markov import transition_matrix
 from circlewalk.model import Params, forward
 from circlewalk.posembed import build_positional
 from circlewalk.trainer import (METRIC_FIELDS, TrainConfig, eval_set, evaluate,
-                                first_step_oracle_v, init_params, train)
+                                first_step_oracle_v, init_params, step, train)
 from circlewalk.walkgen import (WalkConfig, enumerate_deterministic,
                                 make_dataset, tokens_from_states)
 
@@ -123,7 +125,6 @@ def test_batch_forward_matches_forward():
 
 
 def test_evaluate_fields():
-    from circlewalk.markov import transition_matrix
     cfg = WalkConfig(K=4, p=0.5, N=9, M=40)
     states = make_dataset(cfg, 32, seed=0)
     geo = geometry(build_positional(40, 9))
@@ -160,26 +161,58 @@ def test_first_step_oracle_random_walk_is_the_power_sum():
     np.testing.assert_allclose(first_step_oracle_v(cfg), expect, atol=1e-13)
 
 
-def test_population_scalar_path_matches_dense_gradients():
-    # the structured trainer must track plain GD on the enumerated batch
-    cfg = TrainConfig(K=4, p=1.0, N=13, M=50, eta=1.0, eps=0.1, iterations=4,
-                      grad_mode="population")
+def test_population_run_matches_dense_gradients():
+    # a zero-init population run must track plain dense GD on the
+    # enumerated batch, every block averaged from `grad_example`
+    pos = build_positional(50, 13)
+    for normalize in (False, True):
+        cfg = TrainConfig(K=4, p=1.0, N=13, M=50, eta=10.0, eps=0.1, iterations=4,
+                          grad_mode="population", normalize_attention=normalize,
+                          snapshot_iters=(1, 2, 3))
+        tr = train(cfg)
+        dense = init_params(cfg)
+        states = enumerate_deterministic(cfg.walk_config())
+        tokens = tokens_from_states(states, 4)
+        for t in range(1, 5):
+            grads = [grad_example(dense, X, int(s[-1]), pos, cfg.eps, normalize=normalize)
+                     for X, s in zip(tokens, states)]
+            dense = dense.with_updates(**{
+                name: getattr(dense, name) - cfg.eta * np.mean(
+                    [getattr(g, "g" + name) for g in grads], axis=0)
+                for name in ("V", "W11", "W12", "W21", "W22")})
+            got = tr.params(t)
+            for name in ("V", "W12", "W22"):
+                np.testing.assert_allclose(getattr(got, name), getattr(dense, name),
+                                           rtol=1e-9, atol=1e-12,
+                                           err_msg=f"{name} at t={t}, normalize={normalize}")
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("grad_mode", ["empirical", "population"])
+def test_iterations_never_read_p(grad_mode, normalize):
+    # after `factor`, grad_batch, step and evaluate run without P or p^_N,
+    # hold no array of M entries, and reproduce the trainer's rows exactly
+    p = 1.0 if grad_mode == "population" else 0.5
+    cfg = TrainConfig(K=4, p=p, N=13, M=60, iterations=4, eta=2.0, init="gaussian",
+                      sigma=0.05, grad_mode=grad_mode, normalize_attention=normalize,
+                      train_size=16, test_size=16)
     tr = train(cfg)
-    geo = geometry(build_positional(50, 13))
-    pnh = geo.pnh
-    dense = init_params(cfg)
-    states = enumerate_deterministic(cfg.walk_config())
+    geo = tr.geometry
+    fp = factor(tr.init, geo)
+    free = dataclasses.replace(geo, P=None, pnh=None)
+    if grad_mode == "population":
+        tr_states = te_states = enumerate_deterministic(cfg.walk_config())
+    else:
+        tr_states = make_dataset(cfg.walk_config(), 16, seed=cfg.seed)
+        te_states = make_dataset(cfg.walk_config(), 16, seed=cfg.seed + 1)
+    test = eval_set(te_states, free, transition_matrix(4, p), 4)
+    index = token_index(tr_states, 4)
     for t in range(1, 5):
-        bg = grad_batch(factor(dense, geo), states, geo, cfg.eps)
-        # dense GD step with the rank-one W gradients a p^_N^T, b p^_N^T
-        dense = dense.with_updates(V=dense.V - cfg.eta * bg.gV,
-                                   W12=dense.W12 - cfg.eta * np.outer(bg.a, pnh),
-                                   W22=dense.W22 - cfg.eta * np.outer(bg.b, pnh))
-        if t in tr.snapshots:
-            snap = tr.params(t)
-            np.testing.assert_allclose(snap.V, dense.V, atol=1e-12)
-            np.testing.assert_allclose(snap.W12, dense.W12, atol=1e-12)
-            np.testing.assert_allclose(snap.W22, dense.W22, atol=1e-12)
+        bg = grad_batch(fp, tr_states, free, cfg.eps, index)
+        fp = step(fp, bg, cfg.eta, free)
+        for arr in (*dataclasses.astuple(fp), bg.gV, bg.a, bg.D):
+            assert arr.size < cfg.M, arr.shape
+        assert evaluate(fp, test, it=t, loss=bg.loss).as_tuple() == tr.rows[t - 1].as_tuple()
 
 
 def test_population_structure_is_exact():
@@ -200,9 +233,9 @@ def test_non_finite_logits_raise():
         grad_batch(factor(params, geo), states, geo, 0.1)
 
 
-@pytest.mark.parametrize("factor_name", ["a", "b"])
+@pytest.mark.parametrize("factor_name", ["a", "D"])
 def test_non_finite_w_factor_raises(monkeypatch, factor_name):
-    # the guard checks V, alpha (W12) and beta (W22) right after the step,
+    # the guard checks V, alpha (W12) and gamma (W22) right after the step,
     # before the non-finite logits could surface in evaluate
     real = trainer.grad_batch
 
