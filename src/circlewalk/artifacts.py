@@ -15,7 +15,7 @@ from .trainer import METRIC_FIELDS, TrainTrace
 
 __all__ = [
     "save_params", "load_params", "emit_metrics_csv", "emit_matrix_csv",
-    "write_manifest", "svg_line_chart", "PARAMS_MAGIC",
+    "write_manifest", "write_json", "svg_line_chart", "PARAMS_MAGIC",
 ]
 
 PARAMS_MAGIC = b"CWPARAMS1\n"
@@ -102,6 +102,11 @@ def write_manifest(path, command: str, config: dict, seeds: dict,
     }
     if extra:
         record.update(extra)
+    write_json(path, record)
+
+
+def write_json(path, record: dict) -> None:
+    """Indented, key-sorted JSON with a trailing newline (every JSON artifact)."""
     with open(path, "w", newline="\n") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")

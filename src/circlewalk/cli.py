@@ -12,6 +12,7 @@ preset the experiment configurations from the accompanying study.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -57,6 +58,15 @@ class ConfigError(Exception):
     pass
 
 
+@contextlib.contextmanager
+def _config_errors():
+    """Turn a rejected argument or config value into a ConfigError."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _load_train_config(args) -> TrainConfig:
     fields = {}
     if getattr(args, "recipe", None):
@@ -81,10 +91,8 @@ def _load_train_config(args) -> TrainConfig:
     unknown = set(fields) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    try:
+    with _config_errors():
         return TrainConfig(**fields)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc))
 
 
 def _outdir(args) -> Path:
@@ -95,9 +103,10 @@ def _outdir(args) -> Path:
 
 def cmd_gen(args) -> int:
     started = time.time()
+    with _config_errors():
+        cfg = WalkConfig(K=args.K, p=args.p, N=args.N, M=args.M)
+        states = make_dataset(cfg, args.count, seed=args.seed)
     out = _outdir(args)
-    cfg = WalkConfig(K=args.K, p=args.p, N=args.N, M=args.M)
-    states = make_dataset(cfg, args.count, seed=args.seed)
     export_dataset(states, out / "dataset.txt", cfg, args.seed)
     artifacts.write_manifest(out / "manifest.json", "gen",
                              dict(K=args.K, p=args.p, N=args.N, M=args.M,
@@ -138,10 +147,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     started = time.time()
     cfg = _load_train_config(args)
-    try:
+    with _config_errors():
         params = artifacts.load_params(args.params)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
     wc = cfg.walk_config()
     if params.K != wc.K or params.M < wc.N:
         raise ConfigError(f"params have K={params.K}, M={params.M}; the config "
@@ -158,9 +165,7 @@ def cmd_eval(args) -> int:
               ("accuracy", "kl", "v_dist", "f_dist", "attn_parent",
                "attn_other_max", "beta", "gamma")}
     out = _outdir(args)
-    with open(out / "eval.json", "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    artifacts.write_json(out / "eval.json", record)
     artifacts.write_manifest(out / "manifest.json", "eval", config_dict(cfg),
                              {"test": cfg.seed + 1}, started)
     print(json.dumps(record, sort_keys=True))
@@ -182,17 +187,13 @@ def _report_record(report) -> dict:
 def cmd_check(args) -> int:
     started = time.time()
     cfg = _load_train_config(args)
+    with _config_errors():
+        check = theorycheck.report_for(cfg)
     out = _outdir(args)
     trace = train(cfg)
     _emit_run_artifacts(out, cfg, trace, started, "check")
-    if cfg.grad_mode == "population":
-        report = theorycheck.check_deterministic_theorem(trace)
-    else:
-        report = theorycheck.check_random_theorem(trace)
-    record = _report_record(report)
-    with open(out / "report.json", "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+    report = check(trace)
+    artifacts.write_json(out / "report.json", _report_record(report))
     for name, status in report.items.items():
         print(f"{name}: {status}")
     return 0 if report.passed else 1
@@ -211,27 +212,21 @@ def cmd_qa(args) -> int:
     record = {"task": cfg.qa_task, "final_accuracy": final_acc,
               "symmetry_statistic": sym,
               "best_accuracy": float(max(r.accuracy for r in trace.rows))}
-    with open(out / "qa_report.json", "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    artifacts.write_json(out / "qa_report.json", record)
     print(json.dumps(record, sort_keys=True))
     return 0
 
 
 def cmd_spectra(args) -> int:
     started = time.time()
-    out = _outdir(args)
-    failures = []
-
-    decay = []
-    for K in range(3, 13):
-        for p in np.round(np.arange(0.1, 0.95, 0.1), 10):
-            rep = decay_bound_report(K, float(p), args.R)
-            decay.append(dict(K=K, p=float(p), max_violation=rep.max_violation,
-                              parity_zero_exact=rep.parity_zero_exact,
-                              passed=rep.passed))
-            if not rep.passed:
-                failures.append(f"decay K={K} p={p}")
+    with _config_errors():  # --M, --N and the power range --R
+        pos = build_positional(args.M, args.N)
+        decay_reports = [decay_bound_report(K, float(p), args.R) for K in range(3, 13)
+                         for p in np.round(np.arange(0.1, 0.95, 0.1), 10)]
+    decay = [dict(K=rep.K, p=rep.p, max_violation=rep.max_violation,
+                  parity_zero_exact=rep.parity_zero_exact, passed=rep.passed)
+             for rep in decay_reports]
+    failures = [f"decay K={rec['K']} p={rec['p']}" for rec in decay if not rec["passed"]]
 
     shift = [dataclasses.asdict(shift_identities_check(K)) for K in range(2, 13)]
     for rec in shift:
@@ -251,7 +246,6 @@ def cmd_spectra(args) -> int:
             if not rep.passed:
                 failures.append(f"dominance K={K} p={p}")
 
-    pos = build_positional(args.M, args.N)
     G = pos.gram()
     diag_err = float(np.max(np.abs(np.diag(G) / ((args.M + 1) / 2) - 1.0)))
     off = G - np.diag(np.diag(G))
@@ -271,9 +265,8 @@ def cmd_spectra(args) -> int:
         "one_step_toeplitz_residual": toep,
         "failures": failures, "passed": not failures,
     }
-    with open(out / "spectra.json", "w") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    out = _outdir(args)
+    artifacts.write_json(out / "spectra.json", record)
     artifacts.write_manifest(out / "manifest.json", "spectra",
                              dict(R=args.R, M=args.M, N=args.N), {}, started)
     print("spectra: " + ("all checks passed" if not failures

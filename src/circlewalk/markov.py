@@ -138,6 +138,8 @@ class DecayBoundReport:
 def decay_bound_report(K: int, p: float, R_max: int) -> DecayBoundReport:
     if not 0.0 < p < 1.0:
         raise ValueError(f"decay bound requires 0 < p < 1, got p={p}")
+    if R_max < 0:
+        raise ValueError(f"decay bound needs a power range R_max >= 0, got {R_max}")
     tm = transition_matrix(K, p)
     rep = DecayBoundReport(K=K, p=p, R_max=R_max)
     even = K % 2 == 0

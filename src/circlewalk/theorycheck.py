@@ -4,25 +4,31 @@ Two regimes: 0 < p < 1 runs should converge to the optimal predictor
 (accuracy, f/V alignment, 1/sqrt(t) rate, attention concentration on the
 parent position), while the deterministic p in {0,1}, N = rK+1 regime is
 permanently stuck at chance with an all-equal parameter structure.
+
+`report_for` settles from the config, before training, which report
+covers a run: zero-init population runs get the deterministic one (its
+theorem is about gradient descent from zero), empirical 0 < p < 1 walk runs
+the random-walk one, and anything else is out of scope.  The reports read
+only what `train` returns; from zero init W12 = alpha p^_N^T and
+W22 = (P gamma) p^_N^T, so they check alpha and gamma, not dense blocks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from .gradients import Geometry, attention, factor
+from .gradients import attention
 from .markov import decompose_v
-from .model import Params
-from .trainer import TrainConfig, TrainTrace, first_step_oracle_v
+from .trainer import POPULATION, ZERO, TrainConfig, TrainTrace, first_step_oracle_v
 from .walkgen import enumerate_deterministic
 
 __all__ = [
     "decompose_v", "toeplitz_check", "band_argmax_check", "rate_fit",
     "Thresholds", "RandomWalkReport", "check_random_theorem",
-    "DeterministicReport", "check_deterministic_theorem",
-    "SeparationResult", "attention_separation_check",
+    "DeterministicReport", "check_deterministic_theorem", "report_for",
 ]
 
 PASS, FAIL, INSUFFICIENT = "pass", "fail", "insufficient"
@@ -109,8 +115,8 @@ class RandomWalkReport:
 
 def check_random_theorem(trace: TrainTrace, thresholds: Thresholds | None = None) -> RandomWalkReport:
     cfg = trace.config
-    if cfg.qa_task is not None or cfg.p in (0.0, 1.0):
-        raise ValueError("random-walk report requires a 0 < p < 1 walk run")
+    if report_for(cfg) is not check_random_theorem:
+        raise ValueError("random-walk report requires an empirical 0 < p < 1 walk run")
     th = thresholds or Thresholds()
     t = trace.series("iter")
     acc = trace.series("accuracy")
@@ -181,8 +187,8 @@ class DeterministicReport:
 
 def check_deterministic_theorem(trace: TrainTrace, tol: float = 1e-12) -> DeterministicReport:
     cfg = trace.config
-    if cfg.grad_mode != "population":
-        raise ValueError("deterministic report requires a population-mode trace")
+    if report_for(cfg) is not check_deterministic_theorem:
+        raise ValueError("deterministic report requires a zero-init population run")
     wc = cfg.walk_config()
     r = wc.require_deterministic_theory()
     geo = trace.geometry
@@ -192,41 +198,35 @@ def check_deterministic_theorem(trace: TrainTrace, tol: float = 1e-12) -> Determ
     acc_err = float(np.max(np.abs(trace.series("accuracy") - 1.0 / wc.K)))
     items["chance_accuracy"] = PASS if acc_err == 0.0 else FAIL
 
-    init = trace.init
-    v_resid = 0.0
-    s_resid = 0.0
-    w12_spread = 0.0
+    v_resid = s_resid = w12_spread = 0.0
     for snap in trace.snapshots.values():
         vmax = float(np.max(np.abs(snap.V)))
         if vmax > 0:
             v_resid = max(v_resid, float(snap.V.max() - snap.V.min()) / vmax)
         body = attention(snap, states, geo)[:, :-1]
         s_resid = max(s_resid, float(np.max(body.max(axis=1) - body.min(axis=1))))
-        W12 = np.outer(snap.alpha, geo.pnh)
-        W12 += init.W12
-        wmax = float(np.max(np.abs(W12)))
-        if wmax > 0:
-            spread = float(np.max(W12.max(axis=0) - W12.min(axis=0))) / wmax
-            w12_spread = max(w12_spread, spread)
+        # W12 = alpha p^_N^T: its row spread over its max-abs entry
+        amax = float(np.max(np.abs(snap.alpha)))
+        if amax > 0:
+            w12_spread = max(w12_spread, float(np.ptp(snap.alpha)) / amax)
     items["v_uniformity"] = PASS if v_resid <= tol else FAIL
     items["attention_uniformity"] = PASS if s_resid <= tol else FAIL
     items["w12_structure"] = PASS if w12_spread <= tol else FAIL
 
     t2_err = None
     if 2 in trace.snapshots and len(trace.lprimes) >= 2:
-        # zero init, uniform attention in both steps: V1 = -eta l'_0 r/(N K),
-        # then W22's left factor gains -eta l'_1 d_j / c_j with d_j = V1/N^2 on
-        # the body, -(N-1) V1/N^2 at the query; W12's, r/c_body times the former
-        lp0, lp1 = trace.lprimes[0], trace.lprimes[1]
-        N, K, eta = wc.N, wc.K, cfg.eta
-        c, pN = geo.c, geo.P[:, -1]
-        scale = lp0 * lp1 * eta**2 * r / (N**3 * K * c[-1])
-        w12_exp = scale * r / c[0] * np.outer(np.ones(K), pN)
-        left = geo.P[:, :-1] @ (1.0 / c[:-1]) - (N - 1) / c[-1] * pN
-        w22_exp = np.outer(scale * left, pN)
-        snap = trace.params(2)
-        t2_err = max(float(np.max(np.abs(snap.W12 - w12_exp))),
-                     float(np.max(np.abs(snap.W22 - w22_exp))))
+        # uniform attention in both steps: V1 = -eta l'_0 r/(N K), then gamma
+        # gains -eta l'_1 d_j / c_j with d_j = V1/N^2 on the body, -(N-1) V1/N^2
+        # at the query, and alpha r/c_body times the body's; the error is the
+        # max entry of (alpha - alpha*) p^_N^T and P (gamma - gamma*) p^_N^T
+        N, c = wc.N, geo.c
+        s = trace.lprimes[0] * trace.lprimes[1] * cfg.eta**2 * r / (N**3 * wc.K)
+        ell = 1.0 / c
+        ell[-1] = -(N - 1) / c[-1]
+        snap = trace.snapshots[2]
+        d_alpha = float(np.max(np.abs(snap.alpha - s * r / c[0])))
+        d_w22 = float(np.max(np.abs(geo.P @ (snap.gamma - s * ell))))
+        t2_err = max(d_alpha, d_w22) * float(np.max(np.abs(geo.pnh)))
         items["t2_closed_form"] = PASS if t2_err <= 1e-10 else FAIL
     else:
         items["t2_closed_form"] = INSUFFICIENT
@@ -237,25 +237,22 @@ def check_deterministic_theorem(trace: TrainTrace, tol: float = 1e-12) -> Determ
     )
 
 
-@dataclass(frozen=True)
-class SeparationResult:
-    """Attention-logit gap between the parent position and everything else."""
-
-    margin: float  # min over episodes of z_{N-1} - max_{j != N-1} z_j
-    min_parent_weight: float
-
-
-def attention_separation_check(params: Params, states: np.ndarray,
-                               geo: Geometry) -> SeparationResult:
-    states = np.asarray(states)
-    N = states.shape[1]
-    S = attention(factor(params, geo), states, geo)
-    # recover logit gaps from the softmax (shift-invariant): log S works
-    logS = np.log(S)
-    others = np.delete(logS, N - 2, axis=1)
-    margin = float(np.min(logS[:, -2] - others.max(axis=1)))
-    return SeparationResult(margin=margin,
-                            min_parent_weight=float(S[:, -2].min()))
+def report_for(cfg: TrainConfig) -> Callable[[TrainTrace], object]:
+    """The report whose theorem covers runs of `cfg`, settled before any
+    training: `check_deterministic_theorem` for a zero-init population run,
+    `check_random_theorem` for an empirical walk run with 0 < p < 1.
+    Raises ValueError for any other config."""
+    if cfg.grad_mode == POPULATION:
+        if cfg.init != ZERO:
+            raise ValueError("the deterministic-walk theorem assumes zero init, "
+                             f"got init={cfg.init!r}")
+        return check_deterministic_theorem
+    if cfg.qa_task is not None:
+        raise ValueError(f"no theory report covers QA task {cfg.qa_task!r}")
+    if not 0.0 < cfg.p < 1.0:
+        raise ValueError(f"an empirical run with p={cfg.p} has no theory report; "
+                         "deterministic walks are checked with grad_mode population")
+    return check_random_theorem
 
 
 def first_step_toeplitz_grid(K_max: int = 12, N_max: int = 40,

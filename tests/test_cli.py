@@ -140,6 +140,23 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert main(["train", "--out", str(tmp_path / "e"), "--config", bad]) == 2, fields
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "resample" in err, fields
+    # configs no theorem covers are rejected before training
+    for fields in ({"K": 4, "p": 1.0, "N": 13, "M": 60, "iterations": 20,
+                    "grad_mode": "population", "init": "gaussian", "sigma": 0.01},
+                   {"qa_task": "task1", "M": 80, "iterations": 2},
+                   {**SMALL_CFG, "p": 1.0}):
+        out = tmp_path / "f"
+        bad = _write_cfg(tmp_path, fields)
+        assert main(["check", "--out", str(out), "--config", bad]) == 2, fields
+        assert capsys.readouterr().err.startswith("config error:"), fields
+        assert not (out / "metrics.csv").exists(), fields
+    for argv in (["gen", "--count", "0"], ["gen", "--K", "1"], ["gen", "--p", "1.5"],
+                 ["gen", "--N", "20", "--M", "10"], ["spectra", "--N", "0"],
+                 ["spectra", "--N", "20", "--M", "10"], ["spectra", "--R", "-1"]):
+        out = tmp_path / "g"
+        assert main(argv + ["--out", str(out)]) == 2, argv
+        assert capsys.readouterr().err.startswith("config error:"), argv
+        assert not out.exists(), argv
 
 
 RUN_FILES = ("metrics.csv", "params.bin", "v_final.csv", "curves.svg",
