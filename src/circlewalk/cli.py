@@ -26,7 +26,7 @@ from .markov import (decay_bound_report, eigen_action_check, gamma_dominance_rep
                      shift_identities_check, transition_matrix)
 from .gradients import factor, geometry
 from .posembed import build_positional
-from .trainer import TrainConfig, config_dict, eval_set, evaluate, train
+from .trainer import TrainConfig, config_dict, evaluate, make_test_batch, train
 from .walkgen import WalkConfig, export_dataset, make_dataset
 
 RECIPES: dict[str, dict] = {
@@ -154,13 +154,7 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"params have K={params.K}, M={params.M}; the config "
                           f"needs K={wc.K} and M >= N={wc.N}")
     geo = geometry(build_positional(params.M, wc.N), cfg.normalize_attention)
-    if cfg.qa_task is not None:
-        states = walkgen.qa_dataset(cfg.qa_task, cfg.test_size, seed=cfg.seed + 1)
-        tm = None
-    else:
-        states = make_dataset(wc, cfg.test_size, seed=cfg.seed + 1)
-        tm = transition_matrix(wc.K, wc.p)
-    row = evaluate(factor(params, geo), eval_set(states, geo, tm, wc.K))
+    row = evaluate(factor(params, geo), make_test_batch(cfg), geo)
     record = {name: getattr(row, name) for name in
               ("accuracy", "kl", "v_dist", "f_dist", "attn_parent",
                "attn_other_max", "beta", "gamma")}
@@ -220,7 +214,7 @@ def cmd_qa(args) -> int:
 def cmd_spectra(args) -> int:
     started = time.time()
     with _config_errors():  # --M, --N and the power range --R
-        pos = build_positional(args.M, args.N)
+        P = build_positional(args.M, args.N)
         decay_reports = [decay_bound_report(K, float(p), args.R) for K in range(3, 13)
                          for p in np.round(np.arange(0.1, 0.95, 0.1), 10)]
     decay = [dict(K=rep.K, p=rep.p, max_violation=rep.max_violation,
@@ -246,7 +240,7 @@ def cmd_spectra(args) -> int:
             if not rep.passed:
                 failures.append(f"dominance K={K} p={p}")
 
-    G = pos.gram()
+    G = P.T @ P
     diag_err = float(np.max(np.abs(np.diag(G) / ((args.M + 1) / 2) - 1.0)))
     off = G - np.diag(np.diag(G))
     off_max = float(np.max(np.abs(off)))

@@ -27,9 +27,9 @@ per-episode oracle.
 The batched softmax works on token masses: xs[k, b], the weight episode b
 puts on token k, is exp(t_k) G[k, b] / Z_b with G[k, b] the sum of the
 positional weights e_j = exp(zpos_j - max zpos) over the positions of b
-holding k.  G is one `bincount` over a cell index fixed for the dataset
-(`token_index`), and f, l', dL/dV and dL/dW12 need only the K x B
-masses; D and the per-position attention need one gather each.
+holding k.  G is one `bincount` over the cell index of the `Batch`, and
+f, l', dL/dV and dL/dW12 need only the K x B masses; D and the
+per-position attention need one gather each.
 Where e underflows at a position that can still carry weight (token and
 positional logit ranges both beyond exp's), the same softmax runs on the
 dense (B, N) logits instead.
@@ -37,8 +37,11 @@ dense (B, N) logits instead.
 P, c, p^_N and the step sizes of the logit vectors are fixed for a run, so
 `geometry` builds them once into a `Geometry` that every batched function
 takes in place of the positional matrix and the normalization flag; only
-`factor` reads P.  A batch is a (B, N) state array whose last column is
-the label.
+`factor` reads P.  Every batched function takes a `Batch`: a (B, N)
+state array whose last column is the label, built once per dataset with
+its cell index and, for a walk test set, the true conditionals `evaluate`
+compares against.  The dense oracle takes the (M, N) positional matrix P
+itself.
 """
 
 from __future__ import annotations
@@ -48,11 +51,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .markov import TransitionMatrix
 from .model import Params, forward, loss_value
-from .posembed import PositionalMatrix
 
 __all__ = ["Grads", "BatchGrad", "Geometry", "geometry", "FactoredParams", "factor",
-           "TokenIndex", "token_index", "TokenMasses", "token_masses", "attention",
+           "Batch", "TokenMasses", "token_masses", "attention",
            "grad_example", "grad_batch", "fd_grad"]
 
 
@@ -94,19 +97,21 @@ class Geometry:
     zrate: np.ndarray  # (N,) |p^_N|^2 phi / c: W22 -= eta (P D) p^_N^T moves zpos by -eta zrate D
 
 
-def geometry(pos: PositionalMatrix, normalize: bool = False) -> Geometry:
-    """P, p^_N, the logit step sizes and the norms c_j of the augmented
-    columns [x_j; p_j] when the attention input is column-normalized: each
-    p_j has squared norm phi = (M+1)/2, and x_j is a unit token except at
-    the query.  One exact body norm keeps equal body logits equal."""
-    phi = (pos.M + 1) / 2.0
-    c = np.ones(pos.N)
+def geometry(P: np.ndarray, normalize: bool = False) -> Geometry:
+    """p^_N, the logit step sizes and the norms c_j of the augmented
+    columns [x_j; p_j] of the (M, N) positional matrix P when the attention
+    input is column-normalized: each p_j has squared norm phi = (M+1)/2,
+    and x_j is a unit token except at the query.  One exact body norm keeps
+    equal body logits equal."""
+    M, N = P.shape
+    phi = (M + 1) / 2.0
+    c = np.ones(N)
     if normalize:
         c[:-1] = math.sqrt(1.0 + phi)
         c[-1] = math.sqrt(phi)
-    pnh = pos.P[:, -1] / c[-1]
+    pnh = P[:, -1] / c[-1]
     pnh_sq = float(pnh @ pnh)
-    return Geometry(P=pos.P, c=c, pnh=pnh, pnh_sq=pnh_sq, zrate=pnh_sq * phi / c)
+    return Geometry(P=P, c=c, pnh=pnh, pnh_sq=pnh_sq, zrate=pnh_sq * phi / c)
 
 
 @dataclass(frozen=True)
@@ -131,13 +136,13 @@ def factor(params: Params, geo: Geometry) -> FactoredParams:
                           alpha=np.zeros(params.K), gamma=np.zeros_like(geo.c))
 
 
-def grad_example(params: Params, X: np.ndarray, y: int, pos: PositionalMatrix,
+def grad_example(params: Params, X: np.ndarray, y: int, P: np.ndarray,
                  eps: float, normalize: bool = False) -> Grads:
     """Closed-form gradient for a single episode, all five blocks dense."""
-    out = forward(params, X, pos, normalize=normalize)
+    out = forward(params, X, P, normalize=normalize)
     lp = -1.0 / (float(out.f[y - 1]) + eps)
     K, M = params.K, params.M
-    geo = geometry(pos, normalize)
+    geo = geometry(P, normalize)
     c = geo.c
 
     u = params.V.T @ _unit(K, y)
@@ -146,7 +151,7 @@ def grad_example(params: Params, X: np.ndarray, y: int, pos: PositionalMatrix,
     d = out.S * (q - m)
 
     a_vec = (X[:, :-1] / c[:-1]) @ d[:-1]
-    b_vec = (geo.P / c) @ d
+    b_vec = (P / c) @ d
     return Grads(
         gV=lp * np.outer(_unit(K, y), X @ out.S),
         gW11=np.zeros((K, K)),
@@ -157,22 +162,44 @@ def grad_example(params: Params, X: np.ndarray, y: int, pos: PositionalMatrix,
 
 
 @dataclass(frozen=True)
-class TokenIndex:
-    """Index arrays of a (B, N) state array, fixed for the dataset."""
+class Batch:
+    """A (B, N) state array labelled by its last column, with what every
+    pass over it reads, built once per dataset (`Batch.of`): the labels,
+    the uniform weights, the cell index of the body tokens into token-major
+    (K, B) arrays and, for a walk test set, the true conditionals
+    q_b = Pi[s_{b,N-1}] (token-major, like the masses), their support and
+    Pi^T / |Pi|_F."""
 
+    states: np.ndarray  # (B, N)
+    y: np.ndarray  # (B,) labels, 0-based
+    weights: np.ndarray  # (B,) uniform
     cell: np.ndarray  # (B, N-1) flat cell (s_bj - 1) * B + b of each body token
     present: np.ndarray  # (K,) bool: the token occurs in some body
+    tm: TransitionMatrix | None = None
+    q: np.ndarray | None = None  # (K, B)
+    q_pos: np.ndarray | None = None  # q > 0
+    q_safe: np.ndarray | None = None  # q with 1 where q = 0
+    pit_unit: np.ndarray | None = None  # Pi^T / |Pi|_F
 
-
-def token_index(states: np.ndarray, K: int) -> TokenIndex:
-    """The cell index of a state array into token-major (K, B) arrays,
-    built once per dataset."""
-    body = np.asarray(states)[:, :-1] - 1
-    B = body.shape[0]
-    present = np.bincount(body.ravel(), minlength=K) > 0
-    body *= B
-    body += np.arange(B)[:, None]
-    return TokenIndex(cell=body, present=present)
+    @classmethod
+    def of(cls, states: np.ndarray, K: int, tm: TransitionMatrix | None = None) -> "Batch":
+        """The batch of a state array over K tokens; `tm` is the walk's
+        transition matrix for a test set, None where none applies (QA
+        tasks) or no metric compares against it (training sets)."""
+        states = np.asarray(states)
+        B = states.shape[0]
+        body = states[:, :-1] - 1
+        present = np.bincount(body.ravel(), minlength=K) > 0
+        body *= B
+        body += np.arange(B)[:, None]
+        common = dict(states=states, y=states[:, -1] - 1, weights=np.full(B, 1.0 / B),
+                      cell=body, present=present)
+        if tm is None:
+            return cls(**common)
+        q = tm.Pi.T[:, states[:, -2] - 1]
+        q_pos = q > 0
+        return cls(**common, tm=tm, q=q, q_pos=q_pos, q_safe=np.where(q_pos, q, 1.0),
+                   pit_unit=tm.Pi.T / np.linalg.norm(tm.Pi))
 
 
 # exp(-708) is still a normal double; below it the positional weights e_j
@@ -198,24 +225,23 @@ class TokenMasses:
     e: np.ndarray | None  # (N-1,) exp(zpos_j - max zpos) of the body
     S: np.ndarray | None  # (B, N)
 
-    def position_sums(self, index: TokenIndex, v: np.ndarray) -> np.ndarray:
+    def position_sums(self, batch: Batch, v: np.ndarray) -> np.ndarray:
         """sum_b S_bj v[s_bj, b] for every body position j; v is (K, B)."""
         if self.S is None:
-            return self.e * np.take((self.rate * v).ravel(), index.cell).sum(axis=0)
-        return (self.S[:, :-1] * np.take(v.ravel(), index.cell)).sum(axis=0)
+            return self.e * np.take((self.rate * v).ravel(), batch.cell).sum(axis=0)
+        return (self.S[:, :-1] * np.take(v.ravel(), batch.cell)).sum(axis=0)
 
-    def body(self, index: TokenIndex) -> np.ndarray:
+    def body(self, batch: Batch) -> np.ndarray:
         """The body weights S_bj, j < N, as a (B, N-1) array."""
         if self.S is not None:
             return self.S[:, :-1]
-        body = np.take(self.rate.ravel(), index.cell)
+        body = np.take(self.rate.ravel(), batch.cell)
         body *= self.e
         return body
 
 
-def token_masses(fp: FactoredParams, states: np.ndarray, geo: Geometry,
-                 index: TokenIndex) -> TokenMasses:
-    """Softmax attention of a (B, N) state array from per-token masses.
+def token_masses(fp: FactoredParams, batch: Batch, geo: Geometry) -> TokenMasses:
+    """Softmax attention of a batch from per-token masses.
 
     The logit of body position j is t[s_bj] + zpos_j with t = wtok / c_body
     (all body columns have the same norm); the query's is zpos_N.  With
@@ -225,10 +251,9 @@ def token_masses(fp: FactoredParams, states: np.ndarray, geo: Geometry,
     dense softmax would be.  Raises FloatingPointError on non-finite
     logits.
     """
-    B, N = states.shape
-    K = fp.V.shape[0]
+    B, K = batch.states.shape[0], fp.V.shape[0]
     zpos = fp.zpos
-    t = np.where(index.present, fp.wtok / geo.c[0], 0.0)  # absent tokens never enter
+    t = np.where(batch.present, fp.wtok / geo.c[0], 0.0)  # absent tokens never enter
     zmin, zmax, tmin, tmax = float(zpos.min()), float(zpos.max()), float(t.min()), float(t.max())
     if not (math.isfinite(tmin + zmin) and math.isfinite(tmax + zmax)):
         raise FloatingPointError("non-finite attention logits")
@@ -237,12 +262,12 @@ def token_masses(fp: FactoredParams, states: np.ndarray, geo: Geometry,
         far = gap[gap > _EXP_NORMAL]
         spread = max(tmax, 0.0) - min(tmin, 0.0)  # the query has no token term
         if far.size and far.min() < spread + _NEGLIGIBLE:
-            return _dense_masses(t, zpos, states, index)
+            return _dense_masses(t, zpos, batch)
 
     e = np.exp(-gap)
-    w = np.empty(index.cell.shape)
+    w = np.empty(batch.cell.shape)
     w[:] = e  # e_j at every cell (b, j)
-    G = np.bincount(index.cell.ravel(), w.ravel(), minlength=K * B).reshape(K, B)
+    G = np.bincount(batch.cell.ravel(), w.ravel(), minlength=K * B).reshape(K, B)
     occupied = G > 0
     xs = np.log(G, out=np.full((K, B), -np.inf), where=occupied)
     xs += t[:, None]  # the logits L = t + log G, -inf where G = 0
@@ -258,10 +283,10 @@ def token_masses(fp: FactoredParams, states: np.ndarray, geo: Geometry,
     return TokenMasses(xs=xs, sN=sN, rate=rate, e=e, S=None)
 
 
-def _dense_masses(t: np.ndarray, zpos: np.ndarray, states: np.ndarray,
-                  index: TokenIndex) -> TokenMasses:
+def _dense_masses(t: np.ndarray, zpos: np.ndarray, batch: Batch) -> TokenMasses:
     """The same softmax over the (B, N) logits, for logit ranges where the
     positional weights alone do not fit in a double."""
+    states = batch.states
     B, K = states.shape[0], t.shape[0]
     z = np.empty(states.shape)
     np.add(t[states[:, :-1] - 1], zpos[:-1], out=z[:, :-1])
@@ -269,26 +294,21 @@ def _dense_masses(t: np.ndarray, zpos: np.ndarray, states: np.ndarray,
     z -= z.max(axis=1, keepdims=True)
     np.exp(z, out=z)
     z /= z.sum(axis=1, keepdims=True)
-    xs = np.bincount(index.cell.ravel(), z[:, :-1].ravel(), minlength=K * B).reshape(K, B)
+    xs = np.bincount(batch.cell.ravel(), z[:, :-1].ravel(), minlength=K * B).reshape(K, B)
     return TokenMasses(xs=xs, sN=z[:, -1], rate=None, e=None, S=z)
 
 
-def attention(fp: FactoredParams, states: np.ndarray, geo: Geometry) -> np.ndarray:
-    """Attention weights S (B, N) for a (B, N) state array, expanded from
-    its token masses.  Raises FloatingPointError on non-finite logits."""
-    states = np.asarray(states)
-    index = token_index(states, fp.V.shape[0])
-    m = token_masses(fp, states, geo, index)
-    return np.column_stack((m.body(index), m.sN))
+def attention(fp: FactoredParams, batch: Batch, geo: Geometry) -> np.ndarray:
+    """Attention weights S (B, N) of a batch, expanded from its token
+    masses.  Raises FloatingPointError on non-finite logits."""
+    m = token_masses(fp, batch, geo)
+    return np.column_stack((m.body(batch), m.sN))
 
 
-def grad_batch(fp: FactoredParams, states: np.ndarray, geo: Geometry,
-               eps: float, index: TokenIndex | None = None,
+def grad_batch(fp: FactoredParams, batch: Batch, geo: Geometry, eps: float,
                masses: TokenMasses | None = None) -> BatchGrad:
-    """Uniform-average gradient over a batch of episodes, labelled by the
-    last column of `states`; `index` is its `token_index`, built here when
-    not given, and `masses` its `token_masses` at `fp`, computed here when
-    not given.
+    """Uniform-average gradient over a batch of episodes; `masses` is its
+    `token_masses` at `fp`, computed here when not given.
 
     From the token masses, with wl = l' / B: f_b = V xs_b,
     gV = sum_b wl_b e_{y_b} xs_b^T, a = sum_b wl_b xs_b * (V[y_b] - f_{y,b})
@@ -296,15 +316,11 @@ def grad_batch(fp: FactoredParams, states: np.ndarray, geo: Geometry,
     whose body part is one gather and one column sum.  Agrees with
     averaging `grad_example` to rounding error.
     """
-    states = np.asarray(states)
-    B, N = states.shape
+    B, N = batch.states.shape
     K = fp.V.shape[0]
-    if index is None:
-        index = token_index(states, K)
-    weights = np.full(B, 1.0 / B)
-    m = token_masses(fp, states, geo, index) if masses is None else masses
+    y, weights = batch.y, batch.weights
+    m = token_masses(fp, batch, geo) if masses is None else masses
 
-    y = states[:, -1] - 1
     f_y = (fp.V @ m.xs)[y, np.arange(B)]
     losses = -np.log(f_y + eps)
     lp = -1.0 / (f_y + eps)
@@ -316,13 +332,13 @@ def grad_batch(fp: FactoredParams, states: np.ndarray, geo: Geometry,
     g *= wl
     a = (m.xs * g).sum(axis=1) / geo.c[0]
     D = np.empty(N)
-    D[:-1] = m.position_sums(index, g) / geo.c[:-1]
+    D[:-1] = m.position_sums(batch, g) / geo.c[:-1]
     D[-1] = -(wl * m.sN) @ f_y / geo.c[-1]  # the query token is zero, so q_N = 0
     return BatchGrad(gV=gV, a=a, D=D, loss=float(weights @ losses),
                      lprime_mean=float(weights @ lp), lprimes=lp)
 
 
-def fd_grad(params: Params, X: np.ndarray, y: int, pos: PositionalMatrix,
+def fd_grad(params: Params, X: np.ndarray, y: int, P: np.ndarray,
             eps: float, normalize: bool = False, h: float = 1e-6) -> Grads:
     """Central-difference gradient oracle over every parameter entry.
 
@@ -330,7 +346,7 @@ def fd_grad(params: Params, X: np.ndarray, y: int, pos: PositionalMatrix,
     """
 
     def loss_at(p: Params) -> float:
-        return loss_value(forward(p, X, pos, normalize=normalize).f, y, eps)
+        return loss_value(forward(p, X, P, normalize=normalize).f, y, eps)
 
     out = {}
     for name in ("V", "W11", "W12", "W21", "W22"):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .posembed import PositionalMatrix, augment, normalize_columns
+from .posembed import augment, normalize_columns
 
 __all__ = ["Params", "AttentionOutput", "softmax", "attention_logits",
            "forward", "predict", "loss_value"]
@@ -88,11 +88,11 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def attention_logits(params: Params, X: np.ndarray, pos: PositionalMatrix,
+def attention_logits(params: Params, X: np.ndarray, P: np.ndarray,
                      normalize: bool = False) -> np.ndarray:
     """z = Xt^T W xt_N computed blockwise; x_N = 0 so the query side only
     sees W12/W22 acting on p_N."""
-    Xt = augment(X, pos)
+    Xt = augment(X, P)
     if normalize:
         Xt = normalize_columns(Xt)
     K = params.K
@@ -104,18 +104,18 @@ def attention_logits(params: Params, X: np.ndarray, pos: PositionalMatrix,
     return Xt.T @ w_query
 
 
-def forward(params: Params, X: np.ndarray, pos: PositionalMatrix,
+def forward(params: Params, X: np.ndarray, P: np.ndarray,
             normalize: bool = False) -> AttentionOutput:
-    z = attention_logits(params, X, pos, normalize=normalize)
+    z = attention_logits(params, X, P, normalize=normalize)
     S = softmax(z)
     f = params.V @ (X @ S)
     return AttentionOutput(z=z, S=S, f=f, pred=int(np.argmax(f)) + 1)
 
 
-def predict(params: Params, X: np.ndarray, pos: PositionalMatrix,
+def predict(params: Params, X: np.ndarray, P: np.ndarray,
             normalize: bool = False) -> int:
     """Predicted node: smallest index attaining the max of f."""
-    return forward(params, X, pos, normalize=normalize).pred
+    return forward(params, X, P, normalize=normalize).pred
 
 
 def loss_value(f: np.ndarray, y: int, eps: float) -> float:

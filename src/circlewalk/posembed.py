@@ -2,40 +2,25 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["PositionalMatrix", "build_positional", "augment", "normalize_columns"]
+__all__ = ["build_positional", "augment", "normalize_columns"]
 
 
-@dataclass(frozen=True)
-class PositionalMatrix:
-    """M x N matrix whose column i is [sin(j*i*pi/(M+1))]_{j=1..M}.
+def build_positional(M: int, N: int) -> np.ndarray:
+    """The M x N matrix P whose column i is [sin(j*i*pi/(M+1))]_{j=1..M}.
 
     Columns are mutually orthogonal with squared norm (M+1)/2.
     """
-
-    P: np.ndarray
-    M: int
-    N: int
-
-    def gram(self) -> np.ndarray:
-        return self.P.T @ self.P
-
-
-def build_positional(M: int, N: int) -> PositionalMatrix:
     if not 1 <= N <= M:
         raise ValueError(f"need 1 <= N <= M, got N={N}, M={M}")
     j = np.arange(1, M + 1)[:, None]
     i = np.arange(1, N + 1)[None, :]
-    P = np.sin(j * i * np.pi / (M + 1))
-    return PositionalMatrix(P=P, M=M, N=N)
+    return np.sin(j * i * np.pi / (M + 1))
 
 
-def augment(X: np.ndarray, pos: PositionalMatrix) -> np.ndarray:
+def augment(X: np.ndarray, P: np.ndarray) -> np.ndarray:
     """Stack tokens on top of positions: X_tilde = [X; P], (K+M) x N."""
-    P = pos.P
     if X.ndim != 2 or X.shape[1] != P.shape[1]:
         raise ValueError(f"column mismatch: X has shape {X.shape}, P has shape {P.shape}")
     return np.concatenate([X, P], axis=0)

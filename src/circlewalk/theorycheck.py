@@ -20,13 +20,12 @@ from typing import Callable
 
 import numpy as np
 
-from .gradients import attention
-from .markov import decompose_v
+from .gradients import Batch, attention
 from .trainer import POPULATION, ZERO, TrainConfig, TrainTrace, first_step_oracle_v
 from .walkgen import enumerate_deterministic
 
 __all__ = [
-    "decompose_v", "toeplitz_check", "band_argmax_check", "rate_fit",
+    "toeplitz_check", "band_argmax_check", "rate_fit",
     "Thresholds", "RandomWalkReport", "check_random_theorem",
     "DeterministicReport", "check_deterministic_theorem", "report_for",
 ]
@@ -192,7 +191,7 @@ def check_deterministic_theorem(trace: TrainTrace, tol: float = 1e-12) -> Determ
     wc = cfg.walk_config()
     r = wc.require_deterministic_theory()
     geo = trace.geometry
-    states = enumerate_deterministic(wc)
+    batch = Batch.of(enumerate_deterministic(wc), wc.K)
 
     items: dict[str, str] = {}
     acc_err = float(np.max(np.abs(trace.series("accuracy") - 1.0 / wc.K)))
@@ -203,7 +202,7 @@ def check_deterministic_theorem(trace: TrainTrace, tol: float = 1e-12) -> Determ
         vmax = float(np.max(np.abs(snap.V)))
         if vmax > 0:
             v_resid = max(v_resid, float(snap.V.max() - snap.V.min()) / vmax)
-        body = attention(snap, states, geo)[:, :-1]
+        body = attention(snap, batch, geo)[:, :-1]
         s_resid = max(s_resid, float(np.max(body.max(axis=1) - body.min(axis=1))))
         # W12 = alpha p^_N^T: its row spread over its max-abs entry
         amax = float(np.max(np.abs(snap.alpha)))

@@ -11,18 +11,18 @@ logit vector wtok = W12 p^_N, the positional logits zpos, and the factors
 alpha, gamma of W12 - W12_0 = alpha p^_N^T and W22 - W22_0 =
 (P gamma) p^_N^T (see `gradients`).  The run builds its `Geometry` once.
 Every iteration is `grad_batch` + `step`, then a guard against non-finite
-parameters, `evaluate` and a snapshot; population runs hand the test
-set's token masses from `evaluate` to the next `grad_batch`, since they
-train on the same batch at the same parameters.  Gradient and metrics come
-from the per-token attention masses: one iteration costs a few passes over
-each dataset's (B, N) cell index (the `bincount` of the positional
-weights, one gather for D and one for the attention metrics), O(B*K) for
-the rest and O(K^2 + N) for the step; nothing of length M is touched.  The
-cell index of each dataset is built once (`token_index`, and `eval_set`
-for the test set with its other per-run constants), once per fresh dataset
-under `resample`.  Snapshots are the factored parameters themselves; the
-trace keeps the init blocks and the geometry once and builds dense
-`Params` only on request (`TrainTrace.params`, `final_params`).
+parameters, `evaluate` and a snapshot; a population run trains on its
+test batch, so the test set's token masses from `evaluate` go to the next
+`grad_batch` at the same parameters.  Gradient and metrics come from the
+per-token attention masses: one iteration costs a few passes over each
+dataset's (B, N) cell index (the `bincount` of the positional weights, one
+gather for D and one for the attention metrics), O(B*K) for the rest and
+O(K^2 + N) for the step; nothing of length M is touched.  Each dataset is
+one `Batch`, built once with its cell index (`make_test_batch` adds the
+test set's target constants), once per fresh dataset under `resample`.
+Snapshots are the factored parameters themselves; the trace keeps the
+init blocks and the geometry once and builds dense `Params` only on
+request (`TrainTrace.params`, `final_params`).
 """
 
 from __future__ import annotations
@@ -34,16 +34,16 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import walkgen
-from .gradients import (BatchGrad, FactoredParams, Geometry, TokenIndex, TokenMasses,
-                        factor, geometry, grad_batch, token_index, token_masses)
-from .markov import TransitionMatrix, decompose_v, transition_matrix
+from .gradients import (Batch, BatchGrad, FactoredParams, Geometry, TokenMasses,
+                        factor, geometry, grad_batch, token_masses)
+from .markov import decompose_v, transition_matrix
 from .model import Params
 from .posembed import build_positional
 from .walkgen import WalkConfig, make_dataset, enumerate_deterministic
 
 __all__ = [
     "TrainConfig", "MetricsRow", "TrainTrace",
-    "init_params", "step", "first_step_oracle_v", "train", "EvalSet", "eval_set",
+    "init_params", "step", "first_step_oracle_v", "train", "make_test_batch",
     "evaluate",
 ]
 
@@ -86,6 +86,8 @@ class TrainConfig:
         self._check_types()
         if self.eta <= 0 or self.eps <= 0:
             raise ValueError("eta and eps must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.iterations < 0:
             raise ValueError(f"iterations must be >= 0, got {self.iterations}")
         if self.train_size < 1 or self.test_size < 1:
@@ -227,52 +229,18 @@ def first_step_oracle_v(cfg: TrainConfig) -> np.ndarray:
     return cfg.eta / (cfg.eps * wc.N * wc.K) * acc
 
 
-@dataclass(frozen=True)
-class EvalSet:
-    """A (B, N) test state array with what `evaluate` derives from it once
-    per run: its token index and, for walks, the true conditionals
-    q_b = Pi[s_{b,N-1}] (token-major, like the masses), their support and
-    Pi^T / |Pi|_F."""
-
-    states: np.ndarray
-    geo: Geometry
-    index: TokenIndex
-    weights: np.ndarray  # (B,) uniform
-    tm: TransitionMatrix | None = None
-    q: np.ndarray | None = None  # (K, B)
-    q_pos: np.ndarray | None = None  # q > 0
-    q_safe: np.ndarray | None = None  # q with 1 where q = 0
-    pit_unit: np.ndarray | None = None  # Pi^T / |Pi|_F
-
-
-def eval_set(states: np.ndarray, geo: Geometry, tm: TransitionMatrix | None,
-             K: int) -> EvalSet:
-    """Test set of a run; `tm` is None where no transition matrix applies
-    (QA tasks)."""
-    states = np.asarray(states)
-    common = dict(states=states, geo=geo, index=token_index(states, K),
-                  weights=np.full(states.shape[0], 1.0 / states.shape[0]))
-    if tm is None:
-        return EvalSet(**common)
-    q = tm.Pi.T[:, states[:, -2] - 1]
-    q_pos = q > 0
-    return EvalSet(**common, tm=tm, q=q, q_pos=q_pos, q_safe=np.where(q_pos, q, 1.0),
-                   pit_unit=tm.Pi.T / np.linalg.norm(tm.Pi))
-
-
-def evaluate(fp: FactoredParams, test: EvalSet, it: int = 0,
+def evaluate(fp: FactoredParams, test: Batch, geo: Geometry, it: int = 0,
              loss: float = float("nan"), masses: TokenMasses | None = None) -> MetricsRow:
     """Test-set metrics: accuracy, KL and f_dist from f = V xs, the
     attention fields from the body weights S_bj; the matrix-comparison
-    fields are NaN when no transition matrix applies (QA tasks) or a norm
-    vanishes (zero init).  `masses` is the test set's `token_masses` at
-    `fp`, computed here when not given."""
-    states, weights = test.states, test.weights
-    m = token_masses(fp, states, test.geo, test.index) if masses is None else masses
+    fields are NaN when the batch carries no transition matrix (QA tasks)
+    or a norm vanishes (zero init).  `masses` is the test set's
+    `token_masses` at `fp`, computed here when not given."""
+    weights = test.weights
+    m = token_masses(fp, test, geo) if masses is None else masses
     f = fp.V @ m.xs  # (K, B)
-    pred = f.argmax(axis=0) + 1  # first-max tie rule
-    accuracy = float(weights @ (pred == states[:, -1]))
-    body = m.body(test.index)
+    accuracy = float(weights @ (f.argmax(axis=0) == test.y))  # first-max tie rule
+    body = m.body(test)
     attn_parent = float(weights @ body[:, -1])
     attn_other_max = float(weights @ np.maximum(body[:, :-1].max(axis=1), m.sN))
 
@@ -309,18 +277,22 @@ def _unit(x: np.ndarray, axis: int | None = None) -> np.ndarray | None:
     return x
 
 
-def _datasets(cfg: TrainConfig):
-    """(train states, test states, transition matrix or None for QA)."""
+def make_test_batch(cfg: TrainConfig) -> Batch:
+    """The test set of a run: `test_size` episodes drawn with seed + 1 and
+    the walk's transition matrix (none for QA tasks); a population run
+    tests, and trains, on the K enumerated episodes."""
     wc = cfg.walk_config()
-    if cfg.qa_task is not None:
-        return (walkgen.qa_dataset(cfg.qa_task, cfg.train_size, seed=cfg.seed),
-                walkgen.qa_dataset(cfg.qa_task, cfg.test_size, seed=cfg.seed + 1), None)
-    tm = transition_matrix(wc.K, wc.p)
+    tm = None if cfg.qa_task is not None else transition_matrix(wc.K, wc.p)
     if cfg.grad_mode == POPULATION:
-        states = enumerate_deterministic(wc)
-        return states, states, tm
-    return (make_dataset(wc, cfg.train_size, seed=cfg.seed),
-            make_dataset(wc, cfg.test_size, seed=cfg.seed + 1), tm)
+        return Batch.of(enumerate_deterministic(wc), wc.K, tm)
+    return Batch.of(_episodes(cfg, cfg.test_size, cfg.seed + 1), wc.K, tm)
+
+
+def _episodes(cfg: TrainConfig, count: int, seed: int) -> np.ndarray:
+    """`count` QA or walk episodes of the run's task, drawn with `seed`."""
+    if cfg.qa_task is not None:
+        return walkgen.qa_dataset(cfg.qa_task, count, seed=seed)
+    return make_dataset(cfg.walk_config(), count, seed=seed)
 
 
 def _check_finite(fp: FactoredParams, t: int) -> None:
@@ -335,35 +307,33 @@ def train(cfg: TrainConfig) -> TrainTrace:
     wc = cfg.walk_config()
     geo = geometry(build_positional(cfg.M, wc.N), cfg.normalize_attention)
     params = init_params(cfg, rng=np.random.default_rng(cfg.seed + 2))
-    tr_states, te_states, tm = _datasets(cfg)
-    test = eval_set(te_states, geo, tm, wc.K)
+    test = make_test_batch(cfg)
     fp = factor(params, geo)
 
     trace = TrainTrace(config=cfg, init=params, geometry=geo,
                        seeds={"train": cfg.seed, "test": cfg.seed + 1, "init": cfg.seed + 2})
     trace.snapshots[0] = fp
     if cfg.iterations == 0:
-        trace.rows.append(evaluate(fp, test))
+        trace.rows.append(evaluate(fp, test, geo))
         return trace
 
     schedule = cfg.snapshot_schedule()
-    # population runs train on the test batch, so the masses evaluate takes
-    # at fp are the next gradient's
-    population = cfg.grad_mode == POPULATION
-    tr_index = test.index if population else token_index(tr_states, wc.K)
-    tr_masses = None
+    # a population run trains on its test batch, so the masses evaluate
+    # takes at fp are the next gradient's; under resample every iteration
+    # draws its own training set
+    batch = (test if cfg.grad_mode == POPULATION else None if cfg.resample
+             else Batch.of(_episodes(cfg, cfg.train_size, cfg.seed), wc.K))
+    masses = None
     resample_rng = np.random.default_rng(cfg.seed + 3)
     for t in range(1, cfg.iterations + 1):
         if cfg.resample:
-            tr_states = make_dataset(wc, cfg.train_size, rng=resample_rng)
-            tr_index = token_index(tr_states, wc.K)
-        bg = grad_batch(fp, tr_states, geo, cfg.eps, tr_index, tr_masses)
+            batch = Batch.of(make_dataset(wc, cfg.train_size, rng=resample_rng), wc.K)
+        bg = grad_batch(fp, batch, geo, cfg.eps, masses if batch is test else None)
         fp = step(fp, bg, cfg.eta, geo)
         trace.lprimes.append(bg.lprime_mean)
         _check_finite(fp, t)
-        masses = token_masses(fp, test.states, geo, test.index)
-        trace.rows.append(evaluate(fp, test, it=t, loss=bg.loss, masses=masses))
-        tr_masses = masses if population else None
+        masses = token_masses(fp, test, geo)
+        trace.rows.append(evaluate(fp, test, geo, it=t, loss=bg.loss, masses=masses))
         if t in schedule:
             trace.snapshots[t] = fp
     return trace

@@ -54,10 +54,13 @@ def test_train_emits_artifacts(tmp_path):
 def test_eval_round_trips_saved_params(tmp_path):
     # eval of the saved params under the same config reproduces the final
     # metrics.csv row: accuracy exactly, the rest up to the rounding of the
-    # dense W12 p^_N, W22 p^_N against the trainer's factored vectors
+    # dense W12 p^_N, W22 p^_N against the trainer's factored vectors; a QA
+    # task has no transition matrix, so its walk-only fields are NaN
     normalized = dict(SMALL_CFG, init="gaussian", sigma=0.05,
                       normalize_attention=True)
-    for i, fields in enumerate((SMALL_CFG, normalized)):
+    qa = dict(qa_task="task1", M=80, eta=0.1, eps=0.1, iterations=4, init="gaussian",
+              sigma=0.01, normalize_attention=True, train_size=20, test_size=20)
+    for i, fields in enumerate((SMALL_CFG, normalized, qa)):
         out, out2 = tmp_path / f"run{i}", tmp_path / f"eval{i}"
         cfg = _write_cfg(tmp_path, fields, name=f"cfg{i}.json")
         assert main(["train", "--out", str(out), "--config", cfg]) == 0
@@ -68,8 +71,13 @@ def test_eval_round_trips_saved_params(tmp_path):
         header, *rows = (out / "metrics.csv").read_text().splitlines()
         final = dict(zip(header.split(","), map(float, rows[-1].split(","))))
         assert rec["accuracy"] == final["accuracy"], fields
-        for name in ("kl", "v_dist", "f_dist", "attn_parent", "attn_other_max",
-                     "beta", "gamma"):
+        compared = ("attn_parent", "attn_other_max")
+        walk_only = ("kl", "v_dist", "f_dist", "beta", "gamma")
+        if "qa_task" in fields:
+            assert all(np.isnan(rec[n]) and np.isnan(final[n]) for n in walk_only), fields
+        else:
+            compared += walk_only
+        for name in compared:
             assert np.isfinite(rec[name]), (fields, name)
             np.testing.assert_allclose(rec[name], final[name], rtol=1e-9, atol=0,
                                        err_msg=f"{name} of {fields}")
@@ -150,6 +158,14 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert main(["check", "--out", str(out), "--config", bad]) == 2, fields
         assert capsys.readouterr().err.startswith("config error:"), fields
         assert not (out / "metrics.csv").exists(), fields
+    # a negative seed is rejected before --out is created
+    for argv in (["train", "--recipe", "fig4-zero-init-p05", "--seed", "-3"],
+                 ["check", "--config", _write_cfg(tmp_path, {**SMALL_CFG, "seed": -1})]):
+        out = tmp_path / "s"
+        assert main(argv + ["--out", str(out)]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "seed" in err, argv
+        assert not out.exists(), argv
     for argv in (["gen", "--count", "0"], ["gen", "--K", "1"], ["gen", "--p", "1.5"],
                  ["gen", "--N", "20", "--M", "10"], ["spectra", "--N", "0"],
                  ["spectra", "--N", "20", "--M", "10"], ["spectra", "--R", "-1"]):

@@ -1,7 +1,8 @@
 """Every name a module exports resolves, so a deletion cannot leave a
-stale entry in `__all__` behind."""
+stale entry in `__all__` behind, and has one home."""
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -18,3 +19,14 @@ def test_all_names_resolve(name):
     exported = getattr(module, "__all__", ())
     missing = [n for n in exported if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "circlewalk"])
+def test_submodules_export_only_their_own_definitions(name):
+    # one home per public name: a submodule re-exports no function or class
+    # of another module; the package `__init__` re-exports on purpose
+    module = importlib.import_module(name)
+    objs = [getattr(module, n) for n in getattr(module, "__all__", ())]
+    foreign = [obj.__name__ for obj in objs
+               if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ != name]
+    assert not foreign, f"{name}.__all__ re-exports {foreign}"

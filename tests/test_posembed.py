@@ -10,11 +10,11 @@ from circlewalk.posembed import augment, build_positional, normalize_columns
 
 def test_entries_match_the_sine_formula():
     M, N = 12, 5
-    pos = build_positional(M, N)
-    assert pos.P.shape == (M, N)
+    P = build_positional(M, N)
+    assert P.shape == (M, N)
     for i in range(1, N + 1):
         for j in range(1, M + 1):
-            assert pos.P[j - 1, i - 1] == pytest.approx(
+            assert P[j - 1, i - 1] == pytest.approx(
                 np.sin(j * i * np.pi / (M + 1)), abs=1e-15)
 
 
@@ -23,8 +23,8 @@ def test_entries_match_the_sine_formula():
 def test_columns_are_orthogonal_with_norm_phi(M, N):
     if N > M:
         N = M
-    pos = build_positional(M, N)
-    G = pos.gram()
+    P = build_positional(M, N)
+    G = P.T @ P
     phi = (M + 1) / 2.0
     np.testing.assert_allclose(np.diag(G), phi, rtol=1e-12)
     off = G - np.diag(np.diag(G))
@@ -39,13 +39,13 @@ def test_invalid_dimensions_raise():
 
 
 def test_augment_stacks_tokens_over_positions():
-    pos = build_positional(16, 4)
+    P = build_positional(16, 4)
     X = np.zeros((3, 4))
     X[1, 0] = X[2, 1] = X[0, 2] = 1.0  # query column stays zero
-    Xt = augment(X, pos)
+    Xt = augment(X, P)
     assert Xt.shape == (3 + 16, 4)
     np.testing.assert_array_equal(Xt[:3], X)
-    np.testing.assert_array_equal(Xt[3:], pos.P)
+    np.testing.assert_array_equal(Xt[3:], P)
 
 
 def test_normalize_columns_unit_norm():
@@ -68,10 +68,10 @@ def test_normalize_columns_rejects_zero_column():
 def test_body_and_query_augmented_norms():
     # every body column of [X; P] has norm sqrt(1 + phi); the query sqrt(phi)
     M, N = 20, 6
-    pos = build_positional(M, N)
+    P = build_positional(M, N)
     X = np.zeros((4, N))
     X[0, : N - 1] = 1.0
-    Xt = augment(X, pos)
+    Xt = augment(X, P)
     phi = (M + 1) / 2.0
     norms = np.linalg.norm(Xt, axis=0)
     np.testing.assert_allclose(norms[:-1], np.sqrt(1 + phi), rtol=1e-12)

@@ -57,7 +57,7 @@ def _dense_oracle(cfg):
     (params after the step, loss before it, test accuracy after it, number
     of test episodes whose prediction is a near-tie)."""
     wc = cfg.walk_config()
-    pos = build_positional(cfg.M, wc.N)
+    P = build_positional(cfg.M, wc.N)
     params = init_params(cfg, rng=np.random.default_rng(cfg.seed + 2))
     if cfg.grad_mode == "population":
         tr = te = enumerate_deterministic(wc)
@@ -66,15 +66,15 @@ def _dense_oracle(cfg):
         te = make_dataset(wc, cfg.test_size, seed=cfg.seed + 1)
     norm = cfg.normalize_attention
     for _ in range(cfg.iterations):
-        grads = [grad_example(params, X, int(s[-1]), pos, cfg.eps, normalize=norm)
+        grads = [grad_example(params, X, int(s[-1]), P, cfg.eps, normalize=norm)
                  for X, s in zip(tokens_from_states(tr, wc.K), tr)]
-        losses = [-np.log(forward(params, X, pos, normalize=norm).f[s[-1] - 1] + cfg.eps)
+        losses = [-np.log(forward(params, X, P, normalize=norm).f[s[-1] - 1] + cfg.eps)
                   for X, s in zip(tokens_from_states(tr, wc.K), tr)]
         params = params.with_updates(**{
             name: getattr(params, name) - cfg.eta * np.mean(
                 [getattr(g, "g" + name) for g in grads], axis=0)
             for name in ("V", "W11", "W12", "W21", "W22")})
-        fs = np.array([forward(params, X, pos, normalize=norm).f
+        fs = np.array([forward(params, X, P, normalize=norm).f
                        for X in tokens_from_states(te, wc.K)])
         top2 = np.sort(fs, axis=1)[:, -2:]
         ties = int(np.sum(top2[:, 1] - top2[:, 0] <= TIE_MARGIN))

@@ -7,11 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from circlewalk.markov import transition_matrix
+from circlewalk.markov import decompose_v, transition_matrix
 from circlewalk.theorycheck import (FAIL, PASS, Thresholds,
                                     band_argmax_check,
                                     check_deterministic_theorem,
-                                    check_random_theorem, decompose_v,
+                                    check_random_theorem,
                                     first_step_toeplitz_grid, rate_fit,
                                     report_for, toeplitz_check)
 from circlewalk.trainer import TrainConfig, train

@@ -7,12 +7,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from circlewalk.gradients import (attention, factor, geometry, grad_batch,
-                                  grad_example, token_index, token_masses)
+from circlewalk.gradients import (Batch, attention, factor, geometry, grad_batch,
+                                  grad_example, token_masses)
 from circlewalk.markov import decompose_v, transition_matrix
 from circlewalk.model import Params, forward
 from circlewalk.posembed import build_positional
-from circlewalk.trainer import TrainConfig, eval_set, evaluate, train
+from circlewalk.trainer import TrainConfig, evaluate, train
 from circlewalk.walkgen import (QA_K, QA_N, TASK1, WalkConfig, make_dataset,
                                 qa_dataset, tokens_from_states)
 
@@ -24,20 +24,20 @@ def _planted(t, zpos, normalize, rng, K=K, N=N, M=M):
     """Dense parameters whose token logits are t (K) and positional logits
     zpos (N): W12 = w p^_N^T / |p^_N|^2 and W22 = v p^_N^T / |p^_N|^2 with
     w = t c_body and P^T v = zpos * c (P has orthogonal columns)."""
-    pos = build_positional(M, N)
-    geo = geometry(pos, normalize)
+    P = build_positional(M, N)
+    geo = geometry(P, normalize)
     pnh = geo.pnh / (geo.pnh @ geo.pnh)
-    v = pos.P @ (np.asarray(zpos) * geo.c) / ((M + 1) / 2)
-    return pos, Params.gaussian(K, M, 0.3, rng).with_updates(
+    v = P @ (np.asarray(zpos) * geo.c) / ((M + 1) / 2)
+    return P, Params.gaussian(K, M, 0.3, rng).with_updates(
         V=rng.uniform(0.1, 1.0, (K, K)),  # f_y + eps > 0
         W12=np.outer(np.asarray(t) * geo.c[0], pnh), W22=np.outer(v, pnh))
 
 
-def _oracle(params, states, pos, normalize, Pi):
+def _oracle(params, states, P, normalize, Pi):
     """Per-episode dense forward passes and gradients, averaged."""
-    outs = [forward(params, X, pos, normalize=normalize)
+    outs = [forward(params, X, P, normalize=normalize)
             for X in tokens_from_states(states, params.K)]
-    grads = [grad_example(params, X, int(s[-1]), pos, EPS, normalize=normalize)
+    grads = [grad_example(params, X, int(s[-1]), P, EPS, normalize=normalize)
              for X, s in zip(tokens_from_states(states, params.K), states)]
     f = np.array([o.f for o in outs])
     S = np.array([o.S for o in outs])
@@ -68,25 +68,26 @@ def _oracle(params, states, pos, normalize, Pi):
     return exp
 
 
-def _assert_matches_oracle(params, states, pos, normalize, Pi=None,
+def _assert_matches_oracle(params, states, P, normalize, Pi=None,
                            rtol=1e-9, atol=1e-12):
-    geo = geometry(pos, normalize)
+    geo = geometry(P, normalize)
     fp = factor(params, geo)
-    exp = _oracle(params, states, pos, normalize, Pi)
-    np.testing.assert_allclose(attention(fp, states, geo), exp["S"], rtol=rtol, atol=atol)
+    exp = _oracle(params, states, P, normalize, Pi)
+    tm = None if Pi is None else transition_matrix(params.K, 0.5)
+    batch = Batch.of(states, params.K, tm)
+    np.testing.assert_allclose(attention(fp, batch, geo), exp["S"], rtol=rtol, atol=atol)
 
-    bg = grad_batch(fp, states, geo, EPS)
+    bg = grad_batch(fp, batch, geo, EPS)
     # per-block scale: gradients that are rounding noise around 0 compare
     # against the block's own magnitude
     for got, want in ((bg.gV, exp["gV"]), (np.outer(bg.a, geo.pnh), exp["gW12"]),
-                      (np.outer(pos.P @ bg.D, geo.pnh), exp["gW22"])):
+                      (np.outer(P @ bg.D, geo.pnh), exp["gW22"])):
         np.testing.assert_allclose(got, want, rtol=rtol,
                                    atol=atol + rtol * np.max(np.abs(want)))
     np.testing.assert_allclose(bg.loss, exp["loss"], rtol=rtol, atol=atol)
     np.testing.assert_allclose(bg.lprimes, exp["lprimes"], rtol=rtol, atol=atol)
 
-    tm = None if Pi is None else transition_matrix(params.K, 0.5)
-    row = evaluate(fp, eval_set(states, geo, tm, params.K))
+    row = evaluate(fp, batch, geo)
     assert row.accuracy == exp["accuracy"]
     fields = ["attn_parent", "attn_other_max"]
     if Pi is not None:
@@ -94,7 +95,7 @@ def _assert_matches_oracle(params, states, pos, normalize, Pi=None,
     for name in fields:
         np.testing.assert_allclose(getattr(row, name), exp[name], rtol=rtol, atol=atol,
                                    err_msg=name)
-    return token_masses(fp, states, geo, token_index(states, params.K))
+    return token_masses(fp, batch, geo)
 
 
 @pytest.mark.parametrize("normalize", [False, True])
@@ -103,9 +104,9 @@ def test_positional_spread_beyond_the_exp_range(normalize):
     # underflow, and the token logits are too close to bring them back
     rng = np.random.default_rng(0)
     zpos = -250.0 * np.arange(N)[::-1]
-    pos, params = _planted(rng.uniform(-3, 3, K), zpos, normalize, rng)
+    P, params = _planted(rng.uniform(-3, 3, K), zpos, normalize, rng)
     states = make_dataset(WalkConfig(K=K, p=0.5, N=N, M=M), 12, seed=1)
-    m = _assert_matches_oracle(params, states, pos, normalize,
+    m = _assert_matches_oracle(params, states, P, normalize,
                                transition_matrix(K, 0.5).Pi)
     assert m.S is None  # the token-mass form holds
 
@@ -117,9 +118,9 @@ def test_query_logit_far_above_the_body(normalize):
     rng = np.random.default_rng(3)
     zpos = rng.uniform(-2, 2, N)
     zpos[-1] = 900.0
-    pos, params = _planted(rng.uniform(-3, 3, K), zpos, normalize, rng)
+    P, params = _planted(rng.uniform(-3, 3, K), zpos, normalize, rng)
     states = make_dataset(WalkConfig(K=K, p=0.5, N=N, M=M), 6, seed=2)
-    m = _assert_matches_oracle(params, states, pos, normalize)
+    m = _assert_matches_oracle(params, states, P, normalize)
     np.testing.assert_array_equal(m.sN, 1.0)
 
 
@@ -132,8 +133,8 @@ def test_token_spread_that_outweighs_underflowed_positions(normalize):
     states = np.array([[2, 3, 1, 2, 3, 4, 2, 3, 4], [1, 2, 3, 4, 1, 2, 3, 4, 1]])
     zpos = np.where(states[0] == 1, -800.0, 0.0)
     zpos[-1] = -5.0
-    pos, params = _planted([1500.0, 0.0, 1.0, -2.0], zpos, normalize, rng)
-    m = _assert_matches_oracle(params, states, pos, normalize)
+    P, params = _planted([1500.0, 0.0, 1.0, -2.0], zpos, normalize, rng)
+    m = _assert_matches_oracle(params, states, P, normalize)
     assert m.S is not None
     np.testing.assert_allclose(m.xs[0, 0], 1.0)  # all of episode 0's weight on token 1
 
@@ -171,16 +172,17 @@ def test_tokens_absent_from_the_batch(normalize):
     t[absent] = 1e300
     zpos = rng.uniform(-2, 2, n)
     zpos[0] = -1000.0
-    pos, params = _planted(t, zpos, normalize, rng, K=QA_K, N=n, M=80)
-    m = _assert_matches_oracle(params, states, pos, normalize)
+    P, params = _planted(t, zpos, normalize, rng, K=QA_K, N=n, M=80)
+    m = _assert_matches_oracle(params, states, P, normalize)
     assert m.S is None
     np.testing.assert_array_equal(m.xs[absent], 0.0)
     # not even non-finite logits of absent tokens reach it
-    geo = geometry(pos, normalize)
+    geo = geometry(P, normalize)
     fp = factor(params, geo)
+    batch = Batch.of(states, QA_K)
     for bad in (np.inf, np.nan):
         wtok = fp.wtok.copy()
         wtok[absent] = bad
         np.testing.assert_array_equal(
-            attention(dataclasses.replace(fp, wtok=wtok), states, geo),
-            attention(fp, states, geo))
+            attention(dataclasses.replace(fp, wtok=wtok), batch, geo),
+            attention(fp, batch, geo))

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from circlewalk import trainer
-from circlewalk.gradients import (attention, factor, geometry, grad_batch,
-                                  grad_example, token_index)
+from circlewalk.gradients import (Batch, attention, factor, geometry, grad_batch,
+                                  grad_example)
 from circlewalk.markov import transition_matrix
 from circlewalk.model import Params, forward
 from circlewalk.posembed import build_positional
-from circlewalk.trainer import (METRIC_FIELDS, TrainConfig, eval_set, evaluate,
+from circlewalk.trainer import (METRIC_FIELDS, TrainConfig, evaluate,
                                 first_step_oracle_v, init_params, step, train)
 from circlewalk.walkgen import (WalkConfig, enumerate_deterministic,
                                 make_dataset, tokens_from_states)
@@ -37,6 +37,8 @@ def test_config_validation():
         TrainConfig(train_size=0)
     with pytest.raises(ValueError):
         TrainConfig(test_size=0)
+    with pytest.raises(ValueError, match="seed"):
+        TrainConfig(seed=-1)
     # ranges of the walk geometry, whatever the gradient mode
     for bad in (dict(p=1.5), dict(p=-0.1), dict(K=1), dict(N=1), dict(N=9, M=5)):
         with pytest.raises(ValueError):
@@ -108,17 +110,18 @@ def test_batch_forward_matches_forward():
     # the dense per-episode model
     cfg = WalkConfig(K=5, p=0.6, N=8, M=24)
     states = make_dataset(cfg, 10, seed=2)
-    pos = build_positional(24, 8)
+    batch = Batch.of(states, 5)
+    P = build_positional(24, 8)
     params = Params.gaussian(5, 24, 0.1, np.random.default_rng(1))
     for normalize in (False, True):
-        geo = geometry(pos, normalize)
+        geo = geometry(P, normalize)
         fp = factor(params, geo)
-        S = attention(fp, states, geo)
-        outs = [forward(params, X, pos, normalize=normalize)
+        S = attention(fp, batch, geo)
+        outs = [forward(params, X, P, normalize=normalize)
                 for X in tokens_from_states(states, 5)]
         for i, out in enumerate(outs):
             np.testing.assert_allclose(S[i], out.S, atol=1e-13)
-        row = evaluate(fp, eval_set(states, geo, None, 5))
+        row = evaluate(fp, batch, geo)
         pred = np.array([out.pred for out in outs])
         assert row.accuracy == pytest.approx(np.mean(pred == states[:, -1]))
         assert row.attn_parent == pytest.approx(np.mean([o.S[-2] for o in outs]))
@@ -129,13 +132,13 @@ def test_evaluate_fields():
     states = make_dataset(cfg, 32, seed=0)
     geo = geometry(build_positional(40, 9))
     params = Params.gaussian(4, 40, 0.1, np.random.default_rng(5))
-    row = evaluate(factor(params, geo), eval_set(states, geo, transition_matrix(4, 0.5), 4))
+    row = evaluate(factor(params, geo), Batch.of(states, 4, transition_matrix(4, 0.5)), geo)
     assert 0.0 <= row.accuracy <= 1.0
     assert np.isfinite(row.kl) and row.kl >= 0.0
     assert np.isfinite(row.v_dist)
     assert 0.0 <= row.attn_parent <= 1.0
     # no transition matrix (QA): comparison metrics are NaN
-    row_qa = evaluate(factor(params, geo), eval_set(states, geo, None, 4))
+    row_qa = evaluate(factor(params, geo), Batch.of(states, 4), geo)
     assert np.isnan(row_qa.kl) and np.isnan(row_qa.v_dist)
     assert np.isfinite(row_qa.accuracy)
 
@@ -164,7 +167,7 @@ def test_first_step_oracle_random_walk_is_the_power_sum():
 def test_population_run_matches_dense_gradients():
     # a zero-init population run must track plain dense GD on the
     # enumerated batch, every block averaged from `grad_example`
-    pos = build_positional(50, 13)
+    P = build_positional(50, 13)
     for normalize in (False, True):
         cfg = TrainConfig(K=4, p=1.0, N=13, M=50, eta=10.0, eps=0.1, iterations=4,
                           grad_mode="population", normalize_attention=normalize,
@@ -174,7 +177,7 @@ def test_population_run_matches_dense_gradients():
         states = enumerate_deterministic(cfg.walk_config())
         tokens = tokens_from_states(states, 4)
         for t in range(1, 5):
-            grads = [grad_example(dense, X, int(s[-1]), pos, cfg.eps, normalize=normalize)
+            grads = [grad_example(dense, X, int(s[-1]), P, cfg.eps, normalize=normalize)
                      for X, s in zip(tokens, states)]
             dense = dense.with_updates(**{
                 name: getattr(dense, name) - cfg.eta * np.mean(
@@ -205,14 +208,13 @@ def test_iterations_never_read_p(grad_mode, normalize):
     else:
         tr_states = make_dataset(cfg.walk_config(), 16, seed=cfg.seed)
         te_states = make_dataset(cfg.walk_config(), 16, seed=cfg.seed + 1)
-    test = eval_set(te_states, free, transition_matrix(4, p), 4)
-    index = token_index(tr_states, 4)
+    test, batch = Batch.of(te_states, 4, transition_matrix(4, p)), Batch.of(tr_states, 4)
     for t in range(1, 5):
-        bg = grad_batch(fp, tr_states, free, cfg.eps, index)
+        bg = grad_batch(fp, batch, free, cfg.eps)
         fp = step(fp, bg, cfg.eta, free)
         for arr in (*dataclasses.astuple(fp), bg.gV, bg.a, bg.D):
             assert arr.size < cfg.M, arr.shape
-        assert evaluate(fp, test, it=t, loss=bg.loss).as_tuple() == tr.rows[t - 1].as_tuple()
+        assert evaluate(fp, test, free, it=t, loss=bg.loss).as_tuple() == tr.rows[t - 1].as_tuple()
 
 
 def test_population_structure_is_exact():
@@ -230,7 +232,7 @@ def test_non_finite_logits_raise():
     geo = geometry(build_positional(40, 9))
     states = make_dataset(WalkConfig(K=4, p=0.5, N=9, M=40), 4, seed=0)
     with pytest.raises(FloatingPointError):
-        grad_batch(factor(params, geo), states, geo, 0.1)
+        grad_batch(factor(params, geo), Batch.of(states, 4), geo, 0.1)
 
 
 @pytest.mark.parametrize("factor_name", ["a", "D"])
