@@ -188,12 +188,11 @@ class Batch:
         tasks) or no metric compares against it (training sets)."""
         states = np.asarray(states)
         B = states.shape[0]
-        body = states[:, :-1] - 1
-        present = np.bincount(body.ravel(), minlength=K) > 0
-        body *= B
-        body += np.arange(B)[:, None]
+        cell = states[:, :-1] * B
+        cell += (np.arange(B) - B)[:, None]
+        present = np.bincount(cell.ravel(), minlength=K * B).reshape(K, B).any(axis=1)
         common = dict(states=states, y=states[:, -1] - 1, weights=np.full(B, 1.0 / B),
-                      cell=body, present=present)
+                      cell=cell, present=present)
         if tm is None:
             return cls(**common)
         q = tm.Pi.T[:, states[:, -2] - 1]
@@ -314,7 +313,8 @@ def grad_batch(fp: FactoredParams, batch: Batch, geo: Geometry, eps: float,
     gV = sum_b wl_b e_{y_b} xs_b^T, a = sum_b wl_b xs_b * (V[y_b] - f_{y,b})
     / c_body, and D_j = sum_b wl_b S_bj (V[y_b, s_bj] - f_{y,b}) / c_j,
     whose body part is one gather and one column sum.  Agrees with
-    averaging `grad_example` to rounding error.
+    averaging `grad_example` to rounding error.  Raises ValueError when
+    some f_y + eps <= 0, outside the log loss's domain.
     """
     B, N = batch.states.shape
     K = fp.V.shape[0]
@@ -322,8 +322,11 @@ def grad_batch(fp: FactoredParams, batch: Batch, geo: Geometry, eps: float,
     m = token_masses(fp, batch, geo) if masses is None else masses
 
     f_y = (fp.V @ m.xs)[y, np.arange(B)]
-    losses = -np.log(f_y + eps)
-    lp = -1.0 / (f_y + eps)
+    arg = f_y + eps
+    if (arg <= 0.0).any():  # as `loss_value` rejects it in the dense oracle
+        raise ValueError(f"log-loss argument must be positive, got {arg.min()}")
+    losses = -np.log(arg)
+    lp = -1.0 / arg
     wl = weights * lp
 
     gV = np.bincount(((y * K)[None, :] + np.arange(K)[:, None]).ravel(),

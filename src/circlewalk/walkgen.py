@@ -86,23 +86,51 @@ def make_dataset(
     seed: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """`count` independent walks from one seeded stream, as a (count, N)
-    state array: s_1 uniform on [K], then +-1 steps mod K."""
+    """`count` independent walks from one seeded stream, as a C-contiguous
+    (count, N) int64 state array: s_1 uniform on [K], then +-1 steps mod K.
+
+    The stream is fixed by the draw order: first
+    `rng.integers(1, K + 1, size=count)`, the starts; then
+    `rng.random((count, N - 1)) < p`, whose entry (b, j) makes step j + 1
+    of walk b clockwise.  With c_j the clockwise steps among the first j,
+
+        s_{j+1} = (s_1 - 1 + 2 c_j - j) mod K + 1,
+
+    the same array, bit for bit, as the earlier formula
+    `(s_1 + cumsum(where(steps, 1, -1)) - 1) % K + 1`.  The residue is taken
+    of the running sum w_j = s_1 - 1 + L + 2 c_j - j with
+    L = K ceil((N - 1) / K): L = 0 mod K leaves the residue unchanged and
+    keeps 0 <= w_j < 2 (N + K), so w fits the smallest unsigned dtype
+    holding 2 (N + K), where wrap-around in the partial sums cancels.  The
+    walks run down the columns of a (N, count) array, so the running sum is
+    ceil(log2 N) whole-array adds at doubling strides.
+    """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if rng is None:
         rng = np.random.default_rng(seed)
-    s1 = rng.integers(1, cfg.K + 1, size=count)
-    states = np.empty((count, cfg.N), dtype=np.int64)
-    states[:, 0] = 0
-    # c clockwise steps among the first j give s_{j+1} = s_1 + 2c - j (mod K)
-    np.cumsum(rng.random((count, cfg.N - 1)) < cfg.p, axis=1, out=states[:, 1:])
-    states *= 2
-    states -= np.arange(cfg.N)
-    states += (s1 - 1)[:, None]
-    states %= cfg.K
-    states += 1
-    return states
+    K, N = cfg.K, cfg.N
+    s1 = rng.integers(1, K + 1, size=count)
+    clockwise = rng.random((count, N - 1)) < cfg.p
+    w = np.empty((N, count), dtype=np.min_scalar_type(2 * (N + K)))
+    np.add(s1, K * -(-(N - 1) // K) - 1, out=w[0], casting="unsafe")
+    steps = w[1:]
+    steps[...] = clockwise.T
+    steps *= 2
+    steps -= 1  # -1 wraps to the dtype's maximum, which is -1 mod 2^bits
+    spare = np.empty_like(w)
+    shift = 1
+    while shift < N:
+        spare[:shift] = w[:shift]
+        np.add(w[shift:], w[:-shift], out=spare[shift:])
+        w, spare = spare, w
+        shift *= 2
+    # unsigned floor division is vectorized, np.remainder is not
+    np.floor_divide(w, K, out=spare)
+    spare *= K
+    w -= spare
+    w += 1
+    return w.T.astype(np.int64, order="C")
 
 
 def enumerate_deterministic(cfg: WalkConfig) -> np.ndarray:

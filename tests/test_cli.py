@@ -158,6 +158,14 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert main(["check", "--out", str(out), "--config", bad]) == 2, fields
         assert capsys.readouterr().err.startswith("config error:"), fields
         assert not (out / "metrics.csv").exists(), fields
+    # a score outside the log loss's domain stops training before any artifact
+    out = tmp_path / "h"
+    bad = _write_cfg(tmp_path, {"K": 2, "p": 0.5, "N": 6, "M": 15, "eta": 0.1,
+                                "init": "gaussian", "sigma": 0.05, "train_size": 3,
+                                "test_size": 1, "seed": 24, "iterations": 1})
+    assert main(["train", "--out", str(out), "--config", bad]) == 2
+    assert "log-loss argument must be positive" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
     # a negative seed is rejected before --out is created
     for argv in (["train", "--recipe", "fig4-zero-init-p05", "--seed", "-3"],
                  ["check", "--config", _write_cfg(tmp_path, {**SMALL_CFG, "seed": -1})]):

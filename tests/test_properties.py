@@ -9,12 +9,13 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from circlewalk.artifacts import PARAMS_MAGIC, load_params, save_params
 from circlewalk.cli import main
 from circlewalk.gradients import grad_example
-from circlewalk.model import forward
+from circlewalk.model import forward, loss_value
 from circlewalk.posembed import build_positional
 from circlewalk.trainer import TrainConfig, config_dict, init_params, train
 from circlewalk.walkgen import (enumerate_deterministic, make_dataset,
@@ -28,6 +29,10 @@ LOSS_RTOL, LOSS_ATOL = 1e-10, 1e-12
 # An oracle prediction whose top two scores are this close may go either
 # way under reassociation, so it may flip the accuracy by one episode.
 TIE_MARGIN = 1e-9
+# Gaussian init that puts a score f_y + eps < 0 on a training episode at
+# t = 1, where the oracle's loss_value raises; every property test runs it
+NEGATIVE_SCORE = TrainConfig(K=2, p=0.5, N=6, M=15, eta=0.1, init="gaussian", sigma=0.05,
+                             train_size=3, test_size=1, seed=24, iterations=1)
 
 
 @st.composite
@@ -55,7 +60,8 @@ def _dense_oracle(cfg):
     """Plain dense GD: the uniform average of `grad_example` over the
     training batch, applied to all five blocks.  Yields, per iteration,
     (params after the step, loss before it, test accuracy after it, number
-    of test episodes whose prediction is a near-tie)."""
+    of test episodes whose prediction is a near-tie).  `loss_value` raises
+    ValueError at an iteration whose score f_y + eps is <= 0."""
     wc = cfg.walk_config()
     P = build_positional(cfg.M, wc.N)
     params = init_params(cfg, rng=np.random.default_rng(cfg.seed + 2))
@@ -68,7 +74,7 @@ def _dense_oracle(cfg):
     for _ in range(cfg.iterations):
         grads = [grad_example(params, X, int(s[-1]), P, cfg.eps, normalize=norm)
                  for X, s in zip(tokens_from_states(tr, wc.K), tr)]
-        losses = [-np.log(forward(params, X, P, normalize=norm).f[s[-1] - 1] + cfg.eps)
+        losses = [loss_value(forward(params, X, P, normalize=norm).f, int(s[-1]), cfg.eps)
                   for X, s in zip(tokens_from_states(tr, wc.K), tr)]
         params = params.with_updates(**{
             name: getattr(params, name) - cfg.eta * np.mean(
@@ -82,11 +88,32 @@ def _dense_oracle(cfg):
         yield params, float(np.mean(losses)), acc, ties, len(te)
 
 
+def _oracle_rejects(cfg):
+    """Whether the dense oracle meets a score outside the log loss's domain."""
+    try:
+        for _ in _dense_oracle(cfg):
+            pass
+    except ValueError:
+        return True
+    return False
+
+
+def _assert_train_rejects(cfg):
+    with pytest.raises(ValueError, match="log-loss argument must be positive"):
+        train(cfg)
+
+
 @settings(max_examples=60, deadline=None)
 @given(cfg=small_configs())
+@example(cfg=NEGATIVE_SCORE)
 def test_factored_trainer_matches_the_dense_oracle(cfg):
+    try:
+        expected = list(_dense_oracle(cfg))
+    except ValueError:
+        _assert_train_rejects(cfg)
+        return
     trace = train(cfg)
-    for t, (dense, loss, acc, ties, B) in enumerate(_dense_oracle(cfg), start=1):
+    for t, (dense, loss, acc, ties, B) in enumerate(expected, start=1):
         got = trace.params(t)
         for name in ("V", "W11", "W12", "W21", "W22"):
             np.testing.assert_allclose(getattr(got, name), getattr(dense, name),
@@ -100,8 +127,13 @@ def test_factored_trainer_matches_the_dense_oracle(cfg):
 
 @settings(max_examples=25, deadline=None)
 @given(cfg=small_configs())
+@example(cfg=NEGATIVE_SCORE)
 def test_params_bin_round_trips(cfg):
-    params = train(dataclasses.replace(cfg, snapshot_iters=None)).final_params
+    cfg = dataclasses.replace(cfg, snapshot_iters=None)
+    if _oracle_rejects(cfg):
+        _assert_train_rejects(cfg)
+        return
+    params = train(cfg).final_params
     K, M = params.K, params.M
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "params.bin"
@@ -130,18 +162,20 @@ def test_snapshots_hold_no_m_by_m_array():
 
 @settings(max_examples=30, deadline=None)
 @given(cfg=small_configs())
+@example(cfg=NEGATIVE_SCORE)
 def test_check_exits_1_exactly_when_the_report_fails(cfg):
     # empirical runs draw 0 < p < 1, so they get the random-walk report;
     # short ones mostly fail it.  Zero-init population runs get the
     # deterministic report and pass it.  The deterministic theorem assumes
     # zero init, so a Gaussian population run is out of scope: exit 2 and
-    # no report
+    # no report.  So is a run whose score leaves the log loss's domain
+    rejected = _oracle_rejects(cfg)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(config_dict(cfg)))
         rc = main(["check", "--out", str(Path(tmp) / "out"), "--config", str(path)])
         report_path = Path(tmp) / "out" / "report.json"
-        if cfg.grad_mode == "population" and cfg.init == "gaussian":
+        if rejected or (cfg.grad_mode == "population" and cfg.init == "gaussian"):
             assert rc == 2 and not report_path.exists(), rc
             return
         report = json.loads(report_path.read_text())

@@ -186,3 +186,24 @@ def test_tokens_absent_from_the_batch(normalize):
         np.testing.assert_array_equal(
             attention(dataclasses.replace(fp, wtok=wtok), batch, geo),
             attention(fp, batch, geo))
+
+
+@pytest.mark.parametrize("kind", ["walk", "qa"])
+def test_batch_index_matches_its_formulas(kind):
+    # cell[b, j] = (s_bj - 1) B + b, y_b = s_bN - 1, and present[k] says
+    # whether token k + 1 occurs in some body; both batches leave at least
+    # one token out of every body
+    if kind == "walk":
+        K, states = 11, make_dataset(WalkConfig(K=11, p=0.5, N=4, M=8), 5, seed=3)
+    else:
+        K, states = QA_K, qa_dataset(TASK1, 9, seed=1)
+    batch = Batch.of(states, K)
+    B, N = states.shape
+    assert batch.cell.shape == (B, N - 1)
+    for b in range(B):
+        assert batch.y[b] == states[b, -1] - 1
+        for j in range(N - 1):
+            assert batch.cell[b, j] == (states[b, j] - 1) * B + b, (b, j)
+    in_body = {int(s) for s in states[:, :-1].ravel()}
+    assert batch.present.tolist() == [k + 1 in in_body for k in range(K)]
+    assert not batch.present.all()

@@ -9,7 +9,7 @@ from circlewalk import trainer
 from circlewalk.gradients import (Batch, attention, factor, geometry, grad_batch,
                                   grad_example)
 from circlewalk.markov import transition_matrix
-from circlewalk.model import Params, forward
+from circlewalk.model import Params, forward, loss_value
 from circlewalk.posembed import build_positional
 from circlewalk.trainer import (METRIC_FIELDS, TrainConfig, evaluate,
                                 first_step_oracle_v, init_params, step, train)
@@ -233,6 +233,23 @@ def test_non_finite_logits_raise():
     states = make_dataset(WalkConfig(K=4, p=0.5, N=9, M=40), 4, seed=0)
     with pytest.raises(FloatingPointError):
         grad_batch(factor(params, geo), Batch.of(states, 4), geo, 0.1)
+
+
+def test_log_loss_argument_outside_the_domain_raises():
+    # Gaussian V puts a negative score f_y + eps on one of the three training
+    # episodes at init: the dense oracle's loss_value rejects it, and so
+    # must grad_batch, rather than record a NaN loss
+    cfg = TrainConfig(K=2, p=0.5, N=6, M=15, eta=0.1, init="gaussian", sigma=0.05,
+                      train_size=3, test_size=1, seed=24, iterations=1)
+    wc = cfg.walk_config()
+    P = build_positional(cfg.M, wc.N)
+    params = init_params(cfg, rng=np.random.default_rng(cfg.seed + 2))
+    states = make_dataset(wc, cfg.train_size, seed=cfg.seed)
+    with pytest.raises(ValueError, match="log-loss argument must be positive"):
+        for X, s in zip(tokens_from_states(states, wc.K), states):
+            loss_value(forward(params, X, P).f, int(s[-1]), cfg.eps)
+    with pytest.raises(ValueError, match="log-loss argument must be positive"):
+        train(cfg)
 
 
 @pytest.mark.parametrize("factor_name", ["a", "D"])

@@ -1,5 +1,7 @@
 """Episode generation: walks, the deterministic enumeration, QA tasks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -53,18 +55,23 @@ def _former_make_dataset(cfg, count, rng):
     return (raw - 1) % cfg.K + 1
 
 
-@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
 def test_make_dataset_keeps_the_former_stream(p):
-    cfg = WalkConfig(K=6, p=p, N=25, M=128)
-    for seed in range(5):
-        np.testing.assert_array_equal(
-            make_dataset(cfg, 40, seed=seed),
-            _former_make_dataset(cfg, 40, np.random.default_rng(seed)))
-    # consecutive draws from one generator, as resampling makes them
-    ours, former = np.random.default_rng(9), np.random.default_rng(9)
-    for count in (1, 7, 40):
-        np.testing.assert_array_equal(make_dataset(cfg, count, rng=ours),
-                                      _former_make_dataset(cfg, count, former))
+    # N = 131 takes the running sums past 8 bits
+    for K in (2, 3, 6, 11):
+        for N in (2, 3, 25, 97, 131):
+            cfg = WalkConfig(K=K, p=p, N=N, M=math.ceil(N ** 1.5))
+            for seed in range(3):
+                np.testing.assert_array_equal(
+                    make_dataset(cfg, 40, seed=seed),
+                    _former_make_dataset(cfg, 40, np.random.default_rng(seed)))
+            # consecutive draws from one generator, as resampling makes them
+            ours, former = np.random.default_rng(9), np.random.default_rng(9)
+            for count in (1, 7, 1000):
+                got = make_dataset(cfg, count, rng=ours)
+                assert got.dtype == np.int64 and got.flags.c_contiguous, (K, N, count)
+                np.testing.assert_array_equal(got, _former_make_dataset(cfg, count, former),
+                                              err_msg=f"K={K} N={N} count={count}")
 
 
 def test_tokens_one_hot_with_zero_query_column():
