@@ -6,8 +6,8 @@ of the closed-form training-dynamics predictions.
 
 __version__ = "0.1.0"
 
-from .markov import transition_matrix, matrix_power, optimal_predictor
-from .model import Params, forward, predict, loss_value
+from .markov import transition_matrix
+from .model import Params, forward, loss_value
 from .posembed import build_positional
 from .trainer import TrainConfig, train, evaluate, first_step_oracle_v
 from .walkgen import WalkConfig, make_dataset, enumerate_deterministic
@@ -16,7 +16,7 @@ __all__ = [
     "__version__",
     "WalkConfig", "make_dataset", "enumerate_deterministic",
     "build_positional",
-    "transition_matrix", "matrix_power", "optimal_predictor",
-    "Params", "forward", "predict", "loss_value",
+    "transition_matrix",
+    "Params", "forward", "loss_value",
     "TrainConfig", "train", "evaluate", "first_step_oracle_v",
 ]

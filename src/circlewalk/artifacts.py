@@ -89,7 +89,7 @@ def emit_matrix_csv(matrix: np.ndarray, path) -> None:
 
 
 def write_manifest(path, command: str, config: dict, seeds: dict,
-                   started: float, extra: dict | None = None) -> None:
+                   started: float) -> None:
     from . import __version__
 
     record = {
@@ -100,25 +100,25 @@ def write_manifest(path, command: str, config: dict, seeds: dict,
         "started_unix": started,
         "wall_clock_seconds": time.time() - started,
     }
-    if extra:
-        record.update(extra)
     write_json(path, record)
 
 
 def write_json(path, record: dict) -> None:
-    """Indented, key-sorted JSON with a trailing newline (every JSON artifact)."""
+    """Indented, key-sorted strict JSON with a trailing newline (every JSON
+    artifact); an undefined value (NaN or an infinity) is written as null."""
+    record = json.loads(json.dumps(record), parse_constant=lambda _: None)
     with open(path, "w", newline="\n") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
+        json.dump(record, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
 def svg_line_chart(series: dict[str, tuple[np.ndarray, np.ndarray]], path,
-                   title: str = "", width: int = 640, height: int = 400) -> None:
+                   title: str = "") -> None:
     """Static polyline chart; finite points only, one color per series.
     A series with a single finite point is drawn as a dot; with no finite
     points at all the chart is the bare axes."""
     colors = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
-    pad = 50
+    width, height, pad = 640, 400, 50
     clean: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for name, (x, y) in series.items():
         x = np.asarray(x, dtype=float)

@@ -26,7 +26,7 @@ from .markov import (decay_bound_report, eigen_action_check, gamma_dominance_rep
                      shift_identities_check, transition_matrix)
 from .gradients import factor, geometry
 from .posembed import build_positional
-from .trainer import TrainConfig, config_dict, evaluate, make_test_batch, train
+from .trainer import TrainConfig, evaluate, make_test_batch, train
 from .walkgen import WalkConfig, export_dataset, make_dataset
 
 RECIPES: dict[str, dict] = {
@@ -85,8 +85,6 @@ def _load_train_config(args) -> TrainConfig:
         fields.update(loaded)
     if getattr(args, "seed", None) is not None:
         fields["seed"] = args.seed
-    if "snapshot_iters" in fields and fields["snapshot_iters"] is not None:
-        fields["snapshot_iters"] = tuple(fields["snapshot_iters"])
     known = {f.name for f in dataclasses.fields(TrainConfig)}
     unknown = set(fields) - known
     if unknown:
@@ -128,7 +126,7 @@ def _emit_run_artifacts(out: Path, cfg: TrainConfig, trace, started, command: st
         {"loss": (t, trace.series("loss")),
          "accuracy": (t, trace.series("accuracy"))},
         out / "curves.svg", title="training loss / test accuracy")
-    artifacts.write_manifest(out / "manifest.json", command, config_dict(cfg),
+    artifacts.write_manifest(out / "manifest.json", command, dataclasses.asdict(cfg),
                              trace.seeds, started)
 
 
@@ -160,22 +158,10 @@ def cmd_eval(args) -> int:
                "attn_other_max", "beta", "gamma")}
     out = _outdir(args)
     artifacts.write_json(out / "eval.json", record)
-    artifacts.write_manifest(out / "manifest.json", "eval", config_dict(cfg),
+    artifacts.write_manifest(out / "manifest.json", "eval", dataclasses.asdict(cfg),
                              {"test": cfg.seed + 1}, started)
     print(json.dumps(record, sort_keys=True))
     return 0
-
-
-def _report_record(report) -> dict:
-    rec = {"items": report.items, "passed": report.passed}
-    for f in dataclasses.fields(report):
-        if f.name == "items":
-            continue
-        v = getattr(report, f.name)
-        if dataclasses.is_dataclass(v):
-            v = dataclasses.asdict(v)
-        rec[f.name] = v
-    return rec
 
 
 def cmd_check(args) -> int:
@@ -187,7 +173,8 @@ def cmd_check(args) -> int:
     trace = train(cfg)
     _emit_run_artifacts(out, cfg, trace, started, "check")
     report = check(trace)
-    artifacts.write_json(out / "report.json", _report_record(report))
+    artifacts.write_json(out / "report.json",
+                         {**dataclasses.asdict(report), "passed": report.passed})
     for name, status in report.items.items():
         print(f"{name}: {status}")
     return 0 if report.passed else 1

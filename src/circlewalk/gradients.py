@@ -47,7 +47,7 @@ itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -360,9 +360,9 @@ def fd_grad(params: Params, X: np.ndarray, y: int, P: np.ndarray,
             idx = it.multi_index
             bumped = base.copy()
             bumped[idx] = base[idx] + h
-            plus = loss_at(params.with_updates(**{name: bumped}))
+            plus = loss_at(replace(params, **{name: bumped}))
             bumped[idx] = base[idx] - h
-            minus = loss_at(params.with_updates(**{name: bumped}))
+            minus = loss_at(replace(params, **{name: bumped}))
             g[idx] = (plus - minus) / (2.0 * h)
         out["g" + name] = g
     return Grads(**out)

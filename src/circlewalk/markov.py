@@ -1,13 +1,12 @@
 """Transition-matrix algebra for the circular walk.
 
-Construction, powers, the optimal one-step predictor, the circulant
-spectrum, and executable versions of the mixing / dominance bounds the
-training analysis leans on.
+Construction, the V = beta Pi^T + residual split, the circulant spectrum,
+and executable versions of the mixing / dominance bounds the training
+analysis leans on.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,8 +15,6 @@ __all__ = [
     "TransitionMatrix",
     "transition_matrix",
     "shift_matrix",
-    "matrix_power",
-    "optimal_predictor",
     "decompose_v",
     "circulant_eigenvalues",
     "eigen_action_check",
@@ -25,7 +22,6 @@ __all__ = [
     "decay_bound_report",
     "GammaDominanceReport",
     "gamma_dominance_report",
-    "pi_frobenius",
     "ShiftIdentityReport",
     "shift_identities_check",
 ]
@@ -60,32 +56,6 @@ def transition_matrix(K: int, p: float) -> TransitionMatrix:
     # Pi = p*Pi0^T + (1-p)*Pi0; for K=2 the two bands coincide and merge.
     Pi = p * Pi0.T + (1.0 - p) * Pi0
     return TransitionMatrix(Pi=Pi, K=K, p=p)
-
-
-def matrix_power(tm: TransitionMatrix | np.ndarray, R: int) -> np.ndarray:
-    """Pi^R by repeated squaring.  Structural zeros (the even-K parity
-    pattern) survive exactly because no cancellation ever occurs."""
-    if R < 0:
-        raise ValueError(f"R must be >= 0, got {R}")
-    Pi = tm.Pi if isinstance(tm, TransitionMatrix) else np.asarray(tm)
-    out = np.eye(Pi.shape[0])
-    base = Pi.copy()
-    while R:
-        if R & 1:
-            out = out @ base
-        R >>= 1
-        if R:
-            base = base @ base
-    return out
-
-
-def optimal_predictor(tm: TransitionMatrix, X: np.ndarray) -> np.ndarray:
-    """Conditional distribution of the label given the direct parent token:
-    Pi^T x_{N-1}."""
-    col = X[:, -2]
-    if not (np.count_nonzero(col) == 1 and np.isclose(col.sum(), 1.0)):
-        raise ValueError("column N-1 of X must be one-hot")
-    return tm.Pi.T @ col
 
 
 def decompose_v(V: np.ndarray, Pi: np.ndarray) -> tuple[float, float]:
@@ -217,24 +187,6 @@ def gamma_dominance_report(K: int, p: float, N: int) -> GammaDominanceReport:
         # class in one double step), so only negative gaps count against
         passed=min_margin >= required and min_gap >= 0.0,
     )
-
-
-def pi_frobenius(K: int, p: float) -> float:
-    """Closed-form ||Pi^T||_F = sqrt(K*(p^2 + (1-p)^2)).
-
-    For K=2 the two circulant bands merge and the closed form no longer
-    matches the realized matrix; a warning flags the mismatch.
-    """
-    formula = float(np.sqrt(K * (p**2 + (1.0 - p) ** 2)))
-    if K == 2:
-        actual = float(np.linalg.norm(transition_matrix(K, p).Pi))
-        if not np.isclose(formula, actual):
-            warnings.warn(
-                f"K=2 band merge: closed form {formula:.6g} differs from the "
-                f"realized Frobenius norm {actual:.6g}",
-                stacklevel=2,
-            )
-    return formula
 
 
 @dataclass

@@ -7,14 +7,14 @@ The softmax has no temperature scaling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .posembed import augment, normalize_columns
 
 __all__ = ["Params", "AttentionOutput", "softmax", "attention_logits",
-           "forward", "predict", "loss_value"]
+           "forward", "loss_value"]
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,6 @@ class Params:
             init="gaussian", sigma=sigma,
         )
 
-    def with_updates(self, **kwargs) -> "Params":
-        return replace(self, **kwargs)
-
 
 @dataclass(frozen=True)
 class AttentionOutput:
@@ -110,12 +107,6 @@ def forward(params: Params, X: np.ndarray, P: np.ndarray,
     S = softmax(z)
     f = params.V @ (X @ S)
     return AttentionOutput(z=z, S=S, f=f, pred=int(np.argmax(f)) + 1)
-
-
-def predict(params: Params, X: np.ndarray, P: np.ndarray,
-            normalize: bool = False) -> int:
-    """Predicted node: smallest index attaining the max of f."""
-    return forward(params, X, P, normalize=normalize).pred
 
 
 def loss_value(f: np.ndarray, y: int, eps: float) -> float:

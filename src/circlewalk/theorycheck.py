@@ -112,11 +112,11 @@ class RandomWalkReport:
         return all(v != FAIL for v in self.items.values())
 
 
-def check_random_theorem(trace: TrainTrace, thresholds: Thresholds | None = None) -> RandomWalkReport:
+def check_random_theorem(trace: TrainTrace) -> RandomWalkReport:
     cfg = trace.config
     if report_for(cfg) is not check_random_theorem:
         raise ValueError("random-walk report requires an empirical 0 < p < 1 walk run")
-    th = thresholds or Thresholds()
+    th = Thresholds()
     t = trace.series("iter")
     acc = trace.series("accuracy")
     f_dist = trace.series("f_dist")
@@ -254,15 +254,13 @@ def report_for(cfg: TrainConfig) -> Callable[[TrainTrace], object]:
     return check_random_theorem
 
 
-def first_step_toeplitz_grid(K_max: int = 12, N_max: int = 40,
-                             p_grid: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.9)) -> float:
-    """Worst Toeplitz residual of the one-step closed form over a small grid."""
+def first_step_toeplitz_grid() -> float:
+    """Worst Toeplitz residual of the one-step closed form over K = 3..12,
+    N in {K+1, 2K+1, 3K+1} and p in {0.1, 0.3, 0.5, 0.7, 0.9}."""
     worst = 0.0
-    for K in range(3, K_max + 1):
-        for N in (K + 1, 2 * K + 1, min(N_max, 3 * K + 1)):
-            if N > N_max:
-                continue
-            for p in p_grid:
+    for K in range(3, 13):
+        for N in (K + 1, 2 * K + 1, 3 * K + 1):
+            for p in (0.1, 0.3, 0.5, 0.7, 0.9):
                 cfg = TrainConfig(K=K, p=p, N=N, M=max(64, int(N**1.5) + 1), iterations=1)
                 V1 = first_step_oracle_v(cfg)
                 worst = max(worst, toeplitz_check(V1, K))

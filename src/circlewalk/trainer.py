@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -80,12 +80,15 @@ class TrainConfig:
     normalize_attention: bool = False
     seed: int = 0
     qa_task: str | None = None  # overrides K/p/N when set
-    snapshot_iters: tuple[int, ...] | None = None  # default: 0,1,2,powers of 2,T
 
     def __post_init__(self):
         self._check_types()
-        if self.eta <= 0 or self.eps <= 0:
-            raise ValueError("eta and eps must be positive")
+        # written so that NaN fails every comparison
+        if not (0 < self.eta < math.inf and 0 < self.eps < math.inf):
+            raise ValueError(f"eta and eps must be positive and finite, got "
+                             f"eta={self.eta}, eps={self.eps}")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.iterations < 0:
@@ -111,21 +114,17 @@ class TrainConfig:
         """bool fields take only bools, int fields only non-bool integers,
         real fields only non-bool real numbers (so JSON "no" or 2.5 is an
         error, not a truthy flag or a float count)."""
-        def is_int(v):
-            return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
         for name in _BOOL_FIELDS:
             if not isinstance(getattr(self, name), bool):
                 raise TypeError(f"{name} must be true or false, got {getattr(self, name)!r}")
         for name in _INT_FIELDS:
-            if not is_int(getattr(self, name)):
-                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            v = getattr(self, name)
+            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
+                raise TypeError(f"{name} must be an integer, got {v!r}")
         for name in _REAL_FIELDS:
             v = getattr(self, name)
             if not isinstance(v, numbers.Real) or isinstance(v, bool):
                 raise TypeError(f"{name} must be a real number, got {v!r}")
-        if self.snapshot_iters is not None and not all(map(is_int, self.snapshot_iters)):
-            raise TypeError(f"snapshot_iters must be integers, got {self.snapshot_iters!r}")
 
     def walk_config(self) -> WalkConfig:
         if self.qa_task is not None:
@@ -133,8 +132,7 @@ class TrainConfig:
         return WalkConfig(K=self.K, p=self.p, N=self.N, M=self.M)
 
     def snapshot_schedule(self) -> set[int]:
-        if self.snapshot_iters is not None:
-            return set(self.snapshot_iters) | {0, self.iterations}
+        """0, 1, 2, the powers of two below T, and T."""
         sched = {0, 1, 2, self.iterations}
         t = 4
         while t < self.iterations:
@@ -179,7 +177,7 @@ class TrainTrace:
         W12 += self.init.W12
         W22 = np.outer(geo.P @ snap.gamma, geo.pnh)
         W22 += self.init.W22
-        return self.init.with_updates(V=snap.V, W12=W12, W22=W22)
+        return replace(self.init, V=snap.V, W12=W12, W22=W22)
 
     @property
     def final_snapshot(self) -> FactoredParams:
@@ -193,13 +191,12 @@ class TrainTrace:
         return np.array([getattr(r, name) for r in self.rows])
 
 
-def init_params(cfg: TrainConfig, rng: np.random.Generator | None = None) -> Params:
+def init_params(cfg: TrainConfig) -> Params:
+    """Zero blocks, or Gaussian ones drawn with seed + 2."""
     wc = cfg.walk_config()
     if cfg.init == ZERO:
         return Params.zeros(wc.K, cfg.M)
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    return Params.gaussian(wc.K, cfg.M, cfg.sigma, rng)
+    return Params.gaussian(wc.K, cfg.M, cfg.sigma, np.random.default_rng(cfg.seed + 2))
 
 
 def step(fp: FactoredParams, bg: BatchGrad, eta: float, geo: Geometry) -> FactoredParams:
@@ -306,7 +303,7 @@ def train(cfg: TrainConfig) -> TrainTrace:
     t=0 row when T=0), snapshots per schedule, mean l' recorded per step."""
     wc = cfg.walk_config()
     geo = geometry(build_positional(cfg.M, wc.N), cfg.normalize_attention)
-    params = init_params(cfg, rng=np.random.default_rng(cfg.seed + 2))
+    params = init_params(cfg)
     test = make_test_batch(cfg)
     fp = factor(params, geo)
 
@@ -338,10 +335,3 @@ def train(cfg: TrainConfig) -> TrainTrace:
             trace.snapshots[t] = fp
     return trace
 
-
-def config_dict(cfg: TrainConfig) -> dict:
-    """JSON-ready echo of a config (tuples become lists)."""
-    d = asdict(cfg)
-    if d.get("snapshot_iters") is not None:
-        d["snapshot_iters"] = list(d["snapshot_iters"])
-    return d

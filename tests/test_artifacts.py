@@ -1,5 +1,6 @@
 """Parameter files, CSV emission, manifests, and the SVG chart."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -45,7 +46,8 @@ def test_params_payload_is_the_blocks_bytes(tmp_path):
     K, M = 3, 7
     # a transposed (Fortran-ordered) W21 and a big-endian W22 are written
     # as row-major little-endian like the rest
-    params = Params.gaussian(K, M, 1.0, rng).with_updates(
+    params = dataclasses.replace(
+        Params.gaussian(K, M, 1.0, rng),
         W21=np.asfortranarray(rng.standard_normal((M, K))),
         W22=rng.standard_normal((M, M)).astype(">f8"))
     path = tmp_path / "params.bin"

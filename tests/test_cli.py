@@ -55,7 +55,8 @@ def test_eval_round_trips_saved_params(tmp_path):
     # eval of the saved params under the same config reproduces the final
     # metrics.csv row: accuracy exactly, the rest up to the rounding of the
     # dense W12 p^_N, W22 p^_N against the trainer's factored vectors; a QA
-    # task has no transition matrix, so its walk-only fields are NaN
+    # task has no transition matrix, so its walk-only fields are NaN in
+    # metrics.csv and null in eval.json
     normalized = dict(SMALL_CFG, init="gaussian", sigma=0.05,
                       normalize_attention=True)
     qa = dict(qa_task="task1", M=80, eta=0.1, eps=0.1, iterations=4, init="gaussian",
@@ -74,7 +75,7 @@ def test_eval_round_trips_saved_params(tmp_path):
         compared = ("attn_parent", "attn_other_max")
         walk_only = ("kl", "v_dist", "f_dist", "beta", "gamma")
         if "qa_task" in fields:
-            assert all(np.isnan(rec[n]) and np.isnan(final[n]) for n in walk_only), fields
+            assert all(rec[n] is None and np.isnan(final[n]) for n in walk_only), fields
         else:
             compared += walk_only
         for name in compared:
@@ -123,6 +124,33 @@ def test_spectra_small(tmp_path):
     assert rec["failures"] == []
 
 
+def test_every_json_artifact_is_strict_json(tmp_path):
+    # undefined values are null, never NaN or Infinity: a check shorter than
+    # the burn-in has no attention floor or ceiling, and a QA task no
+    # transition matrix to compare V and f against
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    qa = dict(qa_task="task1", M=80, eta=0.1, eps=0.1, iterations=2, init="gaussian",
+              sigma=0.01, normalize_attention=True, train_size=20, test_size=20)
+    small, qa_cfg = _write_cfg(tmp_path, SMALL_CFG), _write_cfg(tmp_path, qa, "qa.json")
+    check_cfg = _write_cfg(tmp_path, {**SMALL_CFG, "iterations": 2}, "check.json")
+    runs = (["gen", "--K", "4", "--N", "9", "--M", "40", "--count", "5"],
+            ["train", "--config", small], ["check", "--config", check_cfg],
+            ["qa", "--config", qa_cfg],
+            ["eval", "--config", qa_cfg, "--params", str(tmp_path / "qa" / "params.bin")],
+            ["spectra", "--R", "30", "--M", "200", "--N", "29"])
+    for argv in runs:
+        assert main(argv + ["--out", str(tmp_path / argv[0])]) in (0, 1), argv
+    written = sorted(tmp_path.glob("*/*.json"))
+    assert {p.parent.name for p in written} == {argv[0] for argv in runs}
+    for path in written:
+        json.loads(path.read_text(), parse_constant=reject)
+    report = json.loads((tmp_path / "check" / "report.json").read_text())
+    assert report["attn_floor"] is None and report["items"]["attention"] == "insufficient"
+    assert json.loads((tmp_path / "eval" / "eval.json").read_text())["kl"] is None
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     assert main(["train", "--out", str(tmp_path / "a"),
                  "--recipe", "no-such-recipe"]) == 2
@@ -131,6 +159,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
                                 "learning_rate": 1.0})
     assert main(["train", "--out", str(tmp_path / "b"), "--config", bad]) == 2
     assert "unknown config keys" in capsys.readouterr().err
+    bad = _write_cfg(tmp_path, {**SMALL_CFG, "snapshot_iters": 5})
+    assert main(["train", "--out", str(tmp_path / "b"), "--config", bad]) == 2
+    assert capsys.readouterr().err == "config error: unknown config keys: snapshot_iters\n"
     for key in ("train_size", "test_size"):
         empty = _write_cfg(tmp_path, {**SMALL_CFG, key: 0})
         assert main(["train", "--out", str(tmp_path / "c"), "--config", empty]) == 2
@@ -158,6 +189,16 @@ def test_config_errors_exit_2(tmp_path, capsys):
         assert main(["check", "--out", str(out), "--config", bad]) == 2, fields
         assert capsys.readouterr().err.startswith("config error:"), fields
         assert not (out / "metrics.csv").exists(), fields
+    # non-finite step sizes or init scale, and a negative sigma, are rejected
+    # before --out is created, not met as non-finite parameters mid-run
+    for fields in ({"eta": float("nan")}, {"eta": float("inf")}, {"eps": float("nan")},
+                   {"sigma": float("inf")}, {"sigma": -1.0},
+                   {"init": "gaussian", "sigma": float("nan")}):
+        out = tmp_path / "n"
+        bad = _write_cfg(tmp_path, {**SMALL_CFG, **fields})
+        assert main(["train", "--out", str(out), "--config", bad]) == 2, fields
+        assert capsys.readouterr().err.startswith("config error:"), fields
+        assert not out.exists(), fields
     # a score outside the log loss's domain stops training before any artifact
     out = tmp_path / "h"
     bad = _write_cfg(tmp_path, {"K": 2, "p": 0.5, "N": 6, "M": 15, "eta": 0.1,

@@ -1,6 +1,8 @@
 """Every name a module exports resolves, so a deletion cannot leave a
-stale entry in `__all__` behind, and has one home."""
+stale entry in `__all__` behind, and has one home; every name a module
+imports is used, so a deletion cannot leave a stale import behind."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -30,3 +32,19 @@ def test_submodules_export_only_their_own_definitions(name):
     foreign = [obj.__name__ for obj in objs
                if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ != name]
     assert not foreign, f"{name}.__all__ re-exports {foreign}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_imported_name_is_used(name):
+    # read somewhere in the module (annotations count) or exported by it
+    module = importlib.import_module(name)
+    tree = ast.parse(inspect.getsource(module))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(imported - used - set(getattr(module, "__all__", ())))
+    assert not unused, f"{name} imports unused names: {unused}"

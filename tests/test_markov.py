@@ -2,14 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from circlewalk.markov import (
     DecayBoundReport, circulant_eigenvalues, decay_bound_report,
-    eigen_action_check, gamma_dominance_report, matrix_power,
-    optimal_predictor, pi_frobenius, shift_identities_check, shift_matrix,
-    transition_matrix,
+    eigen_action_check, gamma_dominance_report, shift_identities_check,
+    shift_matrix, transition_matrix,
 )
 
 
@@ -41,27 +38,6 @@ def test_validation():
         transition_matrix(1, 0.5)
     with pytest.raises(ValueError):
         transition_matrix(4, -0.1)
-    with pytest.raises(ValueError):
-        matrix_power(transition_matrix(4, 0.5), -1)
-
-
-@settings(max_examples=25, deadline=None)
-@given(K=st.integers(3, 9), R=st.integers(0, 40),
-       p=st.floats(0.0, 1.0, allow_nan=False))
-def test_matrix_power_matches_numpy(K, R, p):
-    tm = transition_matrix(K, p)
-    np.testing.assert_allclose(matrix_power(tm, R),
-                               np.linalg.matrix_power(tm.Pi, R), atol=1e-12)
-
-
-def test_optimal_predictor_reads_the_parent_column():
-    tm = transition_matrix(6, 0.8)
-    X = np.zeros((6, 5))
-    X[2, 3] = 1.0  # parent token at node 3
-    q = optimal_predictor(tm, X)
-    np.testing.assert_allclose(q, tm.Pi[2])  # Pi^T e_3 = row 3 of Pi
-    with pytest.raises(ValueError):
-        optimal_predictor(tm, np.zeros((6, 5)))
 
 
 def test_circulant_eigenvalues_match_numpy_spectrum():
@@ -97,7 +73,7 @@ def test_even_K_parity_zeros_are_exact():
     rep = decay_bound_report(8, 0.35, 120)
     assert rep.parity_zero_exact
     # spot check: odd-distance entries of an even power are exactly zero
-    Pi2 = matrix_power(transition_matrix(8, 0.35), 2)
+    Pi2 = np.linalg.matrix_power(transition_matrix(8, 0.35).Pi, 2)
     for i in range(8):
         assert Pi2[i, (i + 1) % 8] == 0.0
         assert Pi2[i, (i + 3) % 8] == 0.0
@@ -110,17 +86,6 @@ def test_gamma_dominance_report():
     assert rep.min_trace_gap > 0.0
     with pytest.raises(ValueError):
         gamma_dominance_report(6, 1.0, 13)
-
-
-def test_pi_frobenius_closed_form():
-    for K, p in ((3, 0.2), (6, 0.5), (9, 0.85)):
-        actual = np.linalg.norm(transition_matrix(K, p).Pi)
-        assert pi_frobenius(K, p) == pytest.approx(actual, rel=1e-12)
-
-
-def test_pi_frobenius_warns_on_K2_band_merge():
-    with pytest.warns(UserWarning, match="band merge"):
-        pi_frobenius(2, 0.3)
 
 
 def test_shift_identities_exact():

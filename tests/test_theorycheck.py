@@ -170,4 +170,4 @@ def test_deterministic_check_builds_no_dense_block():
 
 
 def test_first_step_toeplitz_grid_is_tiny():
-    assert first_step_toeplitz_grid(K_max=6) <= 1e-14
+    assert first_step_toeplitz_grid() <= 1e-14

@@ -28,7 +28,8 @@ def _planted(t, zpos, normalize, rng, K=K, N=N, M=M):
     geo = geometry(P, normalize)
     pnh = geo.pnh / (geo.pnh @ geo.pnh)
     v = P @ (np.asarray(zpos) * geo.c) / ((M + 1) / 2)
-    return P, Params.gaussian(K, M, 0.3, rng).with_updates(
+    return P, dataclasses.replace(
+        Params.gaussian(K, M, 0.3, rng),
         V=rng.uniform(0.1, 1.0, (K, K)),  # f_y + eps > 0
         W12=np.outer(np.asarray(t) * geo.c[0], pnh), W22=np.outer(v, pnh))
 

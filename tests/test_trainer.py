@@ -51,9 +51,14 @@ def test_config_validation():
     # types: a JSON "no" is not a bool, 2.5 is not an iteration count
     for bad in (dict(resample="no"), dict(normalize_attention=1),
                 dict(iterations=2.5), dict(K=4.5), dict(train_size=8.5),
-                dict(seed=True), dict(M=None), dict(eta="1"), dict(p=True),
-                dict(snapshot_iters=(1.5,))):
+                dict(seed=True), dict(M=None), dict(eta="1"), dict(p=True)):
         with pytest.raises(TypeError):
+            TrainConfig(**bad)
+    # step sizes and the init scale must be finite, sigma non-negative
+    for bad in (dict(eta=np.nan), dict(eta=np.inf), dict(eps=np.nan), dict(eps=np.inf),
+                dict(sigma=np.nan), dict(sigma=np.inf), dict(sigma=-1.0),
+                dict(init="gaussian", sigma=-np.inf)):
+        with pytest.raises(ValueError, match="finite|sigma"):
             TrainConfig(**bad)
     # ints are real numbers, numpy scalars are accepted
     TrainConfig(p=1, eta=np.float64(0.5), K=np.int64(4), N=9, M=40)
@@ -62,17 +67,18 @@ def test_config_validation():
 def test_snapshot_schedule():
     cfg = TrainConfig(iterations=50, **{k: SMALL[k] for k in ("K", "p", "N", "M")})
     assert cfg.snapshot_schedule() == {0, 1, 2, 4, 8, 16, 32, 50}
-    pinned = TrainConfig(iterations=10, snapshot_iters=(3, 7),
-                         **{k: SMALL[k] for k in ("K", "p", "N", "M")})
-    assert pinned.snapshot_schedule() == {0, 3, 7, 10}
 
 
 def test_init_params_modes():
     cfg = TrainConfig(**SMALL)
     assert np.all(init_params(cfg).V == 0.0)
-    g = init_params(TrainConfig(init="gaussian", sigma=0.02, **SMALL))
+    gcfg = TrainConfig(init="gaussian", sigma=0.02, **SMALL)
+    g = init_params(gcfg)
     assert g.init == "gaussian"
     assert 0.0 < np.std(g.W22) < 0.1
+    # drawn with seed + 2, the trace's "init" seed; V is the first draw
+    ref = np.random.default_rng(gcfg.seed + 2).standard_normal((4, 4))
+    np.testing.assert_array_equal(g.V, gcfg.sigma * ref)
 
 
 def test_train_is_reproducible():
@@ -156,22 +162,21 @@ def test_first_step_oracle_matches_an_actual_step():
 
 
 def test_first_step_oracle_random_walk_is_the_power_sum():
-    from circlewalk.markov import matrix_power, transition_matrix
     cfg = TrainConfig(K=5, p=0.3, N=8, M=30, eta=1.0, eps=0.1)
-    tm = transition_matrix(5, 0.3)
-    expect = sum(matrix_power(tm, k).T for k in range(1, 8))
+    Pi = transition_matrix(5, 0.3).Pi
+    expect = sum(np.linalg.matrix_power(Pi, k).T for k in range(1, 8))
     expect *= cfg.eta / (cfg.eps * 8 * 5)
     np.testing.assert_allclose(first_step_oracle_v(cfg), expect, atol=1e-13)
 
 
 def test_population_run_matches_dense_gradients():
     # a zero-init population run must track plain dense GD on the
-    # enumerated batch, every block averaged from `grad_example`
+    # enumerated batch, every block averaged from `grad_example`, at every
+    # snapshot (t = 1, 2, 4)
     P = build_positional(50, 13)
     for normalize in (False, True):
         cfg = TrainConfig(K=4, p=1.0, N=13, M=50, eta=10.0, eps=0.1, iterations=4,
-                          grad_mode="population", normalize_attention=normalize,
-                          snapshot_iters=(1, 2, 3))
+                          grad_mode="population", normalize_attention=normalize)
         tr = train(cfg)
         dense = init_params(cfg)
         states = enumerate_deterministic(cfg.walk_config())
@@ -179,10 +184,12 @@ def test_population_run_matches_dense_gradients():
         for t in range(1, 5):
             grads = [grad_example(dense, X, int(s[-1]), P, cfg.eps, normalize=normalize)
                      for X, s in zip(tokens, states)]
-            dense = dense.with_updates(**{
+            dense = dataclasses.replace(dense, **{
                 name: getattr(dense, name) - cfg.eta * np.mean(
                     [getattr(g, "g" + name) for g in grads], axis=0)
                 for name in ("V", "W11", "W12", "W21", "W22")})
+            if t not in tr.snapshots:
+                continue
             got = tr.params(t)
             for name in ("V", "W12", "W22"):
                 np.testing.assert_allclose(getattr(got, name), getattr(dense, name),
@@ -228,7 +235,7 @@ def test_population_structure_is_exact():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_logits_raise():
-    params = Params.zeros(4, 40).with_updates(W22=np.full((40, 40), np.inf))
+    params = dataclasses.replace(Params.zeros(4, 40), W22=np.full((40, 40), np.inf))
     geo = geometry(build_positional(40, 9))
     states = make_dataset(WalkConfig(K=4, p=0.5, N=9, M=40), 4, seed=0)
     with pytest.raises(FloatingPointError):
@@ -243,7 +250,7 @@ def test_log_loss_argument_outside_the_domain_raises():
                       train_size=3, test_size=1, seed=24, iterations=1)
     wc = cfg.walk_config()
     P = build_positional(cfg.M, wc.N)
-    params = init_params(cfg, rng=np.random.default_rng(cfg.seed + 2))
+    params = init_params(cfg)
     states = make_dataset(wc, cfg.train_size, seed=cfg.seed)
     with pytest.raises(ValueError, match="log-loss argument must be positive"):
         for X, s in zip(tokens_from_states(states, wc.K), states):
