@@ -4,64 +4,67 @@ and a dependency-free SVG line chart for quick looks at training curves.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import os
 import time
 
 import numpy as np
 
-from .model import Params
-from .trainer import METRIC_FIELDS, TrainTrace
+from .gradients import FactoredParams
+from .trainer import METRIC_FIELDS, TrainConfig, TrainTrace
 
 __all__ = [
     "save_params", "load_params", "emit_metrics_csv", "emit_matrix_csv",
-    "write_manifest", "write_json", "svg_line_chart", "PARAMS_MAGIC",
+    "write_manifest", "write_json", "strict_json", "svg_line_chart", "PARAMS_MAGIC",
 ]
 
-PARAMS_MAGIC = b"CWPARAMS1\n"
-_BLOCK_ORDER = ("V", "W11", "W12", "W21", "W22")
+PARAMS_MAGIC = b"CWPARAMS2\n"
 
 
-def save_params(params: Params, path) -> None:
-    """Single flat file: magic, one JSON header line (K, M, init metadata),
-    then the five blocks as row-major little-endian float64 in fixed order."""
-    header = {"K": params.K, "M": params.M, "init": params.init,
-              "sigma": params.sigma}
+def _params_header(cfg: TrainConfig) -> dict:
+    wc = cfg.walk_config()
+    return {"K": int(wc.K), "M": int(cfg.M), "N": int(wc.N),
+            "normalize_attention": cfg.normalize_attention}
+
+
+def save_params(fp: FactoredParams, path, cfg: TrainConfig) -> None:
+    """Magic, one JSON header line (K, M, N and normalize_attention of the
+    run `cfg`), then every field of `fp` in declaration order (V, wtok,
+    zpos, alpha, gamma) as row-major little-endian float64."""
     with open(path, "wb") as fh:
         fh.write(PARAMS_MAGIC)
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
-        for name in _BLOCK_ORDER:
-            block = np.ascontiguousarray(getattr(params, name), dtype="<f8")
+        fh.write((json.dumps(_params_header(cfg), sort_keys=True) + "\n").encode())
+        for f in dataclasses.fields(fp):
+            block = np.ascontiguousarray(getattr(fp, f.name), dtype="<f8")
             fh.write(block.data)  # the buffer itself, no bytes copy
 
 
-def load_params(path) -> Params:
+def load_params(path, cfg: TrainConfig) -> FactoredParams:
+    """The factored parameters `save_params` wrote for a run with the
+    header of `cfg`; a ValueError for any other file."""
+    want = _params_header(cfg)
+    K, N = want["K"], want["N"]
+    shapes = {"V": (K, K), "wtok": (K,), "zpos": (N,), "alpha": (K,), "gamma": (N,)}
     with open(path, "rb") as fh:
-        magic = fh.read(len(PARAMS_MAGIC))
-        if magic != PARAMS_MAGIC:
+        if fh.read(len(PARAMS_MAGIC)) != PARAMS_MAGIC:
             raise ValueError(f"{path}: not a parameter file (bad magic)")
-        header = json.loads(fh.readline().decode())
-        if not (isinstance(header, dict)
-                and all(type(header.get(k)) is int and header[k] > 0 for k in ("K", "M"))):
-            raise ValueError(f"{path}: header needs positive integer K and M")
-        K, M = header["K"], header["M"]
-        shapes = {"V": (K, K), "W11": (K, K), "W12": (K, M),
-                  "W21": (M, K), "W22": (M, M)}
-        # size check first, so a bad header cannot request a huge read
+        line = fh.readline(256)  # bounded, whatever the file holds
+        try:
+            header = json.loads(line)
+        except ValueError:  # not JSON, or not UTF-8
+            header = None
+        if not (header == want and all(type(header[k]) is type(v) for k, v in want.items())):
+            raise ValueError(f"{path}: header {line[:100]!r} is not the config's "
+                             f"{json.dumps(want, sort_keys=True)}")
         payload = os.fstat(fh.fileno()).st_size - fh.tell()
-        expected = 8 * sum(r * c for r, c in shapes.values())
-        if payload < expected:
-            raise ValueError(f"{path}: truncated ({payload} payload bytes, "
-                             f"the header needs {expected})")
-        if payload > expected:
-            raise ValueError(f"{path}: {payload - expected} trailing bytes "
-                             "after the last block")
-        blocks = {}
-        for name in _BLOCK_ORDER:
-            r, c = shapes[name]
-            blocks[name] = np.frombuffer(fh.read(8 * r * c), dtype="<f8").reshape(r, c).copy()
-    return Params(init=header.get("init", "zero"), sigma=header.get("sigma", 0.0),
-                  **blocks)
+        expected = 8 * sum(math.prod(shape) for shape in shapes.values())
+        if payload != expected:
+            raise ValueError(f"{path}: {'truncated' if payload < expected else 'trailing bytes'}"
+                             f" ({payload} payload bytes, the header needs {expected})")
+        return FactoredParams(**{name: np.fromfile(fh, "<f8", math.prod(shape)).reshape(shape)
+                                 for name, shape in shapes.items()})
 
 
 def _fmt(x: float) -> str:
@@ -106,10 +109,15 @@ def write_manifest(path, command: str, config: dict, seeds: dict,
 def write_json(path, record: dict) -> None:
     """Indented, key-sorted strict JSON with a trailing newline (every JSON
     artifact); an undefined value (NaN or an infinity) is written as null."""
-    record = json.loads(json.dumps(record), parse_constant=lambda _: None)
+    record = strict_json(record)
     with open(path, "w", newline="\n") as fh:
         json.dump(record, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+def strict_json(record: dict) -> dict:
+    """`record` with every NaN or infinity as None: strict JSON."""
+    return json.loads(json.dumps(record), parse_constant=lambda _: None)
 
 
 def svg_line_chart(series: dict[str, tuple[np.ndarray, np.ndarray]], path,

@@ -24,7 +24,7 @@ import numpy as np
 from . import artifacts, theorycheck, walkgen
 from .markov import (decay_bound_report, eigen_action_check, gamma_dominance_report,
                      shift_identities_check, transition_matrix)
-from .gradients import factor, geometry
+from .gradients import geometry
 from .posembed import build_positional
 from .trainer import TrainConfig, evaluate, make_test_batch, train
 from .walkgen import WalkConfig, export_dataset, make_dataset
@@ -116,7 +116,7 @@ def cmd_gen(args) -> int:
 
 def _emit_run_artifacts(out: Path, cfg: TrainConfig, trace, started, command: str):
     artifacts.emit_metrics_csv(trace, out / "metrics.csv")
-    artifacts.save_params(trace.final_params, out / "params.bin")
+    artifacts.save_params(trace.final_snapshot, out / "params.bin", cfg)
     artifacts.emit_matrix_csv(trace.final_snapshot.V, out / "v_final.csv")
     if cfg.qa_task is None:
         wc = cfg.walk_config()
@@ -146,13 +146,9 @@ def cmd_eval(args) -> int:
     started = time.time()
     cfg = _load_train_config(args)
     with _config_errors():
-        params = artifacts.load_params(args.params)
-    wc = cfg.walk_config()
-    if params.K != wc.K or params.M < wc.N:
-        raise ConfigError(f"params have K={params.K}, M={params.M}; the config "
-                          f"needs K={wc.K} and M >= N={wc.N}")
-    geo = geometry(build_positional(params.M, wc.N), cfg.normalize_attention)
-    row = evaluate(factor(params, geo), make_test_batch(cfg), geo)
+        fp = artifacts.load_params(args.params, cfg)
+    geo = geometry(build_positional(cfg.M, cfg.walk_config().N), cfg.normalize_attention)
+    row = evaluate(fp, make_test_batch(cfg), geo)
     record = {name: getattr(row, name) for name in
               ("accuracy", "kl", "v_dist", "f_dist", "attn_parent",
                "attn_other_max", "beta", "gamma")}
@@ -160,7 +156,7 @@ def cmd_eval(args) -> int:
     artifacts.write_json(out / "eval.json", record)
     artifacts.write_manifest(out / "manifest.json", "eval", dataclasses.asdict(cfg),
                              {"test": cfg.seed + 1}, started)
-    print(json.dumps(record, sort_keys=True))
+    print(json.dumps(artifacts.strict_json(record), sort_keys=True))
     return 0
 
 
@@ -194,7 +190,7 @@ def cmd_qa(args) -> int:
               "symmetry_statistic": sym,
               "best_accuracy": float(max(r.accuracy for r in trace.rows))}
     artifacts.write_json(out / "qa_report.json", record)
-    print(json.dumps(record, sort_keys=True))
+    print(json.dumps(artifacts.strict_json(record), sort_keys=True))
     return 0
 
 

@@ -36,12 +36,12 @@ dense (B, N) logits instead.
 
 P, c, p^_N and the step sizes of the logit vectors are fixed for a run, so
 `geometry` builds them once into a `Geometry` that every batched function
-takes in place of the positional matrix and the normalization flag; only
-`factor` reads P.  Every batched function takes a `Batch`: a (B, N)
-state array whose last column is the label, built once per dataset with
-its cell index and, for a walk test set, the true conditionals `evaluate`
-compares against.  The dense oracle takes the (M, N) positional matrix P
-itself.
+takes in place of the positional matrix and the normalization flag; of
+the batched path only `factor`, once at init, reads P.  Every batched
+function takes a `Batch`: a (B, N) state array whose last column is the
+label, built once per dataset with its cell index and, for a walk test
+set, the true conditionals `evaluate` compares against.  The dense
+oracle takes the (M, N) positional matrix P itself.
 """
 
 from __future__ import annotations

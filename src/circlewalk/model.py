@@ -27,8 +27,6 @@ class Params:
     W12: np.ndarray  # K x M
     W21: np.ndarray  # M x K
     W22: np.ndarray  # M x M
-    init: str = "zero"
-    sigma: float = 0.0
 
     def __post_init__(self):
         K = self.V.shape[0]
@@ -52,7 +50,7 @@ class Params:
     def zeros(K: int, M: int) -> "Params":
         return Params(
             V=np.zeros((K, K)), W11=np.zeros((K, K)), W12=np.zeros((K, M)),
-            W21=np.zeros((M, K)), W22=np.zeros((M, M)), init="zero", sigma=0.0,
+            W21=np.zeros((M, K)), W22=np.zeros((M, M)),
         )
 
     @staticmethod
@@ -63,7 +61,6 @@ class Params:
             W12=sigma * rng.standard_normal((K, M)),
             W21=sigma * rng.standard_normal((M, K)),
             W22=sigma * rng.standard_normal((M, M)),
-            init="gaussian", sigma=sigma,
         )
 
 

@@ -20,9 +20,9 @@ gather for D and one for the attention metrics), O(B*K) for the rest and
 O(K^2 + N) for the step; nothing of length M is touched.  Each dataset is
 one `Batch`, built once with its cell index (`make_test_batch` adds the
 test set's target constants), once per fresh dataset under `resample`.
-Snapshots are the factored parameters themselves; the trace keeps the
-init blocks and the geometry once and builds dense `Params` only on
-request (`TrainTrace.params`, `final_params`).
+Snapshots are the factored parameters themselves (`params.bin` holds the
+last); the trace keeps the geometry and no dense block.  Only the tests
+call `TrainTrace.params` and `final_params`, the dense oracle's view.
 """
 
 from __future__ import annotations
@@ -161,7 +161,6 @@ class MetricsRow:
 @dataclass
 class TrainTrace:
     config: TrainConfig
-    init: Params  # the initial blocks, held once
     geometry: Geometry  # P, column norms and p^_N of the run
     rows: list[MetricsRow] = field(default_factory=list)
     snapshots: dict[int, FactoredParams] = field(default_factory=dict)
@@ -170,14 +169,14 @@ class TrainTrace:
 
     def params(self, t: int) -> Params:
         """Dense parameters of snapshot t, W12 = W12_0 + alpha p^_N^T and
-        W22 = W22_0 + (P gamma) p^_N^T, built on each call (K x M and M x M
-        blocks; the trace does not keep them)."""
-        snap, geo = self.snapshots[t], self.geometry
+        W22 = W22_0 + (P gamma) p^_N^T, built on each call, the init
+        regenerated from the config (K x M and M x M blocks)."""
+        snap, geo, init = self.snapshots[t], self.geometry, init_params(self.config)
         W12 = np.outer(snap.alpha, geo.pnh)
-        W12 += self.init.W12
+        W12 += init.W12
         W22 = np.outer(geo.P @ snap.gamma, geo.pnh)
-        W22 += self.init.W22
-        return replace(self.init, V=snap.V, W12=W12, W22=W22)
+        W22 += init.W22
+        return replace(init, V=snap.V, W12=W12, W22=W22)
 
     @property
     def final_snapshot(self) -> FactoredParams:
@@ -303,11 +302,10 @@ def train(cfg: TrainConfig) -> TrainTrace:
     t=0 row when T=0), snapshots per schedule, mean l' recorded per step."""
     wc = cfg.walk_config()
     geo = geometry(build_positional(cfg.M, wc.N), cfg.normalize_attention)
-    params = init_params(cfg)
+    fp = factor(init_params(cfg), geo)
     test = make_test_batch(cfg)
-    fp = factor(params, geo)
 
-    trace = TrainTrace(config=cfg, init=params, geometry=geo,
+    trace = TrainTrace(config=cfg, geometry=geo,
                        seeds={"train": cfg.seed, "test": cfg.seed + 1, "init": cfg.seed + 2})
     trace.snapshots[0] = fp
     if cfg.iterations == 0:

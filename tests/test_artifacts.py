@@ -9,83 +9,104 @@ import pytest
 from circlewalk.artifacts import (PARAMS_MAGIC, emit_matrix_csv,
                                   emit_metrics_csv, load_params, save_params,
                                   svg_line_chart, write_manifest)
-from circlewalk.model import Params
+from circlewalk.gradients import FactoredParams
 from circlewalk.trainer import METRIC_FIELDS, TrainConfig, train
 
 SMALL = dict(K=4, p=0.5, N=9, M=40, train_size=32, test_size=32)
 
 
+def _random_fp(rng, K, N):
+    return FactoredParams(V=rng.standard_normal((K, K)), wtok=rng.standard_normal(K),
+                          zpos=rng.standard_normal(N), alpha=rng.standard_normal(K),
+                          gamma=rng.standard_normal(N))
+
+
+def _header_end(raw):
+    return raw.index(b"\n", len(PARAMS_MAGIC)) + 1
+
+
 def test_params_round_trip_bit_exact(tmp_path):
-    rng = np.random.default_rng(0)
-    params = Params.gaussian(4, 12, 0.5, rng)
+    cfg = TrainConfig(init="gaussian", sigma=0.05, **SMALL)
     path = tmp_path / "params.bin"
-    save_params(params, path)
-    loaded = load_params(path)
-    for name in ("V", "W11", "W12", "W21", "W22"):
-        np.testing.assert_array_equal(getattr(loaded, name),
-                                      getattr(params, name))
-    assert loaded.init == "gaussian"
-    assert loaded.sigma == 0.5
+    for fp in (_random_fp(np.random.default_rng(0), 4, 9),
+               train(dataclasses.replace(cfg, iterations=3)).final_snapshot):
+        save_params(fp, path, cfg)
+        loaded = load_params(path, cfg)
+        for f in dataclasses.fields(FactoredParams):
+            np.testing.assert_array_equal(getattr(loaded, f.name), getattr(fp, f.name))
 
 
 def test_params_file_layout(tmp_path):
-    params = Params.zeros(3, 5)
+    K, N = 3, 5
+    cfg = TrainConfig(K=K, p=0.5, N=N, M=12, normalize_attention=True)
     path = tmp_path / "p.bin"
-    save_params(params, path)
+    save_params(_random_fp(np.random.default_rng(2), K, N), path, cfg)
     raw = path.read_bytes()
-    assert raw.startswith(PARAMS_MAGIC)
-    header_end = raw.index(b"\n", len(PARAMS_MAGIC)) + 1
-    header = json.loads(raw[len(PARAMS_MAGIC):header_end])
-    assert header["K"] == 3 and header["M"] == 5
-    n_payload = 8 * (9 + 9 + 15 + 15 + 25)  # five float64 blocks
-    assert len(raw) == header_end + n_payload
+    assert raw.startswith(b"CWPARAMS2\n") and PARAMS_MAGIC == b"CWPARAMS2\n"
+    header = json.loads(raw[len(PARAMS_MAGIC):_header_end(raw)])
+    assert header == {"K": 3, "M": 12, "N": 5, "normalize_attention": True}
+    # V, wtok, zpos, alpha, gamma as float64
+    assert len(raw) == _header_end(raw) + 8 * (K * K + 2 * K + 2 * N)
 
 
 def test_params_payload_is_the_blocks_bytes(tmp_path):
     rng = np.random.default_rng(1)
-    K, M = 3, 7
-    # a transposed (Fortran-ordered) W21 and a big-endian W22 are written
+    K, N = 4, 9
+    cfg = TrainConfig(**SMALL)
+    # a transposed (Fortran-ordered) V and a big-endian zpos are written
     # as row-major little-endian like the rest
-    params = dataclasses.replace(
-        Params.gaussian(K, M, 1.0, rng),
-        W21=np.asfortranarray(rng.standard_normal((M, K))),
-        W22=rng.standard_normal((M, M)).astype(">f8"))
+    fp = dataclasses.replace(_random_fp(rng, K, N),
+                             V=np.asfortranarray(rng.standard_normal((K, K))),
+                             zpos=rng.standard_normal(N).astype(">f8"))
+    assert not fp.V.flags.c_contiguous
     path = tmp_path / "params.bin"
-    save_params(params, path)
+    save_params(fp, path, cfg)
     raw = path.read_bytes()
-    header_end = raw.index(b"\n", len(PARAMS_MAGIC)) + 1
-    expected = b"".join(np.ascontiguousarray(getattr(params, name), dtype="<f8").tobytes()
-                        for name in ("V", "W11", "W12", "W21", "W22"))
-    assert raw[header_end:] == expected
-    loaded = load_params(path)
-    for name in ("V", "W11", "W12", "W21", "W22"):
-        np.testing.assert_array_equal(getattr(loaded, name), getattr(params, name))
+    expected = b"".join(np.ascontiguousarray(getattr(fp, name), dtype="<f8").tobytes()
+                        for name in ("V", "wtok", "zpos", "alpha", "gamma"))
+    assert raw[_header_end(raw):] == expected
+    loaded = load_params(path, cfg)
+    for f in dataclasses.fields(FactoredParams):
+        np.testing.assert_array_equal(getattr(loaded, f.name), getattr(fp, f.name))
 
 
 def test_load_rejects_bad_magic_and_truncation(tmp_path):
+    cfg = TrainConfig(**SMALL)
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"NOTAPARAMS" + b"\x00" * 100)
     with pytest.raises(ValueError, match="magic"):
-        load_params(bad)
+        load_params(bad, cfg)
     good = tmp_path / "good.bin"
-    save_params(Params.zeros(3, 5), good)
-    cut = tmp_path / "cut.bin"
-    cut.write_bytes(good.read_bytes()[:-8])
-    with pytest.raises(ValueError, match="truncated"):
-        load_params(cut)
-    extra = tmp_path / "extra.bin"
-    extra.write_bytes(good.read_bytes() + b"\x00" * 4)
-    with pytest.raises(ValueError, match="trailing"):
-        load_params(extra)
+    save_params(_random_fp(np.random.default_rng(3), 4, 9), good, cfg)
     raw = good.read_bytes()
-    header_end = raw.index(b"\n", len(PARAMS_MAGIC)) + 1
-    for header in ({"K": 0, "M": 5}, {"K": 3.0, "M": 5}, {"K": 3, "M": True},
-                   {"K": 3}, [3, 5]):
+    # the dense format this one replaces is not read
+    bad.write_bytes(b"CWPARAMS1\n" + raw[len(PARAMS_MAGIC):])
+    with pytest.raises(ValueError, match="magic"):
+        load_params(bad, cfg)
+    cut = tmp_path / "cut.bin"
+    cut.write_bytes(raw[:-8])
+    with pytest.raises(ValueError, match="truncated"):
+        load_params(cut, cfg)
+    extra = tmp_path / "extra.bin"
+    extra.write_bytes(raw + b"\x00" * 4)
+    with pytest.raises(ValueError, match="trailing"):
+        load_params(extra, cfg)
+    want = {"K": 4, "M": 40, "N": 9, "normalize_attention": False}
+    for header in ({**want, "K": 4.0}, {**want, "M": True}, {**want, "N": "9"},
+                   {**want, "normalize_attention": 0}, {**want, "init": "zero"},
+                   {k: v for k, v in want.items() if k != "N"}, list(want.values()),
+                   {**want, "K": 3}, {**want, "M": 41}, {**want, "N": 10},
+                   {**want, "normalize_attention": True}):
         bad_header = tmp_path / "header.bin"
         bad_header.write_bytes(PARAMS_MAGIC + json.dumps(header).encode() + b"\n"
-                               + raw[header_end:])
+                               + raw[_header_end(raw):])
         with pytest.raises(ValueError, match="header"):
-            load_params(bad_header)
+            load_params(bad_header, cfg)
+    # a header line is read with a small fixed limit, not to the next newline
+    for body in (b"x" * 65536, b"\xff\xfe" + b"{" * 65536, b"\n" + raw[_header_end(raw):]):
+        bad.write_bytes(PARAMS_MAGIC + body)
+        with pytest.raises(ValueError, match="header"):
+            load_params(bad, cfg)
 
 
 def test_metrics_csv_header_and_precision(tmp_path):

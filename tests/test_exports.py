@@ -1,6 +1,7 @@
 """Every name a module exports resolves, so a deletion cannot leave a
 stale entry in `__all__` behind, and has one home; every name a module
-imports is used, so a deletion cannot leave a stale import behind."""
+imports is used, so a deletion cannot leave a stale import behind; the
+CLI's modules do not import the dense model."""
 
 import ast
 import importlib
@@ -48,3 +49,19 @@ def test_every_imported_name_is_used(name):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(imported - used - set(getattr(module, "__all__", ())))
     assert not unused, f"{name} imports unused names: {unused}"
+
+
+@pytest.mark.parametrize("name", ["circlewalk.artifacts", "circlewalk.cli"])
+def test_cli_path_does_not_import_the_dense_model(name):
+    # the CLI saves and evaluates the factored parameters; the dense model
+    # is the test oracle and stays off the CLI's own imports
+    tree = ast.parse(inspect.getsource(importlib.import_module(name)))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["circlewalk" if node.level else "", node.module]))
+            imported.add(base)
+            imported.update(f"{base}.{a.name}" for a in node.names)
+    assert "circlewalk.model" not in imported, f"{name} imports circlewalk.model"

@@ -1,6 +1,7 @@
 """Property tests: the factored trainer against the dense per-episode
-oracle, the `params.bin` round trip, the size of the snapshots, the exit
-code of `check` against its report, and the deterministic-walk trap."""
+oracle, the `params.bin` round trip, the size of what the trace keeps,
+the exit code of `check` against its report, and the deterministic-walk
+trap."""
 
 import dataclasses
 import json
@@ -133,31 +134,45 @@ def test_params_bin_round_trips(cfg):
     if _oracle_rejects(cfg):
         _assert_train_rejects(cfg)
         return
-    params = train(cfg).final_params
-    K, M = params.K, params.M
+    fp = train(cfg).final_snapshot
+    K, N = cfg.K, cfg.N
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "params.bin"
-        save_params(params, path)
-        loaded = load_params(path)
+        save_params(fp, path, cfg)
+        loaded = load_params(path, cfg)
         raw = path.read_bytes()
-    for name in ("V", "W11", "W12", "W21", "W22"):
-        np.testing.assert_array_equal(getattr(loaded, name), getattr(params, name))
-    assert (loaded.init, loaded.sigma) == (params.init, params.sigma)
+    for f in dataclasses.fields(fp):
+        np.testing.assert_array_equal(getattr(loaded, f.name), getattr(fp, f.name))
     header = len(PARAMS_MAGIC) + raw[len(PARAMS_MAGIC):].index(b"\n") + 1
-    assert len(raw) == header + 8 * (2 * K * K + 2 * K * M + M * M)
+    assert len(raw) == header + 8 * (K * K + 2 * K + 2 * N)
+
+
+def _arrays(obj):
+    """Every numpy array reachable through dataclass fields, dict values,
+    lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        for f in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, f.name))
+    elif isinstance(obj, (dict, list, tuple)):
+        for v in (obj.values() if isinstance(obj, dict) else obj):
+            yield from _arrays(v)
 
 
 def test_snapshots_hold_no_m_by_m_array():
-    # nor any array of M entries: a snapshot is O(K^2 + N)
+    # nor any array of M entries anywhere in the trace but its geometry:
+    # a snapshot is O(K^2 + N), and the trace keeps no init block
     base = dict(K=4, N=13, M=60, iterations=6, train_size=16, test_size=16)
     for fields in (dict(p=0.5), dict(p=0.5, init="gaussian", sigma=0.05),
                    dict(p=1.0, grad_mode="population"),
                    dict(p=1.0, grad_mode="population", normalize_attention=True)):
         trace = train(TrainConfig(**base, **fields))
-        for t, snap in trace.snapshots.items():
-            for f in dataclasses.fields(snap):
-                arr = getattr(snap, f.name)
-                assert arr.size < base["M"], (fields, t, f.name, arr.shape)
+        assert trace.snapshots and trace.rows
+        for f in dataclasses.fields(trace):
+            if f.name != "geometry":
+                for arr in _arrays(getattr(trace, f.name)):
+                    assert arr.size < base["M"], (fields, f.name, arr.shape)
 
 
 @settings(max_examples=30, deadline=None)

@@ -74,7 +74,6 @@ def test_init_params_modes():
     assert np.all(init_params(cfg).V == 0.0)
     gcfg = TrainConfig(init="gaussian", sigma=0.02, **SMALL)
     g = init_params(gcfg)
-    assert g.init == "gaussian"
     assert 0.0 < np.std(g.W22) < 0.1
     # drawn with seed + 2, the trace's "init" seed; V is the first draw
     ref = np.random.default_rng(gcfg.seed + 2).standard_normal((4, 4))
@@ -208,7 +207,7 @@ def test_iterations_never_read_p(grad_mode, normalize):
                       train_size=16, test_size=16)
     tr = train(cfg)
     geo = tr.geometry
-    fp = factor(tr.init, geo)
+    fp = factor(init_params(cfg), geo)
     free = dataclasses.replace(geo, P=None, pnh=None)
     if grad_mode == "population":
         tr_states = te_states = enumerate_deterministic(cfg.walk_config())
