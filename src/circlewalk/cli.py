@@ -147,7 +147,7 @@ def cmd_eval(args) -> int:
     cfg = _load_train_config(args)
     with _config_errors():
         fp = artifacts.load_params(args.params, cfg)
-    geo = geometry(build_positional(cfg.M, cfg.walk_config().N), cfg.normalize_attention)
+    geo = geometry(cfg.M, cfg.walk_config().N, cfg.normalize_attention)
     row = evaluate(fp, make_test_batch(cfg), geo)
     record = {name: getattr(row, name) for name in
               ("accuracy", "kl", "v_dist", "f_dist", "attn_parent",

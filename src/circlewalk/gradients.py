@@ -34,14 +34,17 @@ Where e underflows at a position that can still carry weight (token and
 positional logit ranges both beyond exp's), the same softmax runs on the
 dense (B, N) logits instead.
 
-P, c, p^_N and the step sizes of the logit vectors are fixed for a run, so
-`geometry` builds them once into a `Geometry` that every batched function
-takes in place of the positional matrix and the normalization flag; of
-the batched path only `factor`, once at init, reads P.  Every batched
-function takes a `Batch`: a (B, N) state array whose last column is the
-label, built once per dataset with its cell index and, for a walk test
-set, the true conditionals `evaluate` compares against.  The dense
-oracle takes the (M, N) positional matrix P itself.
+c, p^_N and the step sizes of the logit vectors are fixed for a run, so
+`geometry` builds them once, in O(M + N), into a `Geometry` that every
+batched function takes in place of the positional matrix and the
+normalization flag; the geometry holds no P, and nothing on the batched
+path reads it.  Every batched function takes a `Batch`: a (B, N) state
+array whose last column is the label, built once per dataset with its
+cell index, the (B, N-1) work array that the `bincount` fill and both
+gathers write into, and, for a walk test set, the true conditionals
+`evaluate` compares against.  The dense oracle takes the (M, N)
+positional matrix P itself, and `factor(params, P, geo)` carries its
+parameters over to the batched path.
 """
 
 from __future__ import annotations
@@ -90,28 +93,29 @@ class BatchGrad:
 class Geometry:
     """What the model sees of the positions, fixed for a run."""
 
-    P: np.ndarray  # (M, N) positional matrix
     c: np.ndarray  # (N,) augmented column norms; ones without normalization
     pnh: np.ndarray  # (M,) p^_N = p_N / c_N
     pnh_sq: float  # |p^_N|^2: W12 -= eta a p^_N^T moves wtok by -eta pnh_sq a
     zrate: np.ndarray  # (N,) |p^_N|^2 phi / c: W22 -= eta (P D) p^_N^T moves zpos by -eta zrate D
 
 
-def geometry(P: np.ndarray, normalize: bool = False) -> Geometry:
+def geometry(M: int, N: int, normalize: bool = False) -> Geometry:
     """p^_N, the logit step sizes and the norms c_j of the augmented
     columns [x_j; p_j] of the (M, N) positional matrix P when the attention
     input is column-normalized: each p_j has squared norm phi = (M+1)/2,
     and x_j is a unit token except at the query.  One exact body norm keeps
-    equal body logits equal."""
-    M, N = P.shape
+    equal body logits equal.  Of P it computes the last column alone, bit
+    for bit as `build_positional(M, N)[:, -1]`."""
+    if not 1 <= N <= M:
+        raise ValueError(f"need 1 <= N <= M, got N={N}, M={M}")
     phi = (M + 1) / 2.0
     c = np.ones(N)
     if normalize:
         c[:-1] = math.sqrt(1.0 + phi)
         c[-1] = math.sqrt(phi)
-    pnh = P[:, -1] / c[-1]
+    pnh = np.sin(np.arange(1, M + 1) * N * np.pi / (M + 1)) / c[-1]
     pnh_sq = float(pnh @ pnh)
-    return Geometry(P=P, c=c, pnh=pnh, pnh_sq=pnh_sq, zrate=pnh_sq * phi / c)
+    return Geometry(c=c, pnh=pnh, pnh_sq=pnh_sq, zrate=pnh_sq * phi / c)
 
 
 @dataclass(frozen=True)
@@ -128,11 +132,12 @@ class FactoredParams:
     gamma: np.ndarray  # (N,)
 
 
-def factor(params: Params, geo: Geometry) -> FactoredParams:
-    """Factored view of dense parameters, with zero alpha and gamma (the
-    only function of the batched path that reads P)."""
+def factor(params: Params, P: np.ndarray, geo: Geometry) -> FactoredParams:
+    """Factored view of dense parameters on the (M, N) positional matrix P,
+    with zero alpha and gamma: the dense oracle's way into the batched
+    path."""
     return FactoredParams(V=params.V, wtok=params.W12 @ geo.pnh,
-                          zpos=(geo.P.T @ (params.W22 @ geo.pnh)) / geo.c,
+                          zpos=(P.T @ (params.W22 @ geo.pnh)) / geo.c,
                           alpha=np.zeros(params.K), gamma=np.zeros_like(geo.c))
 
 
@@ -142,7 +147,7 @@ def grad_example(params: Params, X: np.ndarray, y: int, P: np.ndarray,
     out = forward(params, X, P, normalize=normalize)
     lp = -1.0 / (float(out.f[y - 1]) + eps)
     K, M = params.K, params.M
-    geo = geometry(P, normalize)
+    geo = geometry(M, P.shape[1], normalize)
     c = geo.c
 
     u = params.V.T @ _unit(K, y)
@@ -166,15 +171,16 @@ class Batch:
     """A (B, N) state array labelled by its last column, with what every
     pass over it reads, built once per dataset (`Batch.of`): the labels,
     the uniform weights, the cell index of the body tokens into token-major
-    (K, B) arrays and, for a walk test set, the true conditionals
-    q_b = Pi[s_{b,N-1}] (token-major, like the masses), their support and
+    (K, B) arrays, a work array of the same shape that those passes write
+    into and, for a walk test set, the true conditionals q_b =
+    Pi[s_{b,N-1}] (token-major, like the masses), their support and
     Pi^T / |Pi|_F."""
 
     states: np.ndarray  # (B, N)
     y: np.ndarray  # (B,) labels, 0-based
     weights: np.ndarray  # (B,) uniform
     cell: np.ndarray  # (B, N-1) flat cell (s_bj - 1) * B + b of each body token
-    present: np.ndarray  # (K,) bool: the token occurs in some body
+    work: np.ndarray  # (B, N-1) float64, overwritten by every pass over the cells
     tm: TransitionMatrix | None = None
     q: np.ndarray | None = None  # (K, B)
     q_pos: np.ndarray | None = None  # q > 0
@@ -187,18 +193,31 @@ class Batch:
         transition matrix for a test set, None where none applies (QA
         tasks) or no metric compares against it (training sets)."""
         states = np.asarray(states)
-        B = states.shape[0]
-        cell = states[:, :-1] * B
-        cell += (np.arange(B) - B)[:, None]
-        present = np.bincount(cell.ravel(), minlength=K * B).reshape(K, B).any(axis=1)
-        common = dict(states=states, y=states[:, -1] - 1, weights=np.full(B, 1.0 / B),
-                      cell=cell, present=present)
+        B, N = states.shape
+        common = dict(states=states, y=np.empty(B, np.intp), weights=np.full(B, 1.0 / B),
+                      cell=np.empty((B, N - 1), np.intp), work=np.empty((B, N - 1)))
         if tm is None:
-            return cls(**common)
-        q = tm.Pi.T[:, states[:, -2] - 1]
-        q_pos = q > 0
-        return cls(**common, tm=tm, q=q, q_pos=q_pos, q_safe=np.where(q_pos, q, 1.0),
-                   pit_unit=tm.Pi.T / np.linalg.norm(tm.Pi))
+            batch = cls(**common)
+        else:
+            q = tm.Pi.T[:, states[:, -2] - 1]
+            q_pos = q > 0
+            batch = cls(**common, tm=tm, q=q, q_pos=q_pos, q_safe=np.where(q_pos, q, 1.0),
+                        pit_unit=tm.Pi.T / np.linalg.norm(tm.Pi))
+        batch.reindex()
+        return batch
+
+    def reindex(self) -> None:
+        """Recompute the labels and the cell index from `states` in place,
+        as after a fresh training set was drawn into it."""
+        B, cell = self.states.shape[0], self.cell
+        np.subtract(self.states[:, -1], 1, out=self.y)
+        np.multiply(self.states[:, :-1], B, out=cell)
+        cell += (np.arange(B) - B)[:, None]
+
+    def present(self, K: int) -> np.ndarray:
+        """(K,) bool: whether token k + 1 occurs in some body."""
+        B = self.states.shape[0]
+        return np.bincount(self.cell.ravel(), minlength=K * B).reshape(K, B).any(axis=1)
 
 
 # exp(-708) is still a normal double; below it the positional weights e_j
@@ -227,16 +246,24 @@ class TokenMasses:
     def position_sums(self, batch: Batch, v: np.ndarray) -> np.ndarray:
         """sum_b S_bj v[s_bj, b] for every body position j; v is (K, B)."""
         if self.S is None:
-            return self.e * np.take((self.rate * v).ravel(), batch.cell).sum(axis=0)
-        return (self.S[:, :-1] * np.take(v.ravel(), batch.cell)).sum(axis=0)
+            return self.e * _gather(batch, (self.rate * v).ravel()).sum(axis=0)
+        return (self.S[:, :-1] * _gather(batch, v.ravel())).sum(axis=0)
 
     def body(self, batch: Batch) -> np.ndarray:
-        """The body weights S_bj, j < N, as a (B, N-1) array."""
+        """The body weights S_bj, j < N, as a (B, N-1) array: the batch's
+        work array, valid until the next pass over the batch."""
         if self.S is not None:
             return self.S[:, :-1]
-        body = np.take(self.rate.ravel(), batch.cell)
+        body = _gather(batch, self.rate.ravel())
         body *= self.e
         return body
+
+
+def _gather(batch: Batch, flat: np.ndarray) -> np.ndarray:
+    """flat[cell] into the batch's work array.  The cell index is in range
+    by construction, and only a mode other than "raise" lets `take` write
+    to `out` unbuffered."""
+    return np.take(flat, batch.cell, out=batch.work, mode="clip")
 
 
 def token_masses(fp: FactoredParams, batch: Batch, geo: Geometry) -> TokenMasses:
@@ -252,19 +279,26 @@ def token_masses(fp: FactoredParams, batch: Batch, geo: Geometry) -> TokenMasses
     """
     B, K = batch.states.shape[0], fp.V.shape[0]
     zpos = fp.zpos
-    t = np.where(batch.present, fp.wtok / geo.c[0], 0.0)  # absent tokens never enter
-    zmin, zmax, tmin, tmax = float(zpos.min()), float(zpos.max()), float(t.min()), float(t.max())
-    if not (math.isfinite(tmin + zmin) and math.isfinite(tmax + zmax)):
+    zmin, zmax = float(zpos.min()), float(zpos.max())
+    if not (math.isfinite(zmin) and math.isfinite(zmax)):
         raise FloatingPointError("non-finite attention logits")
     gap = zmax - zpos[:-1]
-    if zmax - zmin > _EXP_NORMAL:
-        far = gap[gap > _EXP_NORMAL]
-        spread = max(tmax, 0.0) - min(tmin, 0.0)  # the query has no token term
-        if far.size and far.min() < spread + _NEGLIGIBLE:
-            return _dense_masses(t, zpos, batch)
+    far = gap[gap > _EXP_NORMAL] if zmax - zmin > _EXP_NORMAL else gap[:0]
+    t = fp.wtok / geo.c[0]
+    form = _softmax_form(t, zmin, zmax, far)
+    if form != "masses":
+        # absent tokens never enter.  Only this test reads their logits (a
+        # finite one meets G = 0 below), and masking them only narrows the
+        # ranges it tests, so they are masked only when it fails
+        t = np.where(batch.present(K), t, 0.0)
+        form = _softmax_form(t, zmin, zmax, far)
+    if form == "non-finite":
+        raise FloatingPointError("non-finite attention logits")
+    if form == "dense":
+        return _dense_masses(t, zpos, batch)
 
     e = np.exp(-gap)
-    w = np.empty(batch.cell.shape)
+    w = batch.work
     w[:] = e  # e_j at every cell (b, j)
     G = np.bincount(batch.cell.ravel(), w.ravel(), minlength=K * B).reshape(K, B)
     occupied = G > 0
@@ -280,6 +314,18 @@ def token_masses(fp: FactoredParams, batch: Batch, geo: Geometry) -> TokenMasses
     sN /= Z
     rate = np.divide(xs, G, out=np.zeros((K, B)), where=occupied)
     return TokenMasses(xs=xs, sN=sN, rate=rate, e=e, S=None)
+
+
+def _softmax_form(t: np.ndarray, zmin: float, zmax: float, far: np.ndarray) -> str:
+    """How to take the softmax of token logits t and finite positional
+    logits in [zmin, zmax], whose gaps below zmax beyond exp's range are
+    `far`: "masses", "dense" where some e_j underflows at a position the
+    token logits could still make heavy, or "non-finite"."""
+    tmin, tmax = float(t.min()), float(t.max())
+    if not (math.isfinite(tmin + zmin) and math.isfinite(tmax + zmax)):
+        return "non-finite"
+    spread = max(tmax, 0.0) - min(tmin, 0.0)  # the query has no token term
+    return "dense" if far.size and far.min() < spread + _NEGLIGIBLE else "masses"
 
 
 def _dense_masses(t: np.ndarray, zpos: np.ndarray, batch: Batch) -> TokenMasses:

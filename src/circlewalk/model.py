@@ -13,8 +13,8 @@ import numpy as np
 
 from .posembed import augment, normalize_columns
 
-__all__ = ["Params", "AttentionOutput", "softmax", "attention_logits",
-           "forward", "loss_value"]
+__all__ = ["Params", "gaussian_blocks", "AttentionOutput", "softmax",
+           "attention_logits", "forward", "loss_value"]
 
 
 @dataclass(frozen=True)
@@ -55,13 +55,23 @@ class Params:
 
     @staticmethod
     def gaussian(K: int, M: int, sigma: float, rng: np.random.Generator) -> "Params":
-        return Params(
-            V=sigma * rng.standard_normal((K, K)),
-            W11=sigma * rng.standard_normal((K, K)),
-            W12=sigma * rng.standard_normal((K, M)),
-            W21=sigma * rng.standard_normal((M, K)),
-            W22=sigma * rng.standard_normal((M, M)),
-        )
+        V, W11, W12, W21, *W22 = gaussian_blocks(K, M, sigma, rng)
+        return Params(V=V, W11=W11, W12=W12, W21=W21, W22=np.concatenate(W22))
+
+
+# rows of W22 that `gaussian_blocks` draws at a time: 64 x M float64
+_W22_ROWS = 64
+
+
+def gaussian_blocks(K: int, M: int, sigma: float, rng: np.random.Generator):
+    """The Gaussian init's stream, sigma times standard normals: V, W11,
+    W12 and W21, then W22 as fresh blocks of `_W22_ROWS` rows, top to
+    bottom.  Rows come off the stream as in one (M, M) draw, so a consumer
+    can reduce W22 block by block without holding it."""
+    for shape in ((K, K), (K, K), (K, M), (M, K)):
+        yield sigma * rng.standard_normal(shape)
+    for i in range(0, M, _W22_ROWS):
+        yield sigma * rng.standard_normal((min(_W22_ROWS, M - i), M))
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .gradients import Batch, attention
+from .posembed import positional_times
 from .trainer import POPULATION, ZERO, TrainConfig, TrainTrace, first_step_oracle_v
 from .walkgen import enumerate_deterministic
 
@@ -31,6 +32,8 @@ __all__ = [
 ]
 
 PASS, FAIL, INSUFFICIENT = "pass", "fail", "insufficient"
+# bound on the t=2 closed-form error of the deterministic report
+T2_BOUND = 1e-10
 
 
 def toeplitz_check(V: np.ndarray, K: int) -> float:
@@ -178,6 +181,8 @@ class DeterministicReport:
     w12_row_spread: float  # rows of W12 must be identical
     t2_closed_form_error: float | None  # W12/W22 at t=2 vs closed form
     items: dict[str, str] = field(default_factory=dict)
+    tol: float = 1e-12  # bound of v_uniformity, attn_uniformity and w12_row_spread
+    t2_bound: float = T2_BOUND  # bound of t2_closed_form_error
 
     @property
     def passed(self) -> bool:
@@ -217,22 +222,23 @@ def check_deterministic_theorem(trace: TrainTrace, tol: float = 1e-12) -> Determ
         # uniform attention in both steps: V1 = -eta l'_0 r/(N K), then gamma
         # gains -eta l'_1 d_j / c_j with d_j = V1/N^2 on the body, -(N-1) V1/N^2
         # at the query, and alpha r/c_body times the body's; the error is the
-        # max entry of (alpha - alpha*) p^_N^T and P (gamma - gamma*) p^_N^T
+        # max entry of (alpha - alpha*) p^_N^T and P (gamma - gamma*) p^_N^T,
+        # P times a vector by one FFT
         N, c = wc.N, geo.c
         s = trace.lprimes[0] * trace.lprimes[1] * cfg.eta**2 * r / (N**3 * wc.K)
         ell = 1.0 / c
         ell[-1] = -(N - 1) / c[-1]
         snap = trace.snapshots[2]
         d_alpha = float(np.max(np.abs(snap.alpha - s * r / c[0])))
-        d_w22 = float(np.max(np.abs(geo.P @ (snap.gamma - s * ell))))
+        d_w22 = float(np.max(np.abs(positional_times(snap.gamma - s * ell, cfg.M))))
         t2_err = max(d_alpha, d_w22) * float(np.max(np.abs(geo.pnh)))
-        items["t2_closed_form"] = PASS if t2_err <= 1e-10 else FAIL
+        items["t2_closed_form"] = PASS if t2_err <= T2_BOUND else FAIL
     else:
         items["t2_closed_form"] = INSUFFICIENT
 
     return DeterministicReport(
         max_accuracy_error=acc_err, v_uniformity=v_resid, attn_uniformity=s_resid,
-        w12_row_spread=w12_spread, t2_closed_form_error=t2_err, items=items,
+        w12_row_spread=w12_spread, t2_closed_form_error=t2_err, items=items, tol=tol,
     )
 
 

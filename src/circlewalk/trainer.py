@@ -9,7 +9,9 @@ the training and the test batch.
 Training runs on the factored parameters (`FactoredParams`): V, the token
 logit vector wtok = W12 p^_N, the positional logits zpos, and the factors
 alpha, gamma of W12 - W12_0 = alpha p^_N^T and W22 - W22_0 =
-(P gamma) p^_N^T (see `gradients`).  The run builds its `Geometry` once.
+(P gamma) p^_N^T (see `gradients`).  The run builds its `Geometry` and
+its initial factors (`init_factors`) once, in O(M + N) from a zero init;
+the run forms no dense init block and no P.
 Every iteration is `grad_batch` + `step`, then a guard against non-finite
 parameters, `evaluate` and a snapshot; a population run trains on its
 test batch, so the test set's token masses from `evaluate` go to the next
@@ -18,8 +20,10 @@ per-token attention masses: one iteration costs a few passes over each
 dataset's (B, N) cell index (the `bincount` of the positional weights, one
 gather for D and one for the attention metrics), O(B*K) for the rest and
 O(K^2 + N) for the step; nothing of length M is touched.  Each dataset is
-one `Batch`, built once with its cell index (`make_test_batch` adds the
-test set's target constants), once per fresh dataset under `resample`.
+one `Batch`, built once with its cell index and the work array those
+passes write into (`make_test_batch` adds the test set's target
+constants); under `resample` each fresh training set is drawn into the
+arrays of the first and reindexed, so no iteration allocates a B*N array.
 Snapshots are the factored parameters themselves (`params.bin` holds the
 last); the trace keeps the geometry and no dense block.  Only the tests
 call `TrainTrace.params` and `final_params`, the dense oracle's view.
@@ -27,6 +31,7 @@ call `TrainTrace.params` and `final_params`, the dense oracle's view.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -35,15 +40,15 @@ import numpy as np
 
 from . import walkgen
 from .gradients import (Batch, BatchGrad, FactoredParams, Geometry, TokenMasses,
-                        factor, geometry, grad_batch, token_masses)
+                        geometry, grad_batch, token_masses)
 from .markov import decompose_v, transition_matrix
-from .model import Params
-from .posembed import build_positional
+from .model import Params, gaussian_blocks
+from .posembed import build_positional, positional_times
 from .walkgen import WalkConfig, make_dataset, enumerate_deterministic
 
 __all__ = [
     "TrainConfig", "MetricsRow", "TrainTrace",
-    "init_params", "step", "first_step_oracle_v", "train", "make_test_batch",
+    "init_params", "init_factors", "step", "first_step_oracle_v", "train", "make_test_batch",
     "evaluate",
 ]
 
@@ -161,7 +166,7 @@ class MetricsRow:
 @dataclass
 class TrainTrace:
     config: TrainConfig
-    geometry: Geometry  # P, column norms and p^_N of the run
+    geometry: Geometry  # column norms, p^_N and step sizes of the run
     rows: list[MetricsRow] = field(default_factory=list)
     snapshots: dict[int, FactoredParams] = field(default_factory=dict)
     lprimes: list[float] = field(default_factory=list)  # mean l' at each pre-step t
@@ -169,12 +174,13 @@ class TrainTrace:
 
     def params(self, t: int) -> Params:
         """Dense parameters of snapshot t, W12 = W12_0 + alpha p^_N^T and
-        W22 = W22_0 + (P gamma) p^_N^T, built on each call, the init
+        W22 = W22_0 + (P gamma) p^_N^T, built on each call, the init and P
         regenerated from the config (K x M and M x M blocks)."""
         snap, geo, init = self.snapshots[t], self.geometry, init_params(self.config)
         W12 = np.outer(snap.alpha, geo.pnh)
         W12 += init.W12
-        W22 = np.outer(geo.P @ snap.gamma, geo.pnh)
+        P = build_positional(self.config.M, len(geo.c))
+        W22 = np.outer(P @ snap.gamma, geo.pnh)
         W22 += init.W22
         return replace(init, V=snap.V, W12=W12, W22=W22)
 
@@ -196,6 +202,24 @@ def init_params(cfg: TrainConfig) -> Params:
     if cfg.init == ZERO:
         return Params.zeros(wc.K, cfg.M)
     return Params.gaussian(wc.K, cfg.M, cfg.sigma, np.random.default_rng(cfg.seed + 2))
+
+
+def init_factors(cfg: TrainConfig, geo: Geometry) -> FactoredParams:
+    """The factored view of `init_params(cfg)`, what `factor` makes of it
+    (to rounding), without its dense blocks: all zeros, or V, W12_0 p^_N
+    and P^T W22_0 p^_N / c from the Gaussian stream, W22_0 reduced block by
+    block to u = W22_0 p^_N.  P^T u is the first N entries of the square
+    sine transform of u, taken by `positional_times` without P."""
+    wc = cfg.walk_config()
+    K, M, N = wc.K, cfg.M, wc.N
+    if cfg.init == ZERO:
+        return FactoredParams(V=np.zeros((K, K)), wtok=np.zeros(K), zpos=np.zeros(N),
+                              alpha=np.zeros(K), gamma=np.zeros(N))
+    blocks = gaussian_blocks(K, M, cfg.sigma, np.random.default_rng(cfg.seed + 2))
+    V, _, W12, _ = itertools.islice(blocks, 4)  # the query never reads W11 or W21
+    u = np.concatenate([rows @ geo.pnh for rows in blocks])  # W22_0 p^_N
+    return FactoredParams(V=V, wtok=W12 @ geo.pnh, zpos=positional_times(u, M)[:N] / geo.c,
+                          alpha=np.zeros(K), gamma=np.zeros(N))
 
 
 def step(fp: FactoredParams, bg: BatchGrad, eta: float, geo: Geometry) -> FactoredParams:
@@ -301,8 +325,8 @@ def train(cfg: TrainConfig) -> TrainTrace:
     """Run the full loop; one MetricsRow per iteration t = 1..T (a single
     t=0 row when T=0), snapshots per schedule, mean l' recorded per step."""
     wc = cfg.walk_config()
-    geo = geometry(build_positional(cfg.M, wc.N), cfg.normalize_attention)
-    fp = factor(init_params(cfg), geo)
+    geo = geometry(cfg.M, wc.N, cfg.normalize_attention)
+    fp = init_factors(cfg, geo)
     test = make_test_batch(cfg)
 
     trace = TrainTrace(config=cfg, geometry=geo,
@@ -315,14 +339,18 @@ def train(cfg: TrainConfig) -> TrainTrace:
     schedule = cfg.snapshot_schedule()
     # a population run trains on its test batch, so the masses evaluate
     # takes at fp are the next gradient's; under resample every iteration
-    # draws its own training set
-    batch = (test if cfg.grad_mode == POPULATION else None if cfg.resample
-             else Batch.of(_episodes(cfg, cfg.train_size, cfg.seed), wc.K))
-    masses = None
+    # draws its own training set, into the arrays of the first
     resample_rng = np.random.default_rng(cfg.seed + 3)
+    if cfg.grad_mode == POPULATION:
+        batch = test
+    else:
+        batch = Batch.of(make_dataset(wc, cfg.train_size, rng=resample_rng) if cfg.resample
+                         else _episodes(cfg, cfg.train_size, cfg.seed), wc.K)
+    masses = None
     for t in range(1, cfg.iterations + 1):
-        if cfg.resample:
-            batch = Batch.of(make_dataset(wc, cfg.train_size, rng=resample_rng), wc.K)
+        if cfg.resample and t > 1:
+            make_dataset(wc, cfg.train_size, rng=resample_rng, out=batch.states)
+            batch.reindex()
         bg = grad_batch(fp, batch, geo, cfg.eps, masses if batch is test else None)
         fp = step(fp, bg, cfg.eta, geo)
         trace.lprimes.append(bg.lprime_mean)

@@ -80,19 +80,27 @@ def tokens_from_states(states: np.ndarray, K: int) -> np.ndarray:
     return X
 
 
+# uniforms drawn per chunk of walks: 64 KiB of float64
+_DRAW_CELLS = 8192
+
+
 def make_dataset(
     cfg: WalkConfig,
     count: int,
     seed: int | None = None,
     rng: np.random.Generator | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """`count` independent walks from one seeded stream, as a C-contiguous
     (count, N) int64 state array: s_1 uniform on [K], then +-1 steps mod K.
+    Given `out`, a (count, N) int64 array, the walks are drawn into it.
 
     The stream is fixed by the draw order: first
     `rng.integers(1, K + 1, size=count)`, the starts; then
     `rng.random((count, N - 1)) < p`, whose entry (b, j) makes step j + 1
-    of walk b clockwise.  With c_j the clockwise steps among the first j,
+    of walk b clockwise, drawn a few walks at a time (uniforms come off
+    the stream in the same order whatever the chunking).  With c_j the
+    clockwise steps among the first j,
 
         s_{j+1} = (s_1 - 1 + 2 c_j - j) mod K + 1,
 
@@ -111,11 +119,15 @@ def make_dataset(
         rng = np.random.default_rng(seed)
     K, N = cfg.K, cfg.N
     s1 = rng.integers(1, K + 1, size=count)
-    clockwise = rng.random((count, N - 1)) < cfg.p
     w = np.empty((N, count), dtype=np.min_scalar_type(2 * (N + K)))
     np.add(s1, K * -(-(N - 1) // K) - 1, out=w[0], casting="unsafe")
     steps = w[1:]
-    steps[...] = clockwise.T
+    rows = max(1, _DRAW_CELLS // (N - 1))
+    uniform = np.empty((min(rows, count), N - 1))
+    for b in range(0, count, rows):
+        u = uniform[:min(rows, count - b)]
+        rng.random(out=u)
+        np.less(u, cfg.p, out=steps[:, b:b + len(u)].T)  # 1 where clockwise
     steps *= 2
     steps -= 1  # -1 wraps to the dtype's maximum, which is -1 mod 2^bits
     spare = np.empty_like(w)
@@ -130,7 +142,10 @@ def make_dataset(
     spare *= K
     w -= spare
     w += 1
-    return w.T.astype(np.int64, order="C")
+    if out is None:
+        return w.T.astype(np.int64, order="C")
+    out[...] = w.T
+    return out
 
 
 def enumerate_deterministic(cfg: WalkConfig) -> np.ndarray:

@@ -1,14 +1,19 @@
 """End-to-end command-line runs against temporary artifact directories."""
 
 import dataclasses
+import importlib
 import json
+import pkgutil
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import circlewalk
 from circlewalk import cli, trainer
 from circlewalk.artifacts import PARAMS_MAGIC, save_params
 from circlewalk.cli import RECIPES, main
+from circlewalk.posembed import build_positional
 from circlewalk.trainer import TrainConfig, train
 
 SMALL_CFG = dict(K=4, p=0.5, N=9, M=40, eta=1.0, eps=0.1, iterations=4,
@@ -87,6 +92,8 @@ def test_check_population_run_passes(tmp_path):
     rec = json.loads((out / "report.json").read_text())
     assert rec["passed"] is True
     assert rec["items"]["chance_accuracy"] == "pass"
+    # the bounds the items were judged against
+    assert rec["tol"] == 1e-12 and rec["t2_bound"] == 1e-10
 
 
 def test_qa_command(tmp_path):
@@ -321,3 +328,45 @@ def test_seed_flag_overrides_config(tmp_path):
     assert a != b
     seeds = json.loads((out_a / "manifest.json").read_text())["seeds"]
     assert seeds["train"] == 5
+
+
+def test_runs_never_build_the_positional_matrix(tmp_path, monkeypatch):
+    # the geometry needs p_N alone and the initial factors take P^T by a
+    # sine transform, so train (zero or Gaussian init), check (its t=2
+    # check included) and eval never form the (M, N) P
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return build_positional(*args)
+
+    for info in pkgutil.iter_modules(circlewalk.__path__):
+        module = importlib.import_module(f"circlewalk.{info.name}")
+        if hasattr(module, "build_positional"):
+            monkeypatch.setattr(module, "build_positional", counted)
+    train_cfg = _write_cfg(tmp_path, SMALL_CFG, "train.json")
+    check_cfg = _write_cfg(tmp_path, POP_CFG, "check.json")
+    gaussian = _write_cfg(tmp_path, dict(SMALL_CFG, init="gaussian", sigma=0.1), "g.json")
+    for argv in (["train", "--config", train_cfg, "--out", str(tmp_path / "t")],
+                 ["check", "--config", check_cfg, "--out", str(tmp_path / "c")],
+                 ["eval", "--config", train_cfg, "--out", str(tmp_path / "e"),
+                  "--params", str(tmp_path / "t" / "params.bin")],
+                 ["train", "--config", gaussian, "--out", str(tmp_path / "g")]):
+        assert main(argv) == 0, argv
+    assert calls == []
+
+
+@pytest.mark.parametrize("recipe", ["fig4-zero-init-p05", "fig6-random-init-p05"])
+def test_two_iteration_train_peaks_below_one_m_by_m_block(tmp_path, recipe):
+    # at M = 1000 one M x M float64 block is 8,000,000 bytes (7.6 MiB); a
+    # run holds no such block, not even as its init
+    cfg = _write_cfg(tmp_path, {"iterations": 2})
+    argv = ["train", "--recipe", recipe, "--config", cfg, "--out", str(tmp_path / "run")]
+    tracemalloc.start()
+    try:
+        rc = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 1000 * 1000 * 8, peak

@@ -67,8 +67,8 @@ def test_batch_agrees_with_per_example_average():
     params = Params.gaussian(5, 30, 0.05, rng)
     P = build_positional(30, 9)
     for normalize in (False, True):
-        geo = geometry(P, normalize)
-        bg = grad_batch(factor(params, geo), Batch.of(states, 5), geo, EPS)
+        geo = geometry(30, 9, normalize)
+        bg = grad_batch(factor(params, P, geo), Batch.of(states, 5), geo, EPS)
         avg = _average([grad_example(params, X, int(s[-1]), P, EPS,
                                      normalize=normalize)
                         for X, s in zip(tokens, states)])
@@ -84,8 +84,8 @@ def test_batch_weights_and_diagnostics():
     states = make_dataset(cfg, 3, seed=1)
     params = Params.zeros(4, 16)
     P = build_positional(16, 7)
-    geo = geometry(P)
-    bg = grad_batch(factor(params, geo), Batch.of(states, 4), geo, EPS)
+    geo = geometry(16, 7)
+    bg = grad_batch(factor(params, P, geo), Batch.of(states, 4), geo, EPS)
     # zero init: f_y = 0, so every l' is exactly -1/eps
     np.testing.assert_allclose(bg.lprimes, -1.0 / EPS)
     assert bg.lprime_mean == pytest.approx(-1.0 / EPS)
@@ -94,3 +94,20 @@ def test_batch_weights_and_diagnostics():
     avg = _average([grad_example(params, X, int(s[-1]), P, EPS)
                     for X, s in zip(tokens_from_states(states, 4), states)])
     np.testing.assert_allclose(bg.gV, avg["gV"], atol=1e-14)
+
+
+def test_geometry_is_the_positional_matrix_s_last_column():
+    # p^_N from the sine formula of column N alone is bit for bit the last
+    # column of build_positional over c_N, over every M from 3 to 79 and
+    # the study's N (97, and 17 and 19 of the QA tasks) at larger M
+    grid = [(M, N, False) for M in range(3, 80)
+            for N in sorted({*range(1, M + 1, 3), M} | ({17, 19} & set(range(M + 1))))]
+    grid += [(M, N, normalize) for M in (100, 1000, 2000) for N in (2, 17, 19, 97, 100)
+             for normalize in (False, True)]
+    for M, N, normalize in grid:
+        geo = geometry(M, N, normalize)
+        assert geo.c.shape == (N,)
+        np.testing.assert_array_equal(geo.pnh, build_positional(M, N)[:, -1] / geo.c[-1],
+                                      err_msg=f"M={M}, N={N}, normalize={normalize}")
+    with pytest.raises(ValueError):
+        geometry(8, 9)

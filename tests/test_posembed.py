@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circlewalk.posembed import augment, build_positional, normalize_columns
+from circlewalk.posembed import augment, build_positional, normalize_columns, positional_times
 
 
 def test_entries_match_the_sine_formula():
@@ -36,6 +36,20 @@ def test_invalid_dimensions_raise():
         build_positional(4, 5)  # N > M
     with pytest.raises(ValueError):
         build_positional(8, 0)
+
+
+@pytest.mark.parametrize("M", [1, 2, 5, 13, 64, 1000])
+def test_positional_times_is_the_dense_product(M):
+    # the dense entries sin(j i pi/(M+1)) round arguments of up to N pi, so
+    # they differ from the exact sines by a few eps * N
+    rng = np.random.default_rng(M)
+    for N in sorted({1, max(1, M // 3), M}):
+        x = rng.standard_normal(N)
+        want = build_positional(M, N) @ x
+        np.testing.assert_allclose(positional_times(x, M), want, rtol=0,
+                                   atol=4 * np.finfo(float).eps * (N + 1) * np.abs(x).sum())
+    with pytest.raises(ValueError):
+        positional_times(np.ones(M + 1), M)
 
 
 def test_augment_stacks_tokens_over_positions():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from circlewalk.markov import decompose_v, transition_matrix
+from circlewalk.posembed import build_positional
 from circlewalk.theorycheck import (FAIL, PASS, Thresholds,
                                     band_argmax_check,
                                     check_deterministic_theorem,
@@ -117,10 +118,11 @@ def _dense_t2_error(trace):
     cfg, geo = trace.config, trace.geometry
     wc = cfg.walk_config()
     N, K, r = wc.N, wc.K, wc.require_deterministic_theory()
-    c, pN = geo.c, geo.P[:, -1]
+    P = build_positional(cfg.M, N)
+    c, pN = geo.c, P[:, -1]
     scale = trace.lprimes[0] * trace.lprimes[1] * cfg.eta**2 * r / (N**3 * K * c[-1])
     w12_exp = scale * r / c[0] * np.outer(np.ones(K), pN)
-    left = geo.P[:, :-1] @ (1.0 / c[:-1]) - (N - 1) / c[-1] * pN
+    left = P[:, :-1] @ (1.0 / c[:-1]) - (N - 1) / c[-1] * pN
     w22_exp = np.outer(scale * left, pN)
     dense = trace.params(2)
     return max(float(np.max(np.abs(dense.W12 - w12_exp))),
@@ -139,6 +141,23 @@ def test_t2_error_matches_the_dense_oracle_on_a_planted_error(name, index, norma
     rep = check_deterministic_theorem(trace)
     assert rep.t2_closed_form_error == pytest.approx(_dense_t2_error(trace), rel=1e-12)
     assert rep.items["t2_closed_form"] == FAIL
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_t2_residual_by_fft_is_the_dense_one(normalize):
+    # the check takes P (gamma - gamma*) by one FFT; on the unperturbed run
+    # its residual (~1e-17) is the dense blocks' to well below the bound
+    trace = train(TrainConfig(**POP_CFG, normalize_attention=normalize))
+    rep = check_deterministic_theorem(trace)
+    assert rep.items["t2_closed_form"] == PASS
+    assert abs(rep.t2_closed_form_error - _dense_t2_error(trace)) <= 1e-15
+
+
+def test_deterministic_report_states_its_bounds():
+    trace = train(TrainConfig(**POP_CFG))
+    rep = check_deterministic_theorem(trace)
+    assert (rep.tol, rep.t2_bound) == (1e-12, 1e-10)
+    assert check_deterministic_theorem(trace, tol=1e-9).tol == 1e-9
 
 
 def test_w12_structure_fails_with_the_dense_spread():

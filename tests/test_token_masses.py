@@ -25,7 +25,7 @@ def _planted(t, zpos, normalize, rng, K=K, N=N, M=M):
     zpos (N): W12 = w p^_N^T / |p^_N|^2 and W22 = v p^_N^T / |p^_N|^2 with
     w = t c_body and P^T v = zpos * c (P has orthogonal columns)."""
     P = build_positional(M, N)
-    geo = geometry(P, normalize)
+    geo = geometry(M, N, normalize)
     pnh = geo.pnh / (geo.pnh @ geo.pnh)
     v = P @ (np.asarray(zpos) * geo.c) / ((M + 1) / 2)
     return P, dataclasses.replace(
@@ -71,8 +71,8 @@ def _oracle(params, states, P, normalize, Pi):
 
 def _assert_matches_oracle(params, states, P, normalize, Pi=None,
                            rtol=1e-9, atol=1e-12):
-    geo = geometry(P, normalize)
-    fp = factor(params, geo)
+    geo = geometry(*P.shape, normalize)
+    fp = factor(params, P, geo)
     exp = _oracle(params, states, P, normalize, Pi)
     tm = None if Pi is None else transition_matrix(params.K, 0.5)
     batch = Batch.of(states, params.K, tm)
@@ -178,8 +178,8 @@ def test_tokens_absent_from_the_batch(normalize):
     assert m.S is None
     np.testing.assert_array_equal(m.xs[absent], 0.0)
     # not even non-finite logits of absent tokens reach it
-    geo = geometry(P, normalize)
-    fp = factor(params, geo)
+    geo = geometry(*P.shape, normalize)
+    fp = factor(params, P, geo)
     batch = Batch.of(states, QA_K)
     for bad in (np.inf, np.nan):
         wtok = fp.wtok.copy()
@@ -206,5 +206,20 @@ def test_batch_index_matches_its_formulas(kind):
         for j in range(N - 1):
             assert batch.cell[b, j] == (states[b, j] - 1) * B + b, (b, j)
     in_body = {int(s) for s in states[:, :-1].ravel()}
-    assert batch.present.tolist() == [k + 1 in in_body for k in range(K)]
-    assert not batch.present.all()
+    assert batch.present(K).tolist() == [k + 1 in in_body for k in range(K)]
+    assert not batch.present(K).all()
+
+
+def test_reindex_after_drawing_into_the_states_is_a_fresh_batch():
+    # resampling draws each training set into the first one's states and
+    # reindexes it; the result is the batch of the new states
+    cfg = WalkConfig(K=5, p=0.4, N=11, M=40)
+    batch = Batch.of(make_dataset(cfg, 30, seed=1), 5)
+    arrays = (batch.states, batch.y, batch.cell, batch.work)
+    make_dataset(cfg, 30, seed=2, out=batch.states)
+    batch.reindex()
+    fresh = Batch.of(make_dataset(cfg, 30, seed=2), 5)
+    for name in ("states", "y", "weights", "cell"):
+        np.testing.assert_array_equal(getattr(batch, name), getattr(fresh, name), err_msg=name)
+    assert all(a is b for a, b in zip(arrays, (batch.states, batch.y, batch.cell, batch.work)))
+

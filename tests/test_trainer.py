@@ -1,18 +1,20 @@
 """Training loop, evaluation metrics, and the population runs."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from circlewalk import trainer
+from circlewalk import model, trainer
 from circlewalk.gradients import (Batch, attention, factor, geometry, grad_batch,
                                   grad_example)
 from circlewalk.markov import transition_matrix
 from circlewalk.model import Params, forward, loss_value
 from circlewalk.posembed import build_positional
 from circlewalk.trainer import (METRIC_FIELDS, TrainConfig, evaluate,
-                                first_step_oracle_v, init_params, step, train)
+                                first_step_oracle_v, init_factors, init_params, step,
+                                train)
 from circlewalk.walkgen import (WalkConfig, enumerate_deterministic,
                                 make_dataset, tokens_from_states)
 
@@ -119,8 +121,8 @@ def test_batch_forward_matches_forward():
     P = build_positional(24, 8)
     params = Params.gaussian(5, 24, 0.1, np.random.default_rng(1))
     for normalize in (False, True):
-        geo = geometry(P, normalize)
-        fp = factor(params, geo)
+        geo = geometry(24, 8, normalize)
+        fp = factor(params, P, geo)
         S = attention(fp, batch, geo)
         outs = [forward(params, X, P, normalize=normalize)
                 for X in tokens_from_states(states, 5)]
@@ -135,15 +137,15 @@ def test_batch_forward_matches_forward():
 def test_evaluate_fields():
     cfg = WalkConfig(K=4, p=0.5, N=9, M=40)
     states = make_dataset(cfg, 32, seed=0)
-    geo = geometry(build_positional(40, 9))
+    P, geo = build_positional(40, 9), geometry(40, 9)
     params = Params.gaussian(4, 40, 0.1, np.random.default_rng(5))
-    row = evaluate(factor(params, geo), Batch.of(states, 4, transition_matrix(4, 0.5)), geo)
+    row = evaluate(factor(params, P, geo), Batch.of(states, 4, transition_matrix(4, 0.5)), geo)
     assert 0.0 <= row.accuracy <= 1.0
     assert np.isfinite(row.kl) and row.kl >= 0.0
     assert np.isfinite(row.v_dist)
     assert 0.0 <= row.attn_parent <= 1.0
     # no transition matrix (QA): comparison metrics are NaN
-    row_qa = evaluate(factor(params, geo), Batch.of(states, 4), geo)
+    row_qa = evaluate(factor(params, P, geo), Batch.of(states, 4), geo)
     assert np.isnan(row_qa.kl) and np.isnan(row_qa.v_dist)
     assert np.isfinite(row_qa.accuracy)
 
@@ -199,7 +201,7 @@ def test_population_run_matches_dense_gradients():
 @pytest.mark.parametrize("normalize", [False, True])
 @pytest.mark.parametrize("grad_mode", ["empirical", "population"])
 def test_iterations_never_read_p(grad_mode, normalize):
-    # after `factor`, grad_batch, step and evaluate run without P or p^_N,
+    # from the initial factors, grad_batch, step and evaluate run without p^_N,
     # hold no array of M entries, and reproduce the trainer's rows exactly
     p = 1.0 if grad_mode == "population" else 0.5
     cfg = TrainConfig(K=4, p=p, N=13, M=60, iterations=4, eta=2.0, init="gaussian",
@@ -207,8 +209,8 @@ def test_iterations_never_read_p(grad_mode, normalize):
                       train_size=16, test_size=16)
     tr = train(cfg)
     geo = tr.geometry
-    fp = factor(init_params(cfg), geo)
-    free = dataclasses.replace(geo, P=None, pnh=None)
+    fp = tr.snapshots[0]
+    free = dataclasses.replace(geo, pnh=None)
     if grad_mode == "population":
         tr_states = te_states = enumerate_deterministic(cfg.walk_config())
     else:
@@ -235,10 +237,10 @@ def test_population_structure_is_exact():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_logits_raise():
     params = dataclasses.replace(Params.zeros(4, 40), W22=np.full((40, 40), np.inf))
-    geo = geometry(build_positional(40, 9))
+    P, geo = build_positional(40, 9), geometry(40, 9)
     states = make_dataset(WalkConfig(K=4, p=0.5, N=9, M=40), 4, seed=0)
     with pytest.raises(FloatingPointError):
-        grad_batch(factor(params, geo), Batch.of(states, 4), geo, 0.1)
+        grad_batch(factor(params, P, geo), Batch.of(states, 4), geo, 0.1)
 
 
 def test_log_loss_argument_outside_the_domain_raises():
@@ -281,3 +283,69 @@ def test_qa_training_runs():
     tr = train(cfg)
     assert len(tr.rows) == 3
     assert np.isnan(tr.rows[-1].v_dist)  # no transition matrix for QA
+
+
+@pytest.mark.parametrize("rows", [7, 64])
+@pytest.mark.parametrize("fields", [
+    dict(K=4, p=0.5, N=9, M=40), dict(K=5, p=0.3, N=16, M=64, normalize_attention=True),
+    dict(K=3, p=1.0, N=7, M=30, grad_mode="population", seed=5)])
+def test_gaussian_init_factors_are_the_dense_init_factored(monkeypatch, fields, rows):
+    # W22_0 drawn `rows` rows at a time (a ragged last chunk at 7) is the
+    # stream of one (M, M) draw, so the dense init is the same to the bit,
+    # and the factors drawn block by block agree with `factor` of it to
+    # rounding
+    monkeypatch.setattr(model, "_W22_ROWS", rows)
+    cfg = TrainConfig(**fields, init="gaussian", sigma=0.3)
+    wc = cfg.walk_config()
+    rng, dense = np.random.default_rng(cfg.seed + 2), init_params(cfg)
+    for name, shape in (("V", (wc.K, wc.K)), ("W11", (wc.K, wc.K)), ("W12", (wc.K, cfg.M)),
+                        ("W21", (cfg.M, wc.K)), ("W22", (cfg.M, cfg.M))):
+        np.testing.assert_array_equal(getattr(dense, name), 0.3 * rng.standard_normal(shape),
+                                      err_msg=name)
+    geo = geometry(cfg.M, wc.N, cfg.normalize_attention)
+    got = init_factors(cfg, geo)
+    want = factor(init_params(cfg), build_positional(cfg.M, wc.N), geo)
+    np.testing.assert_array_equal(got.V, want.V)
+    for name in ("wtok", "zpos"):
+        w = getattr(want, name)
+        np.testing.assert_allclose(getattr(got, name), w, rtol=1e-12,
+                                   atol=1e-12 * np.abs(w).max(), err_msg=name)
+    for name in ("alpha", "gamma"):
+        np.testing.assert_array_equal(getattr(got, name), 0.0)
+
+
+def test_zero_init_factors_are_exactly_zero():
+    for cfg in (TrainConfig(**SMALL), TrainConfig(qa_task="task2", M=90),
+                TrainConfig(K=4, p=1.0, N=13, M=50, grad_mode="population",
+                            normalize_attention=True)):
+        wc = cfg.walk_config()
+        fp = init_factors(cfg, geometry(cfg.M, wc.N, cfg.normalize_attention))
+        shapes = dict(V=(wc.K, wc.K), wtok=(wc.K,), zpos=(wc.N,), alpha=(wc.K,), gamma=(wc.N,))
+        for name, shape in shapes.items():
+            arr = getattr(fp, name)
+            assert arr.shape == shape and np.all(arr == 0.0), name
+
+
+@pytest.mark.parametrize("resample", [False, True])
+def test_steady_state_iteration_allocates_less_than_a_cell_array(monkeypatch, resample):
+    # at 1000 x 97 an iteration, from one grad_batch call to the next, never
+    # holds a new (B, N-1) float64 array (768,000 bytes): the bincount fill
+    # and both gathers write into each batch's work array, and a resampled
+    # training set is drawn into the arrays of the first
+    cfg = TrainConfig(K=6, p=0.5, N=97, M=1000, iterations=6, resample=resample)
+    real, marks = trainer.grad_batch, []
+
+    def marked(*args, **kwargs):
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "grad_batch", marked)
+    tracemalloc.start()
+    try:
+        train(cfg)
+    finally:
+        tracemalloc.stop()
+    growth = [peak - current for (current, _), (_, peak) in zip(marks, marks[1:])]
+    assert len(growth) == cfg.iterations - 1
+    assert max(growth[1:]) < 1000 * 96 * 8, growth

@@ -65,13 +65,17 @@ def test_make_dataset_keeps_the_former_stream(p):
                 np.testing.assert_array_equal(
                     make_dataset(cfg, 40, seed=seed),
                     _former_make_dataset(cfg, 40, np.random.default_rng(seed)))
-            # consecutive draws from one generator, as resampling makes them
+            # consecutive draws from one generator, as resampling makes them,
+            # the second of each count into the array of the first
             ours, former = np.random.default_rng(9), np.random.default_rng(9)
             for count in (1, 7, 1000):
                 got = make_dataset(cfg, count, rng=ours)
                 assert got.dtype == np.int64 and got.flags.c_contiguous, (K, N, count)
                 np.testing.assert_array_equal(got, _former_make_dataset(cfg, count, former),
                                               err_msg=f"K={K} N={N} count={count}")
+                assert make_dataset(cfg, count, rng=ours, out=got) is got
+                np.testing.assert_array_equal(got, _former_make_dataset(cfg, count, former),
+                                              err_msg=f"K={K} N={N} count={count}, out")
 
 
 def test_tokens_one_hot_with_zero_query_column():
