@@ -40,11 +40,10 @@ batched function takes in place of the positional matrix and the
 normalization flag; the geometry holds no P, and nothing on the batched
 path reads it.  Every batched function takes a `Batch`: a (B, N) state
 array whose last column is the label, built once per dataset with its
-cell index, the (B, N-1) work array that the `bincount` fill and both
-gathers write into, and, for a walk test set, the true conditionals
-`evaluate` compares against.  The dense oracle takes the (M, N)
-positional matrix P itself, and `factor(params, P, geo)` carries its
-parameters over to the batched path.
+cell index and, for a walk test set, the true conditionals `evaluate`
+compares against.  The dense oracle takes the (M, N) positional matrix P
+itself, and `factor(params, P, geo)` carries its parameters over to the
+batched path.
 """
 
 from __future__ import annotations
@@ -171,16 +170,15 @@ class Batch:
     """A (B, N) state array labelled by its last column, with what every
     pass over it reads, built once per dataset (`Batch.of`): the labels,
     the uniform weights, the cell index of the body tokens into token-major
-    (K, B) arrays, a work array of the same shape that those passes write
-    into and, for a walk test set, the true conditionals q_b =
+    (K, B) arrays and, for a walk test set, the true conditionals q_b =
     Pi[s_{b,N-1}] (token-major, like the masses), their support and
-    Pi^T / |Pi|_F."""
+    Pi^T / |Pi|_F.  `reindex` refreshes the labels and the cell index in
+    place after a new state array was drawn into `states`."""
 
     states: np.ndarray  # (B, N)
     y: np.ndarray  # (B,) labels, 0-based
     weights: np.ndarray  # (B,) uniform
     cell: np.ndarray  # (B, N-1) flat cell (s_bj - 1) * B + b of each body token
-    work: np.ndarray  # (B, N-1) float64, overwritten by every pass over the cells
     tm: TransitionMatrix | None = None
     q: np.ndarray | None = None  # (K, B)
     q_pos: np.ndarray | None = None  # q > 0
@@ -195,7 +193,7 @@ class Batch:
         states = np.asarray(states)
         B, N = states.shape
         common = dict(states=states, y=np.empty(B, np.intp), weights=np.full(B, 1.0 / B),
-                      cell=np.empty((B, N - 1), np.intp), work=np.empty((B, N - 1)))
+                      cell=np.empty((B, N - 1), np.intp))
         if tm is None:
             batch = cls(**common)
         else:
@@ -246,24 +244,16 @@ class TokenMasses:
     def position_sums(self, batch: Batch, v: np.ndarray) -> np.ndarray:
         """sum_b S_bj v[s_bj, b] for every body position j; v is (K, B)."""
         if self.S is None:
-            return self.e * _gather(batch, (self.rate * v).ravel()).sum(axis=0)
-        return (self.S[:, :-1] * _gather(batch, v.ravel())).sum(axis=0)
+            return self.e * np.take((self.rate * v).ravel(), batch.cell).sum(axis=0)
+        return (self.S[:, :-1] * np.take(v.ravel(), batch.cell)).sum(axis=0)
 
     def body(self, batch: Batch) -> np.ndarray:
-        """The body weights S_bj, j < N, as a (B, N-1) array: the batch's
-        work array, valid until the next pass over the batch."""
+        """The body weights S_bj, j < N, as a (B, N-1) array."""
         if self.S is not None:
             return self.S[:, :-1]
-        body = _gather(batch, self.rate.ravel())
+        body = np.take(self.rate.ravel(), batch.cell)
         body *= self.e
         return body
-
-
-def _gather(batch: Batch, flat: np.ndarray) -> np.ndarray:
-    """flat[cell] into the batch's work array.  The cell index is in range
-    by construction, and only a mode other than "raise" lets `take` write
-    to `out` unbuffered."""
-    return np.take(flat, batch.cell, out=batch.work, mode="clip")
 
 
 def token_masses(fp: FactoredParams, batch: Batch, geo: Geometry) -> TokenMasses:
@@ -298,7 +288,7 @@ def token_masses(fp: FactoredParams, batch: Batch, geo: Geometry) -> TokenMasses
         return _dense_masses(t, zpos, batch)
 
     e = np.exp(-gap)
-    w = batch.work
+    w = np.empty(batch.cell.shape)
     w[:] = e  # e_j at every cell (b, j)
     G = np.bincount(batch.cell.ravel(), w.ravel(), minlength=K * B).reshape(K, B)
     occupied = G > 0

@@ -20,10 +20,10 @@ per-token attention masses: one iteration costs a few passes over each
 dataset's (B, N) cell index (the `bincount` of the positional weights, one
 gather for D and one for the attention metrics), O(B*K) for the rest and
 O(K^2 + N) for the step; nothing of length M is touched.  Each dataset is
-one `Batch`, built once with its cell index and the work array those
-passes write into (`make_test_batch` adds the test set's target
-constants); under `resample` each fresh training set is drawn into the
-arrays of the first and reindexed, so no iteration allocates a B*N array.
+one `Batch`, built once with its cell index (`make_test_batch` adds the
+test set's target constants); under `resample` each fresh training set is
+drawn into the states of the first and reindexed in place, so a run
+allocates its integer (B, N) arrays once.
 Snapshots are the factored parameters themselves (`params.bin` holds the
 last); the trace keeps the geometry and no dense block.  Only the tests
 call `TrainTrace.params` and `final_params`, the dense oracle's view.

@@ -51,7 +51,7 @@ class WalkConfig:
             warnings.warn(
                 f"M={self.M} is below ceil(N^(3/2))={math.ceil(self.N ** 1.5)}; "
                 "positional capacity is thinner than the analyzed regime",
-                stacklevel=2,
+                stacklevel=3,  # past the generated __init__, to the caller
             )
 
     @property
@@ -143,7 +143,7 @@ def make_dataset(
     w -= spare
     w += 1
     if out is None:
-        return w.T.astype(np.int64, order="C")
+        out = np.empty((count, N), np.int64)
     out[...] = w.T
     return out
 

@@ -1,0 +1,70 @@
+"""`train` against perfbench/reference.py, the benchmark gate's independent
+low-rank re-derivation of the zero-init runs (it imports nothing of the
+package), at small M."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from circlewalk import trainer
+from circlewalk.trainer import TrainConfig, train
+
+_spec = importlib.util.spec_from_file_location(
+    "reference", Path(__file__).resolve().parents[1] / "perfbench" / "reference.py")
+reference = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(reference)
+
+# the two sides reassociate the same sums; over T <= 20 steps they agree
+# to ~2e-12 relative
+RTOL = 1e-9
+# a prediction whose top two scores are this close may go either way under
+# reassociation, so it may flip the accuracy by one episode
+TIE_MARGIN = 1e-9
+ETA, EPS = 1.0, 0.1
+
+
+def _train_with_ties(cfg, monkeypatch):
+    """The trace of `cfg` and, per iteration, how many test episodes have
+    a near-tie between their top two scores f = V xs."""
+    real, ties = trainer.evaluate, []
+
+    def counted(fp, test, geo, *args, masses, **kwargs):
+        top2 = np.sort(fp.V @ masses.xs, axis=0)[-2:]
+        ties.append(int(np.sum(top2[1] - top2[0] <= TIE_MARGIN)))
+        return real(fp, test, geo, *args, masses=masses, **kwargs)
+
+    monkeypatch.setattr(trainer, "evaluate", counted)
+    return train(cfg), ties
+
+
+def _assert_matches(trace, ties, rows, V, B):
+    assert len(trace.rows) == len(rows)
+    for t, (got, want, tied) in enumerate(zip(trace.rows, rows, ties), start=1):
+        for name in reference.ROW_FIELDS:
+            if name == "accuracy":
+                assert abs(got.accuracy - want["accuracy"]) <= tied / B + 1e-12, \
+                    (t, got.accuracy, want["accuracy"], tied)
+            else:
+                np.testing.assert_allclose(getattr(got, name), want[name], rtol=RTOL,
+                                           atol=0.0, err_msg=f"{name} at t={t}")
+    np.testing.assert_allclose(trace.final_snapshot.V, V, rtol=RTOL, atol=0.0)
+
+
+@pytest.mark.parametrize("resample", [False, True])
+@pytest.mark.parametrize("K, p, N, M", [(6, 0.5, 13, 60), (4, 0.3, 9, 30), (5, 0.8, 11, 40)])
+def test_empirical_runs_match_the_reference(monkeypatch, K, p, N, M, resample):
+    # seed 3 without resample meets a near-tie at t = 1 for (4, 0.3, 9, 30)
+    cfg = TrainConfig(K=K, p=p, N=N, M=M, eta=ETA, eps=EPS, iterations=6, train_size=50,
+                      test_size=40, resample=resample, seed=3)
+    rows, V = reference.train_empirical(K, p, N, M, ETA, EPS, cfg.iterations, cfg.seed,
+                                        train_size=50, test_size=40, resample=resample)
+    _assert_matches(*_train_with_ties(cfg, monkeypatch), rows, V, cfg.test_size)
+
+
+def test_population_run_matches_the_reference(monkeypatch):
+    cfg = TrainConfig(K=6, p=1.0, N=13, M=60, eta=ETA, eps=EPS, iterations=20,
+                      grad_mode="population")
+    rows, V = reference.train_population(6, 1.0, 13, 60, ETA, EPS, cfg.iterations)
+    _assert_matches(*_train_with_ties(cfg, monkeypatch), rows, V, cfg.K)

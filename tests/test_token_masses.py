@@ -7,8 +7,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from circlewalk.gradients import (Batch, attention, factor, geometry, grad_batch,
-                                  grad_example, token_masses)
+from circlewalk.gradients import (Batch, FactoredParams, attention, factor, geometry,
+                                  grad_batch, grad_example, token_masses)
 from circlewalk.markov import decompose_v, transition_matrix
 from circlewalk.model import Params, forward
 from circlewalk.posembed import build_positional
@@ -215,11 +215,27 @@ def test_reindex_after_drawing_into_the_states_is_a_fresh_batch():
     # reindexes it; the result is the batch of the new states
     cfg = WalkConfig(K=5, p=0.4, N=11, M=40)
     batch = Batch.of(make_dataset(cfg, 30, seed=1), 5)
-    arrays = (batch.states, batch.y, batch.cell, batch.work)
+    arrays = (batch.states, batch.y, batch.cell)
     make_dataset(cfg, 30, seed=2, out=batch.states)
     batch.reindex()
     fresh = Batch.of(make_dataset(cfg, 30, seed=2), 5)
     for name in ("states", "y", "weights", "cell"):
         np.testing.assert_array_equal(getattr(batch, name), getattr(fresh, name), err_msg=name)
-    assert all(a is b for a, b in zip(arrays, (batch.states, batch.y, batch.cell, batch.work)))
+    assert all(a is b for a, b in zip(arrays, (batch.states, batch.y, batch.cell)))
+
+
+def test_body_weights_outlive_later_passes_over_the_batch():
+    # the body weights are the caller's: neither a later gather over the
+    # same batch nor a later token_masses on it writes into them
+    rng = np.random.default_rng(5)
+    batch = Batch.of(make_dataset(WalkConfig(K=K, p=0.4, N=N, M=M), 30, seed=1), K)
+    geo = geometry(M, N)
+    fp = FactoredParams(V=rng.uniform(0.1, 1.0, (K, K)), wtok=rng.standard_normal(K),
+                        zpos=rng.standard_normal(N), alpha=np.zeros(K), gamma=np.zeros(N))
+    m = token_masses(fp, batch, geo)
+    body = m.body(batch)
+    kept = body.copy()
+    m.position_sums(batch, rng.standard_normal((K, 30)))
+    token_masses(dataclasses.replace(fp, zpos=rng.standard_normal(N)), batch, geo)
+    np.testing.assert_array_equal(body, kept)
 

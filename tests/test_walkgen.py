@@ -26,8 +26,10 @@ def test_config_validation():
 
 
 def test_thin_positional_capacity_warns():
-    with pytest.warns(UserWarning, match="positional capacity"):
+    # the warning names the line that built the config
+    with pytest.warns(UserWarning, match="positional capacity") as caught:
         WalkConfig(K=6, p=0.5, N=25, M=30)  # 30 < 25**1.5
+    assert [w.filename for w in caught] == [__file__]
 
 
 def test_walk_steps_are_plus_minus_one_mod_K():
