@@ -26,7 +26,7 @@ from .markov import (decay_bound_report, eigen_action_check, gamma_dominance_rep
                      shift_identities_check, transition_matrix)
 from .gradients import geometry
 from .posembed import build_positional
-from .trainer import TrainConfig, evaluate, make_test_batch, train
+from .trainer import METRIC_FIELDS, TrainConfig, evaluate, make_test_batch, train
 from .walkgen import WalkConfig, export_dataset, make_dataset
 
 RECIPES: dict[str, dict] = {
@@ -114,6 +114,12 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _run_config(cfg: TrainConfig) -> dict:
+    """The config as run, for a manifest: a QA task's K, p and N replace the config's."""
+    wc = cfg.walk_config()
+    return {**dataclasses.asdict(cfg), "K": wc.K, "p": wc.p, "N": wc.N}
+
+
 def _emit_run_artifacts(out: Path, cfg: TrainConfig, trace, started, command: str):
     artifacts.emit_metrics_csv(trace, out / "metrics.csv")
     artifacts.save_params(trace.final_snapshot, out / "params.bin", cfg)
@@ -126,7 +132,7 @@ def _emit_run_artifacts(out: Path, cfg: TrainConfig, trace, started, command: st
         {"loss": (t, trace.series("loss")),
          "accuracy": (t, trace.series("accuracy"))},
         out / "curves.svg", title="training loss / test accuracy")
-    artifacts.write_manifest(out / "manifest.json", command, dataclasses.asdict(cfg),
+    artifacts.write_manifest(out / "manifest.json", command, _run_config(cfg),
                              trace.seeds, started)
 
 
@@ -149,13 +155,11 @@ def cmd_eval(args) -> int:
         fp = artifacts.load_params(args.params, cfg)
     geo = geometry(cfg.M, cfg.walk_config().N, cfg.normalize_attention)
     row = evaluate(fp, make_test_batch(cfg), geo)
-    record = {name: getattr(row, name) for name in
-              ("accuracy", "kl", "v_dist", "f_dist", "attn_parent",
-               "attn_other_max", "beta", "gamma")}
+    record = {name: getattr(row, name) for name in METRIC_FIELDS[2:]}
     out = _outdir(args)
     artifacts.write_json(out / "eval.json", record)
-    artifacts.write_manifest(out / "manifest.json", "eval", dataclasses.asdict(cfg),
-                             {"test": cfg.seed + 1}, started)
+    artifacts.write_manifest(out / "manifest.json", "eval", _run_config(cfg),
+                             {"test": cfg.seeds["test"]}, started)
     print(json.dumps(artifacts.strict_json(record), sort_keys=True))
     return 0
 

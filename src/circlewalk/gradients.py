@@ -273,19 +273,19 @@ def token_masses(fp: FactoredParams, batch: Batch, geo: Geometry) -> TokenMasses
     if not (math.isfinite(zmin) and math.isfinite(zmax)):
         raise FloatingPointError("non-finite attention logits")
     gap = zmax - zpos[:-1]
-    far = gap[gap > _EXP_NORMAL] if zmax - zmin > _EXP_NORMAL else gap[:0]
     t = fp.wtok / geo.c[0]
-    form = _softmax_form(t, zmin, zmax, far)
-    if form != "masses":
-        # absent tokens never enter.  Only this test reads their logits (a
-        # finite one meets G = 0 below), and masking them only narrows the
-        # ranges it tests, so they are masked only when it fails
+    tmin, tmax = float(t.min()), float(t.max())
+    if gap.max() > _EXP_NORMAL or not (math.isfinite(tmin + zmin) and math.isfinite(tmax + zmax)):
+        # an e_j underflows or a sum is not finite: mask the absent tokens,
+        # which never enter (a finite logit meets G = 0 below)
         t = np.where(batch.present(K), t, 0.0)
-        form = _softmax_form(t, zmin, zmax, far)
-    if form == "non-finite":
-        raise FloatingPointError("non-finite attention logits")
-    if form == "dense":
-        return _dense_masses(t, zpos, batch)
+        tmin, tmax = float(t.min()), float(t.max())
+        if not (math.isfinite(tmin + zmin) and math.isfinite(tmax + zmax)):
+            raise FloatingPointError("non-finite attention logits")
+        # dense where some e_j underflows at a position the tokens can make heavy
+        far = gap[gap > _EXP_NORMAL]
+        if far.size and far.min() < max(tmax, 0.0) - min(tmin, 0.0) + _NEGLIGIBLE:
+            return _dense_masses(t, zpos, batch)
 
     e = np.exp(-gap)
     w = np.empty(batch.cell.shape)
@@ -304,18 +304,6 @@ def token_masses(fp: FactoredParams, batch: Batch, geo: Geometry) -> TokenMasses
     sN /= Z
     rate = np.divide(xs, G, out=np.zeros((K, B)), where=occupied)
     return TokenMasses(xs=xs, sN=sN, rate=rate, e=e, S=None)
-
-
-def _softmax_form(t: np.ndarray, zmin: float, zmax: float, far: np.ndarray) -> str:
-    """How to take the softmax of token logits t and finite positional
-    logits in [zmin, zmax], whose gaps below zmax beyond exp's range are
-    `far`: "masses", "dense" where some e_j underflows at a position the
-    token logits could still make heavy, or "non-finite"."""
-    tmin, tmax = float(t.min()), float(t.max())
-    if not (math.isfinite(tmin + zmin) and math.isfinite(tmax + zmax)):
-        return "non-finite"
-    spread = max(tmax, 0.0) - min(tmin, 0.0)  # the query has no token term
-    return "dense" if far.size and far.min() < spread + _NEGLIGIBLE else "masses"
 
 
 def _dense_masses(t: np.ndarray, zpos: np.ndarray, batch: Batch) -> TokenMasses:
@@ -389,16 +377,16 @@ def fd_grad(params: Params, X: np.ndarray, y: int, P: np.ndarray,
 
     out = {}
     for name in ("V", "W11", "W12", "W21", "W22"):
-        base = getattr(params, name)
-        g = np.zeros_like(base)
-        it = np.nditer(base, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            bumped = base.copy()
-            bumped[idx] = base[idx] + h
-            plus = loss_at(replace(params, **{name: bumped}))
-            bumped[idx] = base[idx] - h
-            minus = loss_at(replace(params, **{name: bumped}))
+        bumped = getattr(params, name).copy()
+        at = replace(params, **{name: bumped})
+        g = np.zeros_like(bumped)
+        for idx in np.ndindex(bumped.shape):
+            x = bumped[idx]
+            bumped[idx] = x + h
+            plus = loss_at(at)
+            bumped[idx] = x - h
+            minus = loss_at(at)
+            bumped[idx] = x
             g[idx] = (plus - minus) / (2.0 * h)
         out["g" + name] = g
     return Grads(**out)

@@ -153,11 +153,13 @@ def gamma_dominance_report(K: int, p: float, N: int) -> GammaDominanceReport:
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
     tm = transition_matrix(K, p)
-    gamma = np.eye(K)
-    PiI = np.eye(K)
+    # Gamma(N) = sum_{i=0}^{N-2} Pi^i and G = sum_{i=1}^{N-1} Pi^i, one run of powers
+    gamma, G, PiI = np.eye(K), np.zeros((K, K)), np.eye(K)
     for _ in range(N - 2):
         PiI = PiI @ tm.Pi
         gamma = gamma + PiI
+        G = G + PiI
+    G = G + PiI @ tm.Pi
     off = gamma.copy()
     np.fill_diagonal(off, -np.inf)
     min_margin = float(gamma[0, 0] - np.max(off))
@@ -165,12 +167,7 @@ def gamma_dominance_report(K: int, p: float, N: int) -> GammaDominanceReport:
     # walk swaps p and 1-p, so the direction-free margin uses the smaller one
     required = min(p, 1.0 - p) ** (N - 2)
 
-    # G = sum_{i=1}^{N-1} Pi^i; gap_k = [G Pi^T]_{1,1} - [G (Pi^T)^k]_{1,1}
-    G = np.zeros((K, K))
-    PiI = np.eye(K)
-    for _ in range(N - 1):
-        PiI = PiI @ tm.Pi
-        G = G + PiI
+    # gap_k = [G Pi^T]_{1,1} - [G (Pi^T)^k]_{1,1}
     row = G[0]  # e_1^T G
     PiTk = tm.Pi.T.copy()
     ref = float(row @ PiTk[:, 0])

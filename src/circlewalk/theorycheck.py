@@ -20,10 +20,10 @@ from typing import Callable
 
 import numpy as np
 
-from .gradients import Batch, attention
+from .gradients import attention
 from .posembed import positional_times
-from .trainer import POPULATION, ZERO, TrainConfig, TrainTrace, first_step_oracle_v
-from .walkgen import enumerate_deterministic
+from .trainer import (POPULATION, ZERO, TrainConfig, TrainTrace, first_step_oracle_v,
+                      make_test_batch)
 
 __all__ = [
     "toeplitz_check", "band_argmax_check", "rate_fit",
@@ -196,7 +196,7 @@ def check_deterministic_theorem(trace: TrainTrace, tol: float = 1e-12) -> Determ
     wc = cfg.walk_config()
     r = wc.require_deterministic_theory()
     geo = trace.geometry
-    batch = Batch.of(enumerate_deterministic(wc), wc.K)
+    batch = make_test_batch(cfg)  # the K enumerated episodes
 
     items: dict[str, str] = {}
     acc_err = float(np.max(np.abs(trace.series("accuracy") - 1.0 / wc.K)))

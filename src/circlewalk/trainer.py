@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -57,12 +57,9 @@ GAUSSIAN = "gaussian"
 EMPIRICAL = "empirical"
 POPULATION = "population"
 
-_BOOL_FIELDS = ("resample", "normalize_attention")
-_INT_FIELDS = ("K", "N", "M", "iterations", "train_size", "test_size", "seed")
-_REAL_FIELDS = ("p", "eta", "eps", "sigma")
-
-METRIC_FIELDS = ("iter", "loss", "accuracy", "kl", "v_dist", "f_dist",
-                 "attn_parent", "attn_other_max", "beta", "gamma")
+# the type a field's annotation names, and how its error message says it
+_KINDS = {"bool": (bool, "true or false"), "int": (numbers.Integral, "an integer"),
+          "float": (numbers.Real, "a real number")}
 
 
 @dataclass(frozen=True)
@@ -117,24 +114,25 @@ class TrainConfig:
 
     def _check_types(self):
         """bool fields take only bools, int fields only non-bool integers,
-        real fields only non-bool real numbers (so JSON "no" or 2.5 is an
+        float fields only non-bool real numbers (so JSON "no" or 2.5 is an
         error, not a truthy flag or a float count)."""
-        for name in _BOOL_FIELDS:
-            if not isinstance(getattr(self, name), bool):
-                raise TypeError(f"{name} must be true or false, got {getattr(self, name)!r}")
-        for name in _INT_FIELDS:
-            v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or isinstance(v, bool):
-                raise TypeError(f"{name} must be an integer, got {v!r}")
-        for name in _REAL_FIELDS:
-            v = getattr(self, name)
-            if not isinstance(v, numbers.Real) or isinstance(v, bool):
-                raise TypeError(f"{name} must be a real number, got {v!r}")
+        for f in fields(self):
+            if f.type in _KINDS:
+                kind, what = _KINDS[f.type]
+                v = getattr(self, f.name)
+                if not isinstance(v, kind) or (isinstance(v, bool) and kind is not bool):
+                    raise TypeError(f"{f.name} must be {what}, got {v!r}")
 
     def walk_config(self) -> WalkConfig:
         if self.qa_task is not None:
             return WalkConfig(K=walkgen.QA_K, p=0.5, N=walkgen.QA_N[self.qa_task], M=self.M)
         return WalkConfig(K=self.K, p=self.p, N=self.N, M=self.M)
+
+    @property
+    def seeds(self) -> dict[str, int]:
+        """The seed of each stream a run draws (under resample, every training set's)."""
+        first = {"resample": self.seed + 3} if self.resample else {"train": self.seed}
+        return {**first, "test": self.seed + 1, "init": self.seed + 2}
 
     def snapshot_schedule(self) -> set[int]:
         """0, 1, 2, the powers of two below T, and T."""
@@ -161,6 +159,9 @@ class MetricsRow:
 
     def as_tuple(self) -> tuple:
         return tuple(getattr(self, f) for f in METRIC_FIELDS)
+
+
+METRIC_FIELDS = tuple(f.name for f in fields(MetricsRow))
 
 
 @dataclass
@@ -197,11 +198,11 @@ class TrainTrace:
 
 
 def init_params(cfg: TrainConfig) -> Params:
-    """Zero blocks, or Gaussian ones drawn with seed + 2."""
+    """Zero blocks, or Gaussian ones drawn with the "init" seed."""
     wc = cfg.walk_config()
     if cfg.init == ZERO:
         return Params.zeros(wc.K, cfg.M)
-    return Params.gaussian(wc.K, cfg.M, cfg.sigma, np.random.default_rng(cfg.seed + 2))
+    return Params.gaussian(wc.K, cfg.M, cfg.sigma, np.random.default_rng(cfg.seeds["init"]))
 
 
 def init_factors(cfg: TrainConfig, geo: Geometry) -> FactoredParams:
@@ -215,7 +216,7 @@ def init_factors(cfg: TrainConfig, geo: Geometry) -> FactoredParams:
     if cfg.init == ZERO:
         return FactoredParams(V=np.zeros((K, K)), wtok=np.zeros(K), zpos=np.zeros(N),
                               alpha=np.zeros(K), gamma=np.zeros(N))
-    blocks = gaussian_blocks(K, M, cfg.sigma, np.random.default_rng(cfg.seed + 2))
+    blocks = gaussian_blocks(K, M, cfg.sigma, np.random.default_rng(cfg.seeds["init"]))
     V, _, W12, _ = itertools.islice(blocks, 4)  # the query never reads W11 or W21
     u = np.concatenate([rows @ geo.pnh for rows in blocks])  # W22_0 p^_N
     return FactoredParams(V=V, wtok=W12 @ geo.pnh, zpos=positional_times(u, M)[:N] / geo.c,
@@ -298,14 +299,14 @@ def _unit(x: np.ndarray, axis: int | None = None) -> np.ndarray | None:
 
 
 def make_test_batch(cfg: TrainConfig) -> Batch:
-    """The test set of a run: `test_size` episodes drawn with seed + 1 and
-    the walk's transition matrix (none for QA tasks); a population run
-    tests, and trains, on the K enumerated episodes."""
+    """The test set of a run: `test_size` episodes drawn with the "test"
+    seed and the walk's transition matrix (none for QA tasks); a population
+    run tests, and trains, on the K enumerated episodes."""
     wc = cfg.walk_config()
     tm = None if cfg.qa_task is not None else transition_matrix(wc.K, wc.p)
     if cfg.grad_mode == POPULATION:
         return Batch.of(enumerate_deterministic(wc), wc.K, tm)
-    return Batch.of(_episodes(cfg, cfg.test_size, cfg.seed + 1), wc.K, tm)
+    return Batch.of(_episodes(cfg, cfg.test_size, cfg.seeds["test"]), wc.K, tm)
 
 
 def _episodes(cfg: TrainConfig, count: int, seed: int) -> np.ndarray:
@@ -329,8 +330,7 @@ def train(cfg: TrainConfig) -> TrainTrace:
     fp = init_factors(cfg, geo)
     test = make_test_batch(cfg)
 
-    trace = TrainTrace(config=cfg, geometry=geo,
-                       seeds={"train": cfg.seed, "test": cfg.seed + 1, "init": cfg.seed + 2})
+    trace = TrainTrace(config=cfg, geometry=geo, seeds=cfg.seeds)
     trace.snapshots[0] = fp
     if cfg.iterations == 0:
         trace.rows.append(evaluate(fp, test, geo))
@@ -340,12 +340,13 @@ def train(cfg: TrainConfig) -> TrainTrace:
     # a population run trains on its test batch, so the masses evaluate
     # takes at fp are the next gradient's; under resample every iteration
     # draws its own training set, into the arrays of the first
-    resample_rng = np.random.default_rng(cfg.seed + 3)
     if cfg.grad_mode == POPULATION:
         batch = test
+    elif cfg.resample:
+        resample_rng = np.random.default_rng(cfg.seeds["resample"])
+        batch = Batch.of(make_dataset(wc, cfg.train_size, rng=resample_rng), wc.K)
     else:
-        batch = Batch.of(make_dataset(wc, cfg.train_size, rng=resample_rng) if cfg.resample
-                         else _episodes(cfg, cfg.train_size, cfg.seed), wc.K)
+        batch = Batch.of(_episodes(cfg, cfg.train_size, cfg.seeds["train"]), wc.K)
     masses = None
     for t in range(1, cfg.iterations + 1):
         if cfg.resample and t > 1:

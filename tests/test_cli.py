@@ -330,6 +330,36 @@ def test_seed_flag_overrides_config(tmp_path):
     assert seeds["train"] == 5
 
 
+def test_manifests_name_the_seeds_a_run_draws(tmp_path):
+    # a resample run draws every training set from seed + 3 and none from
+    # seed; every other run keeps its training seed, and eval draws only
+    # its test set
+    def seeds(command, fields, *extra):
+        out = tmp_path / f"{command}{len(list(tmp_path.iterdir()))}"
+        cfg = _write_cfg(tmp_path, fields, name=f"{out.name}.json")
+        assert main([command, "--out", str(out), "--config", cfg, *extra]) == 0
+        return json.loads((out / "manifest.json").read_text())["seeds"]
+
+    assert seeds("train", dict(SMALL_CFG, resample=True)) == {"resample": 3, "test": 1, "init": 2}
+    assert seeds("train", SMALL_CFG) == {"train": 0, "test": 1, "init": 2}
+    assert seeds("check", POP_CFG) == {"train": 0, "test": 1, "init": 2}
+    params = str(next(tmp_path.glob("train*/params.bin")))
+    assert seeds("eval", SMALL_CFG, "--params", params) == {"test": 1}
+
+
+def test_qa_manifest_records_the_task_geometry(tmp_path):
+    # a QA task overrides K, p and N; the manifest records the ones the run
+    # used, as the params.bin header does
+    fields = dict(qa_task="task1", M=80, eta=0.1, eps=0.1, iterations=2,
+                  train_size=20, test_size=20)
+    out = tmp_path / "qa"
+    assert main(["qa", "--out", str(out), "--config", _write_cfg(tmp_path, fields)]) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    header = json.loads((out / "params.bin").read_bytes().split(b"\n")[1])
+    assert (config["K"], config["N"]) == (header["K"], header["N"]) == (19, 17)
+    assert config["p"] == 0.5 and config["qa_task"] == "task1"
+
+
 def test_runs_never_build_the_positional_matrix(tmp_path, monkeypatch):
     # the geometry needs p_N alone and the initial factors take P^T by a
     # sine transform, so train (zero or Gaussian init), check (its t=2

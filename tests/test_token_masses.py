@@ -239,3 +239,41 @@ def test_body_weights_outlive_later_passes_over_the_batch():
     token_masses(dataclasses.replace(fp, zpos=rng.standard_normal(N)), batch, geo)
     np.testing.assert_array_equal(body, kept)
 
+
+
+def _count_present(monkeypatch):
+    """Patch `Batch.present` to record each call; returns the record."""
+    calls, real = [], Batch.present
+
+    def counted(self, K):
+        calls.append(K)
+        return real(self, K)
+
+    monkeypatch.setattr(Batch, "present", counted)
+    return calls
+
+
+def test_presence_is_not_computed_on_in_range_finite_logits(monkeypatch):
+    # study-scale fig4 iterations keep their logits finite and every body
+    # position within exp's range of the top, so no token_masses call reads
+    # which tokens are present.  The query's own logit falls ~1900 below the
+    # body after one step, but its weight is never taken through e_j
+    calls = _count_present(monkeypatch)
+    train(TrainConfig(K=6, p=0.5, N=97, M=1000, eta=1.0, eps=0.1, iterations=4))
+    assert calls == []
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_presence_is_computed_once_per_call_beyond_the_exp_range(monkeypatch, normalize):
+    # the planted positional spread of 2000 fails the range test on every
+    # call, which then masks the absent tokens once
+    rng = np.random.default_rng(0)
+    P, params = _planted(rng.uniform(-3, 3, K), -250.0 * np.arange(N)[::-1], normalize, rng)
+    states = make_dataset(WalkConfig(K=K, p=0.5, N=N, M=M), 12, seed=1)
+    geo = geometry(M, N, normalize)
+    fp, batch = factor(params, P, geo), Batch.of(states, K, transition_matrix(K, 0.5))
+    calls = _count_present(monkeypatch)
+    attention(fp, batch, geo)
+    grad_batch(fp, batch, geo, EPS)
+    evaluate(fp, batch, geo)
+    assert calls == [K] * 3
