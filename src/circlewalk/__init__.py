@@ -1,13 +1,13 @@
 """Numerical laboratory for a one-layer softmax-attention predictor
-trained on circular random walks: data generation, exact gradients with a
-finite-difference oracle, gradient-descent training, and executable checks
-of the closed-form training-dynamics predictions.
+trained on circular random walks: data generation, closed-form batched
+gradients, gradient-descent training, and executable checks of the
+closed-form training-dynamics predictions.  The dense per-episode model
+and its finite-difference oracle, for the tests, are `circlewalk.model`.
 """
 
 __version__ = "0.1.0"
 
 from .markov import transition_matrix
-from .model import Params, forward, loss_value
 from .posembed import build_positional
 from .trainer import TrainConfig, train, evaluate, first_step_oracle_v
 from .walkgen import WalkConfig, make_dataset, enumerate_deterministic
@@ -17,6 +17,5 @@ __all__ = [
     "WalkConfig", "make_dataset", "enumerate_deterministic",
     "build_positional",
     "transition_matrix",
-    "Params", "forward", "loss_value",
     "TrainConfig", "train", "evaluate", "first_step_oracle_v",
 ]

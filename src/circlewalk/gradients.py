@@ -1,4 +1,4 @@
-"""Closed-form log-loss gradients and a finite-difference oracle.
+"""Batched softmax attention and its closed-form log-loss gradients.
 
 With u = V^T e_y, q_j = x_j^T u and m = sum_j S_j q_j, the attention-side
 gradient factors through d_j = S_j * (q_j - m):
@@ -21,8 +21,7 @@ j = N).  P has orthogonal columns, P^T P = phi I with phi = (M+1)/2, so a
 step of W22 by -eta (P D) p^_N^T moves zpos by -eta |p^_N|^2 phi D / c,
 and every body column has the same norm, so t is one K-vector.  The
 batched path (`FactoredParams`, `token_masses`, `attention`, `grad_batch`)
-holds nothing of length M; `grad_example` and `fd_grad` are the dense
-per-episode oracle.
+holds nothing of length M.
 
 The batched softmax works on token masses: xs[k, b], the weight episode b
 puts on token k, is exp(t_k) G[k, b] / Z_b with G[k, b] the sum of the
@@ -41,35 +40,20 @@ normalization flag; the geometry holds no P, and nothing on the batched
 path reads it.  Every batched function takes a `Batch`: a (B, N) state
 array whose last column is the label, built once per dataset with its
 cell index and, for a walk test set, the true conditionals `evaluate`
-compares against.  The dense oracle takes the (M, N) positional matrix P
-itself, and `factor(params, P, geo)` carries its parameters over to the
-batched path.
+compares against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .markov import TransitionMatrix
-from .model import Params, forward, loss_value
 
-__all__ = ["Grads", "BatchGrad", "Geometry", "geometry", "FactoredParams", "factor",
-           "Batch", "TokenMasses", "token_masses", "attention",
-           "grad_example", "grad_batch", "fd_grad"]
-
-
-@dataclass(frozen=True)
-class Grads:
-    """Gradient of the log loss with respect to every parameter block."""
-
-    gV: np.ndarray
-    gW11: np.ndarray
-    gW12: np.ndarray
-    gW21: np.ndarray
-    gW22: np.ndarray
+__all__ = ["BatchGrad", "Geometry", "geometry", "FactoredParams",
+           "Batch", "TokenMasses", "token_masses", "attention", "grad_batch"]
 
 
 @dataclass(frozen=True)
@@ -129,40 +113,6 @@ class FactoredParams:
     zpos: np.ndarray  # (N,)
     alpha: np.ndarray  # (K,)
     gamma: np.ndarray  # (N,)
-
-
-def factor(params: Params, P: np.ndarray, geo: Geometry) -> FactoredParams:
-    """Factored view of dense parameters on the (M, N) positional matrix P,
-    with zero alpha and gamma: the dense oracle's way into the batched
-    path."""
-    return FactoredParams(V=params.V, wtok=params.W12 @ geo.pnh,
-                          zpos=(P.T @ (params.W22 @ geo.pnh)) / geo.c,
-                          alpha=np.zeros(params.K), gamma=np.zeros_like(geo.c))
-
-
-def grad_example(params: Params, X: np.ndarray, y: int, P: np.ndarray,
-                 eps: float, normalize: bool = False) -> Grads:
-    """Closed-form gradient for a single episode, all five blocks dense."""
-    out = forward(params, X, P, normalize=normalize)
-    lp = -1.0 / (float(out.f[y - 1]) + eps)
-    K, M = params.K, params.M
-    geo = geometry(M, P.shape[1], normalize)
-    c = geo.c
-
-    u = params.V.T @ _unit(K, y)
-    q = X.T @ u  # q_N = 0 automatically: x_N = 0
-    m = float(out.S @ q)
-    d = out.S * (q - m)
-
-    a_vec = (X[:, :-1] / c[:-1]) @ d[:-1]
-    b_vec = (P / c) @ d
-    return Grads(
-        gV=lp * np.outer(_unit(K, y), X @ out.S),
-        gW11=np.zeros((K, K)),
-        gW12=lp * np.outer(a_vec, geo.pnh),
-        gW21=np.zeros((M, K)),
-        gW22=lp * np.outer(b_vec, geo.pnh),
-    )
 
 
 @dataclass(frozen=True)
@@ -336,9 +286,8 @@ def grad_batch(fp: FactoredParams, batch: Batch, geo: Geometry, eps: float,
     From the token masses, with wl = l' / B: f_b = V xs_b,
     gV = sum_b wl_b e_{y_b} xs_b^T, a = sum_b wl_b xs_b * (V[y_b] - f_{y,b})
     / c_body, and D_j = sum_b wl_b S_bj (V[y_b, s_bj] - f_{y,b}) / c_j,
-    whose body part is one gather and one column sum.  Agrees with
-    averaging `grad_example` to rounding error.  Raises ValueError when
-    some f_y + eps <= 0, outside the log loss's domain.
+    whose body part is one gather and one column sum.  Raises ValueError
+    when some f_y + eps <= 0, outside the log loss's domain.
     """
     B, N = batch.states.shape
     K = fp.V.shape[0]
@@ -347,7 +296,7 @@ def grad_batch(fp: FactoredParams, batch: Batch, geo: Geometry, eps: float,
 
     f_y = (fp.V @ m.xs)[y, np.arange(B)]
     arg = f_y + eps
-    if (arg <= 0.0).any():  # as `loss_value` rejects it in the dense oracle
+    if (arg <= 0.0).any():
         raise ValueError(f"log-loss argument must be positive, got {arg.min()}")
     losses = -np.log(arg)
     lp = -1.0 / arg
@@ -363,36 +312,3 @@ def grad_batch(fp: FactoredParams, batch: Batch, geo: Geometry, eps: float,
     D[-1] = -(wl * m.sN) @ f_y / geo.c[-1]  # the query token is zero, so q_N = 0
     return BatchGrad(gV=gV, a=a, D=D, loss=float(weights @ losses),
                      lprime_mean=float(weights @ lp), lprimes=lp)
-
-
-def fd_grad(params: Params, X: np.ndarray, y: int, P: np.ndarray,
-            eps: float, normalize: bool = False, h: float = 1e-6) -> Grads:
-    """Central-difference gradient oracle over every parameter entry.
-
-    O(h^2) accurate and dense in all five blocks; intended for small K, M.
-    """
-
-    def loss_at(p: Params) -> float:
-        return loss_value(forward(p, X, P, normalize=normalize).f, y, eps)
-
-    out = {}
-    for name in ("V", "W11", "W12", "W21", "W22"):
-        bumped = getattr(params, name).copy()
-        at = replace(params, **{name: bumped})
-        g = np.zeros_like(bumped)
-        for idx in np.ndindex(bumped.shape):
-            x = bumped[idx]
-            bumped[idx] = x + h
-            plus = loss_at(at)
-            bumped[idx] = x - h
-            minus = loss_at(at)
-            bumped[idx] = x
-            g[idx] = (plus - minus) / (2.0 * h)
-        out["g" + name] = g
-    return Grads(**out)
-
-
-def _unit(K: int, y: int) -> np.ndarray:
-    e = np.zeros(K)
-    e[y - 1] = 1.0
-    return e

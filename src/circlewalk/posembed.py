@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["build_positional", "positional_times", "augment", "normalize_columns"]
+__all__ = ["build_positional", "positional_times"]
 
 
 def build_positional(M: int, N: int) -> np.ndarray:
@@ -30,18 +30,3 @@ def positional_times(x: np.ndarray, M: int) -> np.ndarray:
     padded = np.zeros(2 * (M + 1))
     padded[1:N + 1] = x
     return -np.fft.rfft(padded)[1:M + 1].imag
-
-
-def augment(X: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Stack tokens on top of positions: X_tilde = [X; P], (K+M) x N."""
-    if X.ndim != 2 or X.shape[1] != P.shape[1]:
-        raise ValueError(f"column mismatch: X has shape {X.shape}, P has shape {P.shape}")
-    return np.concatenate([X, P], axis=0)
-
-
-def normalize_columns(Xt: np.ndarray) -> np.ndarray:
-    """Rescale every column to unit Euclidean length."""
-    norms = np.linalg.norm(Xt, axis=0)
-    if np.any(norms == 0.0):
-        raise ValueError("cannot normalize a zero column")
-    return Xt / norms

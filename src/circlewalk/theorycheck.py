@@ -32,7 +32,9 @@ __all__ = [
 ]
 
 PASS, FAIL, INSUFFICIENT = "pass", "fail", "insufficient"
-# bound on the t=2 closed-form error of the deterministic report
+# bounds of the deterministic report: its structure residuals (V, the
+# attention and W12's rows), and the t=2 closed-form error
+STRUCTURE_TOL = 1e-12
 T2_BOUND = 1e-10
 
 
@@ -181,7 +183,7 @@ class DeterministicReport:
     w12_row_spread: float  # rows of W12 must be identical
     t2_closed_form_error: float | None  # W12/W22 at t=2 vs closed form
     items: dict[str, str] = field(default_factory=dict)
-    tol: float = 1e-12  # bound of v_uniformity, attn_uniformity and w12_row_spread
+    tol: float = STRUCTURE_TOL  # bound of v_uniformity, attn_uniformity and w12_row_spread
     t2_bound: float = T2_BOUND  # bound of t2_closed_form_error
 
     @property
@@ -189,7 +191,7 @@ class DeterministicReport:
         return all(v != FAIL for v in self.items.values())
 
 
-def check_deterministic_theorem(trace: TrainTrace, tol: float = 1e-12) -> DeterministicReport:
+def check_deterministic_theorem(trace: TrainTrace) -> DeterministicReport:
     cfg = trace.config
     if report_for(cfg) is not check_deterministic_theorem:
         raise ValueError("deterministic report requires a zero-init population run")
@@ -213,9 +215,9 @@ def check_deterministic_theorem(trace: TrainTrace, tol: float = 1e-12) -> Determ
         amax = float(np.max(np.abs(snap.alpha)))
         if amax > 0:
             w12_spread = max(w12_spread, float(np.ptp(snap.alpha)) / amax)
-    items["v_uniformity"] = PASS if v_resid <= tol else FAIL
-    items["attention_uniformity"] = PASS if s_resid <= tol else FAIL
-    items["w12_structure"] = PASS if w12_spread <= tol else FAIL
+    items["v_uniformity"] = PASS if v_resid <= STRUCTURE_TOL else FAIL
+    items["attention_uniformity"] = PASS if s_resid <= STRUCTURE_TOL else FAIL
+    items["w12_structure"] = PASS if w12_spread <= STRUCTURE_TOL else FAIL
 
     t2_err = None
     if 2 in trace.snapshots and len(trace.lprimes) >= 2:
@@ -238,7 +240,7 @@ def check_deterministic_theorem(trace: TrainTrace, tol: float = 1e-12) -> Determ
 
     return DeterministicReport(
         max_accuracy_error=acc_err, v_uniformity=v_resid, attn_uniformity=s_resid,
-        w12_row_spread=w12_spread, t2_closed_form_error=t2_err, items=items, tol=tol,
+        w12_row_spread=w12_spread, t2_closed_form_error=t2_err, items=items,
     )
 
 

@@ -25,8 +25,7 @@ test set's target constants); under `resample` each fresh training set is
 drawn into the states of the first and reindexed in place, so a run
 allocates its integer (B, N) arrays once.
 Snapshots are the factored parameters themselves (`params.bin` holds the
-last); the trace keeps the geometry and no dense block.  Only the tests
-call `TrainTrace.params` and `final_params`, the dense oracle's view.
+last); the trace keeps the geometry and no dense block.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -42,13 +41,12 @@ from . import walkgen
 from .gradients import (Batch, BatchGrad, FactoredParams, Geometry, TokenMasses,
                         geometry, grad_batch, token_masses)
 from .markov import decompose_v, transition_matrix
-from .model import Params, gaussian_blocks
-from .posembed import build_positional, positional_times
+from .posembed import positional_times
 from .walkgen import WalkConfig, make_dataset, enumerate_deterministic
 
 __all__ = [
     "TrainConfig", "MetricsRow", "TrainTrace",
-    "init_params", "init_factors", "step", "first_step_oracle_v", "train", "make_test_batch",
+    "gaussian_blocks", "init_factors", "step", "first_step_oracle_v", "train", "make_test_batch",
     "evaluate",
 ]
 
@@ -173,44 +171,35 @@ class TrainTrace:
     lprimes: list[float] = field(default_factory=list)  # mean l' at each pre-step t
     seeds: dict[str, int] = field(default_factory=dict)
 
-    def params(self, t: int) -> Params:
-        """Dense parameters of snapshot t, W12 = W12_0 + alpha p^_N^T and
-        W22 = W22_0 + (P gamma) p^_N^T, built on each call, the init and P
-        regenerated from the config (K x M and M x M blocks)."""
-        snap, geo, init = self.snapshots[t], self.geometry, init_params(self.config)
-        W12 = np.outer(snap.alpha, geo.pnh)
-        W12 += init.W12
-        P = build_positional(self.config.M, len(geo.c))
-        W22 = np.outer(P @ snap.gamma, geo.pnh)
-        W22 += init.W22
-        return replace(init, V=snap.V, W12=W12, W22=W22)
-
     @property
     def final_snapshot(self) -> FactoredParams:
         return self.snapshots[max(self.snapshots)]
-
-    @property
-    def final_params(self) -> Params:
-        return self.params(max(self.snapshots))
 
     def series(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.rows])
 
 
-def init_params(cfg: TrainConfig) -> Params:
-    """Zero blocks, or Gaussian ones drawn with the "init" seed."""
-    wc = cfg.walk_config()
-    if cfg.init == ZERO:
-        return Params.zeros(wc.K, cfg.M)
-    return Params.gaussian(wc.K, cfg.M, cfg.sigma, np.random.default_rng(cfg.seeds["init"]))
+# rows of W22 that `gaussian_blocks` draws at a time: 64 x M float64
+_W22_ROWS = 64
+
+
+def gaussian_blocks(K: int, M: int, sigma: float, rng: np.random.Generator):
+    """The Gaussian init's stream, sigma times standard normals: V, W11,
+    W12 and W21, then W22 as fresh blocks of `_W22_ROWS` rows, top to
+    bottom.  Rows come off the stream as in one (M, M) draw, so a consumer
+    can reduce W22 block by block without holding it."""
+    for shape in ((K, K), (K, K), (K, M), (M, K)):
+        yield sigma * rng.standard_normal(shape)
+    for i in range(0, M, _W22_ROWS):
+        yield sigma * rng.standard_normal((min(_W22_ROWS, M - i), M))
 
 
 def init_factors(cfg: TrainConfig, geo: Geometry) -> FactoredParams:
-    """The factored view of `init_params(cfg)`, what `factor` makes of it
-    (to rounding), without its dense blocks: all zeros, or V, W12_0 p^_N
-    and P^T W22_0 p^_N / c from the Gaussian stream, W22_0 reduced block by
-    block to u = W22_0 p^_N.  P^T u is the first N entries of the square
-    sine transform of u, taken by `positional_times` without P."""
+    """The factored view of the init, without its dense blocks: all zeros,
+    or V, W12_0 p^_N and P^T W22_0 p^_N / c from the Gaussian stream drawn
+    with the "init" seed, W22_0 reduced block by block to u = W22_0 p^_N.
+    P^T u is the first N entries of the square sine transform of u, taken
+    by `positional_times` without P."""
     wc = cfg.walk_config()
     K, M, N = wc.K, cfg.M, wc.N
     if cfg.init == ZERO:

@@ -2,9 +2,7 @@
 
 A batch of B episodes is a (B, N) int array of 1-based states in [1, K],
 one walk per row, whose last column is the label y = s_N.  QA questions
-use the same layout: word indices followed by the answer's index.  Token
-matrices are K x N with one-hot columns for positions 1..N-1 and an
-all-zero query column N.
+use the same layout: word indices followed by the answer's index.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ __all__ = [
     "QA_INDEX",
     "enumerate_deterministic",
     "make_dataset",
-    "tokens_from_states",
     "qa_enumerate",
     "qa_dataset",
     "qa_symmetry_statistic",
@@ -66,18 +63,6 @@ class WalkConfig:
         if rem != 0 or r < 1:
             raise ValueError(f"deterministic mode requires N = r*K + 1, got N={self.N}, K={self.K}")
         return r
-
-
-def tokens_from_states(states: np.ndarray, K: int) -> np.ndarray:
-    """Batch of state paths (B, N) -> token tensors (B, K, N); the final
-    column of every matrix is zero (the query slot carries no token)."""
-    states = np.asarray(states)
-    B, N = states.shape
-    X = np.zeros((B, K, N))
-    b = np.repeat(np.arange(B), N - 1)
-    j = np.tile(np.arange(N - 1), B)
-    X[b, states[:, : N - 1].ravel() - 1, j] = 1.0
-    return X
 
 
 # uniforms drawn per chunk of walks: 64 KiB of float64

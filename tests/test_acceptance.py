@@ -15,8 +15,7 @@ import pytest
 
 from circlewalk.markov import (decay_bound_report, gamma_dominance_report,
                                shift_identities_check, transition_matrix)
-from circlewalk.gradients import fd_grad, grad_example
-from circlewalk.model import Params
+from circlewalk.model import Params, dense_params, fd_grad, grad_example, tokens_from_states
 from circlewalk.posembed import build_positional
 from circlewalk.theorycheck import (band_argmax_check,
                                     check_deterministic_theorem,
@@ -24,7 +23,7 @@ from circlewalk.theorycheck import (band_argmax_check,
                                     toeplitz_check)
 from circlewalk.trainer import TrainConfig, first_step_oracle_v, train
 from circlewalk.walkgen import (TASK1, TASK2, WalkConfig, make_dataset,
-                                qa_symmetry_statistic, tokens_from_states)
+                                qa_symmetry_statistic)
 
 warnings.filterwarnings("ignore", message=".*positional capacity.*")
 
@@ -52,7 +51,7 @@ def test_criterion_1_zero_init_random_walk():
     elapsed = time.time() - t0
     acc = tr.rows[-1].accuracy
     attn = tr.rows[-1].attn_parent
-    band = band_argmax_check(tr.final_params.V, 0.5)
+    band = band_argmax_check(tr.final_snapshot.V, 0.5)
     ok = (abs(acc - 0.5) <= 0.03 and attn >= 0.99 and band
           and elapsed <= 300.0)
     assert _report(1, "zero init, p=0.5 learns the optimal predictor", ok,
@@ -69,7 +68,7 @@ def test_criterion_2_deterministic_trap_any_learning_rate():
                           iterations=50, grad_mode="population")
         tr = train(cfg)
         acc_err = float(np.max(np.abs(tr.series("accuracy") - 1.0 / 6.0)))
-        rep = check_deterministic_theorem(tr, tol=1e-12)
+        rep = check_deterministic_theorem(tr)
         worst_acc_err = max(worst_acc_err, acc_err)
         worst_resid = max(worst_resid, rep.v_uniformity, rep.attn_uniformity)
     ok = worst_acc_err == 0.0 and worst_resid <= 1e-12
@@ -85,14 +84,14 @@ def test_criterion_3_first_step_oracles():
                       iterations=1, grad_mode="population")
     tr = train(cfg)
     pop_err = float(np.max(np.abs(tr.snapshots[1].V - first_step_oracle_v(cfg))))
-    w_zero_pop = (np.all(tr.params(1).W12 == 0.0)
-                  and np.all(tr.params(1).W22 == 0.0))
+    w_zero_pop = (np.all(dense_params(tr, 1).W12 == 0.0)
+                  and np.all(dense_params(tr, 1).W22 == 0.0))
 
     # empirical step, 10k samples
     ecfg = TrainConfig(iterations=1, **{**FIG4, "train_size": 10_000})
     etr = train(ecfg)
-    w_zero_emp = (np.all(etr.params(1).W12 == 0.0)
-                  and np.all(etr.params(1).W22 == 0.0))
+    w_zero_emp = (np.all(dense_params(etr, 1).W12 == 0.0)
+                  and np.all(dense_params(etr, 1).W22 == 0.0))
     # per-entry Monte-Carlo standard error of the one-step value update
     wc = ecfg.walk_config()
     states = make_dataset(wc, 10_000, seed=ecfg.seed)

@@ -1,12 +1,16 @@
 """Every name a module exports resolves, so a deletion cannot leave a
 stale entry in `__all__` behind, and has one home; every name a module
-imports is used, so a deletion cannot leave a stale import behind; the
-CLI's modules do not import the dense model."""
+imports is used, so a deletion cannot leave a stale import behind; no
+module the CLI imports, directly or not, imports the dense model."""
 
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -51,10 +55,8 @@ def test_every_imported_name_is_used(name):
     assert not unused, f"{name} imports unused names: {unused}"
 
 
-@pytest.mark.parametrize("name", ["circlewalk.artifacts", "circlewalk.cli"])
-def test_cli_path_does_not_import_the_dense_model(name):
-    # the CLI saves and evaluates the factored parameters; the dense model
-    # is the test oracle and stays off the CLI's own imports
+def _package_imports(name):
+    """The package modules that module `name` imports, relative or absolute."""
     tree = ast.parse(inspect.getsource(importlib.import_module(name)))
     imported = set()
     for node in ast.walk(tree):
@@ -64,4 +66,32 @@ def test_cli_path_does_not_import_the_dense_model(name):
             base = ".".join(filter(None, ["circlewalk" if node.level else "", node.module]))
             imported.add(base)
             imported.update(f"{base}.{a.name}" for a in node.names)
-    assert "circlewalk.model" not in imported, f"{name} imports circlewalk.model"
+    return imported & set(MODULES)
+
+
+def _cli_closure():
+    """`circlewalk.cli` and every package module it imports, transitively;
+    importing a submodule runs the package `__init__` first."""
+    seen, todo = set(), ["circlewalk", "circlewalk.cli"]
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(_package_imports(name))
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("name", _cli_closure())
+def test_cli_path_does_not_import_the_dense_model(name):
+    # the CLI saves and evaluates the factored parameters; the dense model
+    # is the test oracle, and no module a CLI run imports imports it
+    assert "circlewalk.model" not in _package_imports(name), f"{name} imports circlewalk.model"
+
+
+def test_cli_closure_is_every_module_but_the_dense_model():
+    # the walk above reaches the whole runtime, and an interpreter that
+    # imports the CLI has not loaded the oracle
+    assert set(_cli_closure()) == set(MODULES) - {"circlewalk.model"}
+    src = str(Path(circlewalk.__file__).parents[1])
+    code = "import sys, circlewalk.cli; assert 'circlewalk.model' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})

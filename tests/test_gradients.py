@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from circlewalk.gradients import Batch, factor, fd_grad, geometry, grad_batch, grad_example
-from circlewalk.model import Params
+from circlewalk.gradients import Batch, geometry, grad_batch
+from circlewalk.model import Params, factor, fd_grad, grad_example, tokens_from_states
 from circlewalk.posembed import build_positional
-from circlewalk.walkgen import WalkConfig, make_dataset, tokens_from_states
+from circlewalk.walkgen import WalkConfig, make_dataset
 
 EPS = 0.1
 BLOCKS = ("gV", "gW11", "gW12", "gW21", "gW22")

@@ -5,9 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from circlewalk.model import Params, attention_logits, forward, loss_value, softmax
-from circlewalk.posembed import augment, build_positional, normalize_columns
-from circlewalk.walkgen import WalkConfig, make_dataset, tokens_from_states
+from circlewalk.model import (Params, attention_logits, augment, forward, loss_value,
+                              normalize_columns, softmax, tokens_from_states)
+from circlewalk.posembed import build_positional
+from circlewalk.walkgen import WalkConfig, make_dataset
 
 K, N, M = 4, 6, 20
 POS = build_positional(M, N)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circlewalk.posembed import augment, build_positional, normalize_columns, positional_times
+from circlewalk.model import augment, normalize_columns
+from circlewalk.posembed import build_positional, positional_times
 
 
 def test_entries_match_the_sine_formula():

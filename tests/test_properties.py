@@ -15,12 +15,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from circlewalk.artifacts import PARAMS_MAGIC, load_params, save_params
 from circlewalk.cli import main
-from circlewalk.gradients import grad_example
-from circlewalk.model import forward, loss_value
+from circlewalk.model import (dense_params, forward, grad_example, init_params, loss_value,
+                              tokens_from_states)
 from circlewalk.posembed import build_positional
-from circlewalk.trainer import TrainConfig, init_params, train
-from circlewalk.walkgen import (enumerate_deterministic, make_dataset,
-                                tokens_from_states)
+from circlewalk.trainer import TrainConfig, train
+from circlewalk.walkgen import enumerate_deterministic, make_dataset
 
 # The factored trainer and the dense oracle do the same arithmetic in a
 # different order; over T <= 5 steps the blocks agree to ~3e-15 of their
@@ -116,7 +115,7 @@ def test_factored_trainer_matches_the_dense_oracle(cfg):
     trace = train(cfg)
     for t, (dense, loss, acc, ties, B) in enumerate(expected, start=1):
         if t in trace.snapshots:  # 0, 1, 2, 4 and T
-            got = trace.params(t)
+            got = dense_params(trace, t)
             for name in ("V", "W11", "W12", "W21", "W22"):
                 np.testing.assert_allclose(getattr(got, name), getattr(dense, name),
                                            rtol=PARAM_RTOL, atol=PARAM_ATOL,

@@ -7,14 +7,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from circlewalk.gradients import (Batch, FactoredParams, attention, factor, geometry,
-                                  grad_batch, grad_example, token_masses)
+from circlewalk.gradients import (Batch, FactoredParams, attention, geometry, grad_batch,
+                                  token_masses)
 from circlewalk.markov import decompose_v, transition_matrix
-from circlewalk.model import Params, forward
+from circlewalk.model import (Params, dense_params, factor, forward, grad_example,
+                              tokens_from_states)
 from circlewalk.posembed import build_positional
 from circlewalk.trainer import TrainConfig, evaluate, train
-from circlewalk.walkgen import (QA_K, QA_N, TASK1, WalkConfig, make_dataset,
-                                qa_dataset, tokens_from_states)
+from circlewalk.walkgen import QA_K, QA_N, TASK1, WalkConfig, make_dataset, qa_dataset
 
 EPS = 0.1
 K, N, M = 4, 9, 40
@@ -150,7 +150,7 @@ def test_trained_with_huge_step_sizes(eta, normalize):
     cfg = TrainConfig(K=K, p=0.5, N=N, M=M, eta=eta, iterations=2, train_size=16,
                       test_size=16, normalize_attention=normalize, seed=3)
     trace = train(cfg)
-    params = trace.params(2)
+    params = dense_params(trace, 2)
     geo = trace.geometry
     wtok = params.W12 @ geo.pnh / geo.c[0]
     assert np.ptp(wtok) > eta / 1000 and np.all(np.isfinite(wtok))

@@ -6,17 +6,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from circlewalk import model, trainer
-from circlewalk.gradients import (Batch, attention, factor, geometry, grad_batch,
-                                  grad_example)
+from circlewalk import trainer
+from circlewalk.gradients import Batch, attention, geometry, grad_batch
 from circlewalk.markov import transition_matrix
-from circlewalk.model import Params, forward, loss_value
+from circlewalk.model import (Params, dense_params, factor, forward, grad_example,
+                              init_params, loss_value, tokens_from_states)
 from circlewalk.posembed import build_positional
 from circlewalk.trainer import (METRIC_FIELDS, TrainConfig, evaluate,
-                                first_step_oracle_v, init_factors, init_params, step,
-                                train)
-from circlewalk.walkgen import (WalkConfig, enumerate_deterministic,
-                                make_dataset, tokens_from_states)
+                                first_step_oracle_v, init_factors, step, train)
+from circlewalk.walkgen import WalkConfig, enumerate_deterministic, make_dataset
 
 # small geometry for fast loops
 SMALL = dict(K=4, p=0.5, N=9, M=40, train_size=64, test_size=64)
@@ -86,7 +84,7 @@ def test_train_is_reproducible():
     cfg = TrainConfig(iterations=5, eta=1.0, **SMALL)
     a, b = train(cfg), train(cfg)
     assert [r.as_tuple() for r in a.rows] == [r.as_tuple() for r in b.rows]
-    np.testing.assert_array_equal(a.final_params.V, b.final_params.V)
+    np.testing.assert_array_equal(a.final_snapshot.V, b.final_snapshot.V)
 
 
 def test_trace_rows_and_snapshots():
@@ -157,7 +155,7 @@ def test_first_step_oracle_matches_an_actual_step():
     tr = train(cfg)
     V1 = tr.snapshots[1].V
     np.testing.assert_allclose(V1, first_step_oracle_v(cfg), atol=1e-14)
-    dense = tr.params(1)
+    dense = dense_params(tr, 1)
     np.testing.assert_array_equal(dense.W12, 0.0)
     np.testing.assert_array_equal(dense.W22, 0.0)
 
@@ -191,7 +189,7 @@ def test_population_run_matches_dense_gradients():
                 for name in ("V", "W11", "W12", "W21", "W22")})
             if t not in tr.snapshots:
                 continue
-            got = tr.params(t)
+            got = dense_params(tr, t)
             for name in ("V", "W12", "W22"):
                 np.testing.assert_allclose(getattr(got, name), getattr(dense, name),
                                            rtol=1e-9, atol=1e-12,
@@ -294,7 +292,7 @@ def test_gaussian_init_factors_are_the_dense_init_factored(monkeypatch, fields, 
     # stream of one (M, M) draw, so the dense init is the same to the bit,
     # and the factors drawn block by block agree with `factor` of it to
     # rounding
-    monkeypatch.setattr(model, "_W22_ROWS", rows)
+    monkeypatch.setattr(trainer, "_W22_ROWS", rows)
     cfg = TrainConfig(**fields, init="gaussian", sigma=0.3)
     wc = cfg.walk_config()
     rng, dense = np.random.default_rng(cfg.seed + 2), init_params(cfg)

@@ -8,8 +8,9 @@ import pytest
 from circlewalk.walkgen import (
     QA_INDEX, QA_K, QA_N, QA_WORDS, TASK1, TASK2, WalkConfig,
     enumerate_deterministic, export_dataset, make_dataset,
-    qa_dataset, qa_enumerate, qa_symmetry_statistic, tokens_from_states,
+    qa_dataset, qa_enumerate, qa_symmetry_statistic,
 )
+from circlewalk.model import tokens_from_states
 
 CFG = WalkConfig(K=6, p=0.5, N=25, M=128)
 
