@@ -249,7 +249,7 @@ def evaluate(fp: FactoredParams, test: Batch, geo: Geometry, it: int = 0,
     weights = test.weights
     m = token_masses(fp, test, geo) if masses is None else masses
     f = fp.V @ m.xs  # (K, B)
-    accuracy = float(weights @ (f.argmax(axis=0) == test.y))  # first-max tie rule
+    accuracy = np.count_nonzero(f.argmax(axis=0) == test.y) / len(test.y)  # first-max tie rule
     body = m.body(test)
     attn_parent = float(weights @ body[:, -1])
     attn_other_max = float(weights @ np.maximum(body[:, :-1].max(axis=1), m.sN))

@@ -109,6 +109,41 @@ def test_qa_command(tmp_path):
     assert rec["symmetry_statistic"] == 0.0
 
 
+def _accuracies(out):
+    """Every accuracy a run wrote into `out`: the metrics column and the
+    fields of its JSON reports."""
+    header, *rows = (out / "metrics.csv").read_text().splitlines()
+    col = header.split(",").index("accuracy")
+    values = [float(row.split(",")[col]) for row in rows]
+    for name, keys in (("qa_report.json", ("final_accuracy", "best_accuracy")),
+                       ("eval.json", ("accuracy",))):
+        if (out / name).exists():
+            rec = json.loads((out / name).read_text())
+            values += [rec[k] for k in keys]
+    return values
+
+
+@pytest.mark.parametrize("command, recipe, iterations", [
+    ("qa", "fig7-task1", 100), ("train", "fig4-zero-init-p05", 10),
+    ("train", "fig6-random-init-p05", 10), ("check", "fig5-zero-init-p1", 10)])
+def test_every_accuracy_a_run_writes_is_a_count(tmp_path, command, recipe, iterations):
+    # accuracy is k/B for a whole number k of correct test episodes, so it
+    # lies in [0, 1], and an all-correct test set reads exactly 1
+    out = tmp_path / "run"
+    fields = {"iterations": iterations}
+    cfg = _write_cfg(tmp_path, fields)
+    assert main([command, "--recipe", recipe, "--config", cfg, "--out", str(out)]) == 0
+    if command == "train":
+        assert main(["eval", "--recipe", recipe, "--config", cfg, "--params",
+                     str(out / "params.bin"), "--out", str(out)]) == 0
+    B = len(trainer.make_test_batch(TrainConfig(**{**RECIPES[recipe], **fields})).y)
+    for acc in _accuracies(out):
+        k = round(acc * B)
+        assert 0 <= k <= B and acc == k / B, (acc, B)
+    if recipe == "fig7-task1":
+        assert json.loads((out / "qa_report.json").read_text())["final_accuracy"] == 1.0
+
+
 def test_qa_requires_a_qa_config(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, SMALL_CFG)
     rc = main(["qa", "--out", str(tmp_path / "x"), "--config", cfg])
