@@ -20,7 +20,7 @@ __all__ = [
     "write_manifest", "write_json", "strict_json", "svg_line_chart", "PARAMS_MAGIC",
 ]
 
-PARAMS_MAGIC = b"CWPARAMS2\n"
+PARAMS_MAGIC = b"CWPARAMS3\n"
 
 
 def _params_header(cfg: TrainConfig) -> dict:
@@ -32,7 +32,7 @@ def _params_header(cfg: TrainConfig) -> dict:
 def save_params(fp: FactoredParams, path, cfg: TrainConfig) -> None:
     """Magic, one JSON header line (K, M, N and normalize_attention of the
     run `cfg`), then every field of `fp` in declaration order (V, wtok,
-    zpos, alpha, gamma) as row-major little-endian float64."""
+    zpos) as row-major little-endian float64: 8 (K^2 + K + N) bytes."""
     with open(path, "wb") as fh:
         fh.write(PARAMS_MAGIC)
         fh.write((json.dumps(_params_header(cfg), sort_keys=True) + "\n").encode())
@@ -46,7 +46,7 @@ def load_params(path, cfg: TrainConfig) -> FactoredParams:
     header of `cfg`; a ValueError for any other file."""
     want = _params_header(cfg)
     K, N = want["K"], want["N"]
-    shapes = {"V": (K, K), "wtok": (K,), "zpos": (N,), "alpha": (K,), "gamma": (N,)}
+    shapes = {"V": (K, K), "wtok": (K,), "zpos": (N,)}
     with open(path, "rb") as fh:
         if fh.read(len(PARAMS_MAGIC)) != PARAMS_MAGIC:
             raise ValueError(f"{path}: not a parameter file (bad magic)")

@@ -133,7 +133,7 @@ def _emit_run_artifacts(out: Path, cfg: TrainConfig, trace, started, command: st
          "accuracy": (t, trace.series("accuracy"))},
         out / "curves.svg", title="training loss / test accuracy")
     artifacts.write_manifest(out / "manifest.json", command, _run_config(cfg),
-                             trace.seeds, started)
+                             cfg.seeds, started)
 
 
 def cmd_train(args) -> int:

@@ -19,9 +19,10 @@ token term plus a positional term, z_j = t[s_j] + zpos_j with
 t = W12 p^_N / c and zpos = P^T W22 p^_N / c (no token term at the query,
 j = N).  P has orthogonal columns, P^T P = phi I with phi = (M+1)/2, so a
 step of W22 by -eta (P D) p^_N^T moves zpos by -eta |p^_N|^2 phi D / c,
-and every body column has the same norm, so t is one K-vector.  The
-batched path (`FactoredParams`, `token_masses`, `attention`, `grad_batch`)
-holds nothing of length M.
+and every body column has the same norm, so t is one K-vector.  So the
+trained state is V, wtok and zpos; alpha and gamma are derived from them
+where a dense W is built.  The batched path (`FactoredParams`,
+`token_masses`, `attention`, `grad_batch`) holds nothing of length M.
 
 The batched softmax works on token masses: xs[k, b], the weight episode b
 puts on token k, is exp(t_k) G[k, b] / Z_b with G[k, b] the sum of the
@@ -103,16 +104,13 @@ def geometry(M: int, N: int, normalize: bool = False) -> Geometry:
 
 @dataclass(frozen=True)
 class FactoredParams:
-    """The parameters as the batched model sees them: V, the token logit
-    vector wtok = W12 p^_N, the positional logits zpos = P^T W22 p^_N / c,
-    and the factors gradient descent has added since init,
-    W12 = W12_0 + alpha p^_N^T and W22 = W22_0 + (P gamma) p^_N^T."""
+    """The parameters as the batched model sees them, and all that
+    gradient descent changes: V, the token logit vector wtok = W12 p^_N
+    and the positional logits zpos = P^T W22 p^_N / c."""
 
     V: np.ndarray  # (K, K)
     wtok: np.ndarray  # (K,)
     zpos: np.ndarray  # (N,)
-    alpha: np.ndarray  # (K,)
-    gamma: np.ndarray  # (N,)
 
 
 @dataclass(frozen=True)
@@ -121,8 +119,8 @@ class Batch:
     pass over it reads, built once per dataset (`Batch.of`): the labels,
     the uniform weights, the cell index of the body tokens into token-major
     (K, B) arrays and, for a walk test set, the true conditionals q_b =
-    Pi[s_{b,N-1}] (token-major, like the masses), their support and
-    Pi^T / |Pi|_F.  `reindex` refreshes the labels and the cell index in
+    Pi[s_{b,N-1}] (token-major, like the masses), q with its zeros set to 1
+    and Pi^T / |Pi|_F.  `reindex` refreshes the labels and the cell index in
     place after a new state array was drawn into `states`."""
 
     states: np.ndarray  # (B, N)
@@ -131,7 +129,6 @@ class Batch:
     cell: np.ndarray  # (B, N-1) flat cell (s_bj - 1) * B + b of each body token
     tm: TransitionMatrix | None = None
     q: np.ndarray | None = None  # (K, B)
-    q_pos: np.ndarray | None = None  # q > 0
     q_safe: np.ndarray | None = None  # q with 1 where q = 0
     pit_unit: np.ndarray | None = None  # Pi^T / |Pi|_F
 
@@ -148,8 +145,7 @@ class Batch:
             batch = cls(**common)
         else:
             q = tm.Pi.T[:, states[:, -2] - 1]
-            q_pos = q > 0
-            batch = cls(**common, tm=tm, q=q, q_pos=q_pos, q_safe=np.where(q_pos, q, 1.0),
+            batch = cls(**common, tm=tm, q=q, q_safe=np.where(q > 0, q, 1.0),
                         pit_unit=tm.Pi.T / np.linalg.norm(tm.Pi))
         batch.reindex()
         return batch

@@ -17,7 +17,7 @@ import numpy as np
 
 from .gradients import FactoredParams, Geometry, geometry
 from .posembed import build_positional
-from .trainer import ZERO, TrainConfig, TrainTrace, gaussian_blocks
+from .trainer import ZERO, TrainConfig, TrainTrace, gaussian_blocks, init_factors
 
 __all__ = ["Params", "AttentionOutput", "softmax", "augment", "normalize_columns",
            "attention_logits", "forward", "loss_value", "tokens_from_states", "Grads",
@@ -214,12 +214,10 @@ def _unit(K: int, y: int) -> np.ndarray:
 
 
 def factor(params: Params, P: np.ndarray, geo: Geometry) -> FactoredParams:
-    """Factored view of dense parameters on the (M, N) positional matrix P,
-    with zero alpha and gamma: the dense oracle's way into the batched
-    path."""
+    """Factored view of dense parameters on the (M, N) positional matrix P:
+    the dense oracle's way into the batched path."""
     return FactoredParams(V=params.V, wtok=params.W12 @ geo.pnh,
-                          zpos=(P.T @ (params.W22 @ geo.pnh)) / geo.c,
-                          alpha=np.zeros(params.K), gamma=np.zeros_like(geo.c))
+                          zpos=(P.T @ (params.W22 @ geo.pnh)) / geo.c)
 
 
 def init_params(cfg: TrainConfig) -> Params:
@@ -232,12 +230,15 @@ def init_params(cfg: TrainConfig) -> Params:
 
 def dense_params(trace: TrainTrace, t: int) -> Params:
     """Dense parameters of snapshot t, W12 = W12_0 + alpha p^_N^T and
-    W22 = W22_0 + (P gamma) p^_N^T, built on each call, the init and P
-    regenerated from the config (K x M and M x M blocks)."""
-    snap, geo, init = trace.snapshots[t], trace.geometry, init_params(trace.config)
-    W12 = np.outer(snap.alpha, geo.pnh)
+    W22 = W22_0 + (P gamma) p^_N^T with alpha = (wtok - wtok_0) / |p^_N|^2
+    and gamma = (zpos - zpos_0) / zrate, built on each call, the init, its
+    factored view (`init_factors`) and P regenerated from the config
+    (K x M and M x M blocks).  At t = 0 it is the init, bit for bit."""
+    cfg, snap, geo = trace.config, trace.snapshots[t], trace.geometry
+    init, fp0 = init_params(cfg), init_factors(cfg, geo)
+    W12 = np.outer((snap.wtok - fp0.wtok) / geo.pnh_sq, geo.pnh)
     W12 += init.W12
-    P = build_positional(trace.config.M, len(geo.c))
-    W22 = np.outer(P @ snap.gamma, geo.pnh)
+    P = build_positional(cfg.M, len(geo.c))
+    W22 = np.outer(P @ ((snap.zpos - fp0.zpos) / geo.zrate), geo.pnh)
     W22 += init.W22
     return replace(init, V=snap.V, W12=W12, W22=W22)

@@ -9,8 +9,9 @@ permanently stuck at chance with an all-equal parameter structure.
 covers a run: zero-init population runs get the deterministic one (its
 theorem is about gradient descent from zero), empirical 0 < p < 1 walk runs
 the random-walk one, and anything else is out of scope.  The reports read
-only what `train` returns; from zero init W12 = alpha p^_N^T and
-W22 = (P gamma) p^_N^T, so they check alpha and gamma, not dense blocks.
+only what `train` returns: from zero init W12 = alpha p^_N^T and
+W22 = (P gamma) p^_N^T with alpha = wtok / |p^_N|^2 and gamma =
+zpos / zrate, so they check wtok and zpos, not dense blocks.
 """
 
 from __future__ import annotations
@@ -211,10 +212,10 @@ def check_deterministic_theorem(trace: TrainTrace) -> DeterministicReport:
             v_resid = max(v_resid, float(snap.V.max() - snap.V.min()) / vmax)
         body = attention(snap, batch, geo)[:, :-1]
         s_resid = max(s_resid, float(np.max(body.max(axis=1) - body.min(axis=1))))
-        # W12 = alpha p^_N^T: its row spread over its max-abs entry
-        amax = float(np.max(np.abs(snap.alpha)))
+        # W12 = wtok p^_N^T / |p^_N|^2: its row spread over its max-abs entry
+        amax = float(np.max(np.abs(snap.wtok)))
         if amax > 0:
-            w12_spread = max(w12_spread, float(np.ptp(snap.alpha)) / amax)
+            w12_spread = max(w12_spread, float(np.ptp(snap.wtok)) / amax)
     items["v_uniformity"] = PASS if v_resid <= STRUCTURE_TOL else FAIL
     items["attention_uniformity"] = PASS if s_resid <= STRUCTURE_TOL else FAIL
     items["w12_structure"] = PASS if w12_spread <= STRUCTURE_TOL else FAIL
@@ -231,8 +232,9 @@ def check_deterministic_theorem(trace: TrainTrace) -> DeterministicReport:
         ell = 1.0 / c
         ell[-1] = -(N - 1) / c[-1]
         snap = trace.snapshots[2]
-        d_alpha = float(np.max(np.abs(snap.alpha - s * r / c[0])))
-        d_w22 = float(np.max(np.abs(positional_times(snap.gamma - s * ell, cfg.M))))
+        alpha, gamma = snap.wtok / geo.pnh_sq, snap.zpos / geo.zrate  # from zero init
+        d_alpha = float(np.max(np.abs(alpha - s * r / c[0])))
+        d_w22 = float(np.max(np.abs(positional_times(gamma - s * ell, cfg.M))))
         t2_err = max(d_alpha, d_w22) * float(np.max(np.abs(geo.pnh)))
         items["t2_closed_form"] = PASS if t2_err <= T2_BOUND else FAIL
     else:

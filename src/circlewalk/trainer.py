@@ -7,11 +7,11 @@ N = r*K + 1) where the K possible episodes can be enumerated and form both
 the training and the test batch.
 
 Training runs on the factored parameters (`FactoredParams`): V, the token
-logit vector wtok = W12 p^_N, the positional logits zpos, and the factors
-alpha, gamma of W12 - W12_0 = alpha p^_N^T and W22 - W22_0 =
-(P gamma) p^_N^T (see `gradients`).  The run builds its `Geometry` and
-its initial factors (`init_factors`) once, in O(M + N) from a zero init;
-the run forms no dense init block and no P.
+logit vector wtok = W12 p^_N and the positional logits zpos = P^T W22
+p^_N / c, which are all that gradient descent changes (see `gradients`).
+The run builds its `Geometry` and its initial factors (`init_factors`)
+once, in O(M + N) from a zero init; the run forms no dense init block
+and no P.
 Every iteration is `grad_batch` + `step`, then a guard against non-finite
 parameters, `evaluate` and a snapshot; a population run trains on its
 test batch, so the test set's token masses from `evaluate` go to the next
@@ -169,7 +169,6 @@ class TrainTrace:
     rows: list[MetricsRow] = field(default_factory=list)
     snapshots: dict[int, FactoredParams] = field(default_factory=dict)
     lprimes: list[float] = field(default_factory=list)  # mean l' at each pre-step t
-    seeds: dict[str, int] = field(default_factory=dict)
 
     @property
     def final_snapshot(self) -> FactoredParams:
@@ -203,13 +202,11 @@ def init_factors(cfg: TrainConfig, geo: Geometry) -> FactoredParams:
     wc = cfg.walk_config()
     K, M, N = wc.K, cfg.M, wc.N
     if cfg.init == ZERO:
-        return FactoredParams(V=np.zeros((K, K)), wtok=np.zeros(K), zpos=np.zeros(N),
-                              alpha=np.zeros(K), gamma=np.zeros(N))
+        return FactoredParams(V=np.zeros((K, K)), wtok=np.zeros(K), zpos=np.zeros(N))
     blocks = gaussian_blocks(K, M, cfg.sigma, np.random.default_rng(cfg.seeds["init"]))
     V, _, W12, _ = itertools.islice(blocks, 4)  # the query never reads W11 or W21
     u = np.concatenate([rows @ geo.pnh for rows in blocks])  # W22_0 p^_N
-    return FactoredParams(V=V, wtok=W12 @ geo.pnh, zpos=positional_times(u, M)[:N] / geo.c,
-                          alpha=np.zeros(K), gamma=np.zeros(N))
+    return FactoredParams(V=V, wtok=W12 @ geo.pnh, zpos=positional_times(u, M)[:N] / geo.c)
 
 
 def step(fp: FactoredParams, bg: BatchGrad, eta: float, geo: Geometry) -> FactoredParams:
@@ -221,8 +218,6 @@ def step(fp: FactoredParams, bg: BatchGrad, eta: float, geo: Geometry) -> Factor
         V=fp.V - eta * bg.gV,
         wtok=fp.wtok - eta * geo.pnh_sq * bg.a,
         zpos=fp.zpos - eta * geo.zrate * bg.D,
-        alpha=fp.alpha - eta * bg.a,
-        gamma=fp.gamma - eta * bg.D,
     )
 
 
@@ -260,8 +255,8 @@ def evaluate(fp: FactoredParams, test: Batch, geo: Geometry, it: int = 0,
         fm = np.maximum(f, 0.0)
         fm += 1e-12
         fm /= fm.sum(axis=0)
-        terms = np.where(test.q_pos, q * np.log(test.q_safe / fm), 0.0)
-        kl = float(weights @ terms.sum(axis=0))
+        # where q = 0, q_safe = 1 and fm > 0, so the term is 0 * log(1 / fm) = +0
+        kl = float(weights @ (q * np.log(test.q_safe / fm)).sum(axis=0))
         fu = _unit(f, axis=0)
         if fu is not None:
             fu -= q
@@ -306,8 +301,8 @@ def _episodes(cfg: TrainConfig, count: int, seed: int) -> np.ndarray:
 
 
 def _check_finite(fp: FactoredParams, t: int) -> None:
-    if not (np.isfinite(fp.V).all() and np.isfinite(fp.alpha).all()
-            and np.isfinite(fp.gamma).all()):
+    if not (np.isfinite(fp.V).all() and np.isfinite(fp.wtok).all()
+            and np.isfinite(fp.zpos).all()):
         raise FloatingPointError(f"non-finite parameters at iteration {t}")
 
 
@@ -319,7 +314,7 @@ def train(cfg: TrainConfig) -> TrainTrace:
     fp = init_factors(cfg, geo)
     test = make_test_batch(cfg)
 
-    trace = TrainTrace(config=cfg, geometry=geo, seeds=cfg.seeds)
+    trace = TrainTrace(config=cfg, geometry=geo)
     trace.snapshots[0] = fp
     if cfg.iterations == 0:
         trace.rows.append(evaluate(fp, test, geo))

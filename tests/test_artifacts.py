@@ -17,8 +17,7 @@ SMALL = dict(K=4, p=0.5, N=9, M=40, train_size=32, test_size=32)
 
 def _random_fp(rng, K, N):
     return FactoredParams(V=rng.standard_normal((K, K)), wtok=rng.standard_normal(K),
-                          zpos=rng.standard_normal(N), alpha=rng.standard_normal(K),
-                          gamma=rng.standard_normal(N))
+                          zpos=rng.standard_normal(N))
 
 
 def _header_end(raw):
@@ -42,11 +41,11 @@ def test_params_file_layout(tmp_path):
     path = tmp_path / "p.bin"
     save_params(_random_fp(np.random.default_rng(2), K, N), path, cfg)
     raw = path.read_bytes()
-    assert raw.startswith(b"CWPARAMS2\n") and PARAMS_MAGIC == b"CWPARAMS2\n"
+    assert raw.startswith(b"CWPARAMS3\n") and PARAMS_MAGIC == b"CWPARAMS3\n"
     header = json.loads(raw[len(PARAMS_MAGIC):_header_end(raw)])
     assert header == {"K": 3, "M": 12, "N": 5, "normalize_attention": True}
-    # V, wtok, zpos, alpha, gamma as float64
-    assert len(raw) == _header_end(raw) + 8 * (K * K + 2 * K + 2 * N)
+    # V, wtok, zpos as float64
+    assert len(raw) == _header_end(raw) + 8 * (K * K + K + N)
 
 
 def test_params_payload_is_the_blocks_bytes(tmp_path):
@@ -63,7 +62,7 @@ def test_params_payload_is_the_blocks_bytes(tmp_path):
     save_params(fp, path, cfg)
     raw = path.read_bytes()
     expected = b"".join(np.ascontiguousarray(getattr(fp, name), dtype="<f8").tobytes()
-                        for name in ("V", "wtok", "zpos", "alpha", "gamma"))
+                        for name in ("V", "wtok", "zpos"))
     assert raw[_header_end(raw):] == expected
     loaded = load_params(path, cfg)
     for f in dataclasses.fields(FactoredParams):
@@ -79,10 +78,14 @@ def test_load_rejects_bad_magic_and_truncation(tmp_path):
     good = tmp_path / "good.bin"
     save_params(_random_fp(np.random.default_rng(3), 4, 9), good, cfg)
     raw = good.read_bytes()
-    # the dense format this one replaces is not read
-    bad.write_bytes(b"CWPARAMS1\n" + raw[len(PARAMS_MAGIC):])
-    with pytest.raises(ValueError, match="magic"):
-        load_params(bad, cfg)
+    # the dense format and the five-field one (V, wtok, zpos, then the
+    # factors alpha and gamma) are not read
+    for old in (b"CWPARAMS1\n" + raw[len(PARAMS_MAGIC):],
+                b'CWPARAMS2\n{"K": 4, "M": 40, "N": 9, "normalize_attention": false}\n'
+                + np.random.default_rng(4).standard_normal(16 + 4 + 9 + 4 + 9).tobytes()):
+        bad.write_bytes(old)
+        with pytest.raises(ValueError, match="magic"):
+            load_params(bad, cfg)
     cut = tmp_path / "cut.bin"
     cut.write_bytes(raw[:-8])
     with pytest.raises(ValueError, match="truncated"):

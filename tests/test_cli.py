@@ -305,6 +305,9 @@ def test_eval_rejects_mismatched_or_malformed_params(tmp_path, capsys):
         "n10": _saved_params(tmp_path, N=10),
         "normalized": _saved_params(tmp_path, normalize_attention=True),
         "v1": b'CWPARAMS1\n{"K": 4, "M": 40, "init": "zero", "sigma": 0.0}\n' + dense,
+        # the five-field format: V, wtok, zpos, alpha (K) and gamma (N)
+        "v2": b'CWPARAMS2\n{"K": 4, "M": 40, "N": 9, "normalize_attention": false}\n'
+              + np.zeros(16 + 4 + 9 + 4 + 9).tobytes(),
         "trailing": raw + b"\x00" * 4, "truncated": raw[:-8],
         "k_string": raw.replace(b'"K": 4', b'"K": "4"', 1),
         "norm_int": raw.replace(b'"normalize_attention": false',

@@ -143,7 +143,7 @@ def test_params_bin_round_trips(cfg):
     for f in dataclasses.fields(fp):
         np.testing.assert_array_equal(getattr(loaded, f.name), getattr(fp, f.name))
     header = len(PARAMS_MAGIC) + raw[len(PARAMS_MAGIC):].index(b"\n") + 1
-    assert len(raw) == header + 8 * (K * K + 2 * K + 2 * N)
+    assert len(raw) == header + 8 * (K * K + K + N)
 
 
 def _arrays(obj):

@@ -136,9 +136,12 @@ def test_t2_error_matches_the_dense_oracle_on_a_planted_error(name, index, norma
     trace = train(TrainConfig(**POP_CFG, normalize_attention=normalize))
     assert check_deterministic_theorem(trace).items["t2_closed_form"] == PASS
     snap = trace.snapshots[2]
-    factor = getattr(snap, name).copy()
-    factor[index] += 0.01 * np.max(np.abs(factor))
-    trace.snapshots[2] = dataclasses.replace(snap, **{name: factor})
+    # from zero init alpha = wtok / |p^_N|^2 and gamma = zpos / zrate: the
+    # error goes into the state each factor is derived from
+    state = {"alpha": "wtok", "gamma": "zpos"}[name]
+    planted = getattr(snap, state).copy()
+    planted[index] += 0.01 * np.max(np.abs(planted))
+    trace.snapshots[2] = dataclasses.replace(snap, **{state: planted})
     rep = check_deterministic_theorem(trace)
     assert rep.t2_closed_form_error == pytest.approx(_dense_t2_error(trace), rel=1e-12)
     assert rep.items["t2_closed_form"] == FAIL
@@ -164,9 +167,9 @@ def test_w12_structure_fails_with_the_dense_spread():
     trace = train(TrainConfig(**POP_CFG))
     t = max(trace.snapshots)
     snap = trace.snapshots[t]
-    alpha = snap.alpha.copy()
-    alpha[0] *= 1.001
-    trace.snapshots[t] = dataclasses.replace(snap, alpha=alpha)
+    wtok = snap.wtok.copy()
+    wtok[0] *= 1.001
+    trace.snapshots[t] = dataclasses.replace(snap, wtok=wtok)
     W12 = dense_params(trace, t).W12
     dense_spread = np.max(W12.max(axis=0) - W12.min(axis=0)) / np.max(np.abs(W12))
     rep = check_deterministic_theorem(trace)

@@ -231,7 +231,7 @@ def test_body_weights_outlive_later_passes_over_the_batch():
     batch = Batch.of(make_dataset(WalkConfig(K=K, p=0.4, N=N, M=M), 30, seed=1), K)
     geo = geometry(M, N)
     fp = FactoredParams(V=rng.uniform(0.1, 1.0, (K, K)), wtok=rng.standard_normal(K),
-                        zpos=rng.standard_normal(N), alpha=np.zeros(K), gamma=np.zeros(N))
+                        zpos=rng.standard_normal(N))
     m = token_masses(fp, batch, geo)
     body = m.body(batch)
     kept = body.copy()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from circlewalk import trainer
-from circlewalk.gradients import Batch, attention, geometry, grad_batch
+from circlewalk.gradients import Batch, FactoredParams, attention, geometry, grad_batch
 from circlewalk.markov import transition_matrix
 from circlewalk.model import (Params, dense_params, factor, forward, grad_example,
                               init_params, loss_value, tokens_from_states)
@@ -93,7 +93,7 @@ def test_trace_rows_and_snapshots():
     assert [r.iter for r in tr.rows] == list(range(1, 7))
     assert set(tr.snapshots) == {0, 1, 2, 4, 6}
     assert len(tr.lprimes) == 6
-    assert tr.seeds == {"train": 0, "test": 1, "init": 2}
+    assert tr.config.seeds == {"train": 0, "test": 1, "init": 2}
     assert METRIC_FIELDS[0] == "iter"
 
 
@@ -260,7 +260,7 @@ def test_log_loss_argument_outside_the_domain_raises():
 
 @pytest.mark.parametrize("factor_name", ["a", "D"])
 def test_non_finite_w_factor_raises(monkeypatch, factor_name):
-    # the guard checks V, alpha (W12) and gamma (W22) right after the step,
+    # the guard checks V, wtok (W12) and zpos (W22) right after the step,
     # before the non-finite logits could surface in evaluate
     real = trainer.grad_batch
 
@@ -308,8 +308,20 @@ def test_gaussian_init_factors_are_the_dense_init_factored(monkeypatch, fields, 
         w = getattr(want, name)
         np.testing.assert_allclose(getattr(got, name), w, rtol=1e-12,
                                    atol=1e-12 * np.abs(w).max(), err_msg=name)
-    for name in ("alpha", "gamma"):
-        np.testing.assert_array_equal(getattr(got, name), 0.0)
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("init,sigma", [("zero", 0.0), ("gaussian", 0.3)])
+def test_the_trained_state_is_v_wtok_and_zpos(init, sigma, normalize):
+    # alpha and gamma are derived where a dense W is built, from the
+    # trainer's own init factors, so t = 0 gives the dense init to the bit
+    assert [f.name for f in dataclasses.fields(FactoredParams)] == ["V", "wtok", "zpos"]
+    cfg = TrainConfig(**SMALL, iterations=0, init=init, sigma=sigma,
+                      normalize_attention=normalize)
+    got, want = dense_params(train(cfg), 0), init_params(cfg)
+    for name in ("V", "W11", "W12", "W21", "W22"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
 
 
 def test_zero_init_factors_are_exactly_zero():
@@ -318,7 +330,7 @@ def test_zero_init_factors_are_exactly_zero():
                             normalize_attention=True)):
         wc = cfg.walk_config()
         fp = init_factors(cfg, geometry(cfg.M, wc.N, cfg.normalize_attention))
-        shapes = dict(V=(wc.K, wc.K), wtok=(wc.K,), zpos=(wc.N,), alpha=(wc.K,), gamma=(wc.N,))
+        shapes = dict(V=(wc.K, wc.K), wtok=(wc.K,), zpos=(wc.N,))
         for name, shape in shapes.items():
             arr = getattr(fp, name)
             assert arr.shape == shape and np.all(arr == 0.0), name
