@@ -19,13 +19,8 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-from . import artifacts, theorycheck, walkgen
-from .markov import (decay_bound_report, eigen_action_check, gamma_dominance_report,
-                     shift_identities_check, transition_matrix)
+from . import artifacts, theorycheck, transition_matrix, walkgen
 from .gradients import geometry
-from .posembed import build_positional
 from .trainer import METRIC_FIELDS, TrainConfig, evaluate, make_test_batch, train
 from .walkgen import WalkConfig, export_dataset, make_dataset
 
@@ -201,58 +196,15 @@ def cmd_qa(args) -> int:
 def cmd_spectra(args) -> int:
     started = time.time()
     with _config_errors():  # --M, --N and the power range --R
-        P = build_positional(args.M, args.N)
-        decay_reports = [decay_bound_report(K, float(p), args.R) for K in range(3, 13)
-                         for p in np.round(np.arange(0.1, 0.95, 0.1), 10)]
-    decay = [dict(K=rep.K, p=rep.p, max_violation=rep.max_violation,
-                  parity_zero_exact=rep.parity_zero_exact, passed=rep.passed)
-             for rep in decay_reports]
-    failures = [f"decay K={rec['K']} p={rec['p']}" for rec in decay if not rec["passed"]]
-
-    shift = [dataclasses.asdict(shift_identities_check(K)) for K in range(2, 13)]
-    for rec in shift:
-        if not rec["passed"]:
-            failures.append(f"shift identities K={rec['K']}")
-
-    eig = max(eigen_action_check(transition_matrix(K, p), k)
-              for K in (3, 4, 6, 9) for p in (0.1, 0.5, 0.7) for k in range(K))
-    if eig > 1e-12:
-        failures.append("eigen action")
-
-    dom = []
-    for K in range(3, 9):
-        for p in (0.3, 0.5, 0.7):
-            rep = gamma_dominance_report(K, p, 2 * K + 1)
-            dom.append(dataclasses.asdict(rep))
-            if not rep.passed:
-                failures.append(f"dominance K={K} p={p}")
-
-    G = P.T @ P
-    diag_err = float(np.max(np.abs(np.diag(G) / ((args.M + 1) / 2) - 1.0)))
-    off = G - np.diag(np.diag(G))
-    off_max = float(np.max(np.abs(off)))
-    if diag_err > 1e-10 or off_max > 1e-8 * (args.M + 1):
-        failures.append("positional gram")
-
-    toep = theorycheck.first_step_toeplitz_grid()
-    if toep > 1e-14:
-        failures.append("one-step toeplitz")
-
-    record = {
-        "decay": decay, "shift_identities": shift, "dominance": dom,
-        "max_eigen_residual": float(eig),
-        "gram": {"M": args.M, "N": args.N, "diag_rel_error": diag_err,
-                 "offdiag_max": off_max},
-        "one_step_toeplitz_residual": toep,
-        "failures": failures, "passed": not failures,
-    }
+        report = theorycheck.check_spectra(args.R, args.M, args.N)
     out = _outdir(args)
-    artifacts.write_json(out / "spectra.json", record)
+    artifacts.write_json(out / "spectra.json",
+                         {**dataclasses.asdict(report), "passed": report.passed})
     artifacts.write_manifest(out / "manifest.json", "spectra",
                              dict(R=args.R, M=args.M, N=args.N), {}, started)
-    print("spectra: " + ("all checks passed" if not failures
-                         else "FAILED: " + "; ".join(failures)))
-    return 0 if not failures else 1
+    print("spectra: " + ("all checks passed" if report.passed
+                         else "FAILED: " + "; ".join(report.failures)))
+    return 0 if report.passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -96,12 +96,13 @@ class DecayBoundReport:
     K: int
     p: float
     R_max: int
-    max_violation: float = 0.0  # max over (i,j,R) of |entry - target| - bound
+    max_violation: float = 0.0  # max(0, max over (i,j,R) of |entry - target| - bound)
     parity_zero_exact: bool = True  # even K only; True when zeros are bit-exact
     max_row_sum_error: float = 0.0
     # repeated products leave ~1e-15 dust around the uniform limit, which can
     # exceed the true bound once it shrinks below machine precision
     tol: float = 1e-12
+    row_sum_tol: float = 1e-12  # bound of max_row_sum_error
     passed: bool = True
 
 
@@ -129,7 +130,7 @@ def decay_bound_report(K: int, p: float, R_max: int) -> DecayBoundReport:
             dev = np.abs(PiR - 1.0 / K)
         rep.max_violation = max(rep.max_violation, float(np.max(dev) - bound))
     rep.passed = (rep.max_violation <= rep.tol and rep.parity_zero_exact
-                  and rep.max_row_sum_error <= 1e-12)
+                  and rep.max_row_sum_error <= rep.row_sum_tol)
     return rep
 
 

@@ -3,7 +3,9 @@
 Two regimes: 0 < p < 1 runs should converge to the optimal predictor
 (accuracy, f/V alignment, 1/sqrt(t) rate, attention concentration on the
 parent position), while the deterministic p in {0,1}, N = rK+1 regime is
-permanently stuck at chance with an all-equal parameter structure.
+permanently stuck at chance with an all-equal parameter structure.  The
+structural suite the proofs rest on (`check_spectra`: Pi's spectrum and
+mixing, Gamma(N)'s dominance, the orthogonal positions) needs no training.
 
 `report_for` settles from the config, before training, which report
 covers a run: zero-init population runs get the deterministic one (its
@@ -21,8 +23,9 @@ from typing import Callable
 
 import numpy as np
 
+from . import markov
 from .gradients import attention
-from .posembed import positional_times
+from .posembed import build_positional, positional_times
 from .trainer import (POPULATION, ZERO, TrainConfig, TrainTrace, first_step_oracle_v,
                       make_test_batch)
 
@@ -30,6 +33,7 @@ __all__ = [
     "toeplitz_check", "band_argmax_check", "rate_fit",
     "Thresholds", "RandomWalkReport", "check_random_theorem",
     "DeterministicReport", "check_deterministic_theorem", "report_for",
+    "first_step_toeplitz_grid", "SpectraReport", "check_spectra",
 ]
 
 PASS, FAIL, INSUFFICIENT = "pass", "fail", "insufficient"
@@ -37,6 +41,12 @@ PASS, FAIL, INSUFFICIENT = "pass", "fail", "insufficient"
 # attention and W12's rows), and the t=2 closed-form error
 STRUCTURE_TOL = 1e-12
 T2_BOUND = 1e-10
+# bounds of `check_spectra`: the Fourier eigen-action residual, P^T P's diagonal
+# over (M+1)/2, its off-diagonal per unit of M + 1, the one-step Toeplitz residual
+EIGEN_TOL = 1e-12
+GRAM_DIAG_TOL = 1e-10
+GRAM_OFFDIAG_TOL = 1e-8
+ONE_STEP_TOEPLITZ_TOL = 1e-14
 
 
 def toeplitz_check(V: np.ndarray, K: int) -> float:
@@ -46,27 +56,15 @@ def toeplitz_check(V: np.ndarray, K: int) -> float:
         raise ValueError(f"V must be {K}x{K}, got {V.shape}")
     i, j = np.meshgrid(np.arange(K), np.arange(K), indexing="ij")
     cls = (i - j) % K
-    residual = 0.0
-    for k in range(K):
-        vals = V[cls == k]
-        residual = max(residual, float(vals.max() - vals.min()))
-    return residual
+    return max(float(np.ptp(V[cls == k])) for k in range(K))
 
 
 def band_argmax_check(V: np.ndarray, p: float) -> bool:
     """True iff every column's argmax sits on the dominant circulant band:
     i = j+1 (mod K) for p > 1/2, i = j-1 for p < 1/2, either band at p = 1/2."""
     K = V.shape[0]
-    allowed = set()
-    if p >= 0.5:
-        allowed.add(1)
-    if p <= 0.5:
-        allowed.add(K - 1)
-    for j in range(K):
-        i = int(np.argmax(V[:, j]))
-        if (i - j) % K not in allowed:
-            return False
-    return True
+    allowed = {1} if p > 0.5 else {K - 1} if p < 0.5 else {1, K - 1}
+    return all((int(np.argmax(V[:, j])) - j) % K in allowed for j in range(K))
 
 
 def rate_fit(t: np.ndarray, values: np.ndarray,
@@ -267,11 +265,58 @@ def report_for(cfg: TrainConfig) -> Callable[[TrainTrace], object]:
 def first_step_toeplitz_grid() -> float:
     """Worst Toeplitz residual of the one-step closed form over K = 3..12,
     N in {K+1, 2K+1, 3K+1} and p in {0.1, 0.3, 0.5, 0.7, 0.9}."""
-    worst = 0.0
-    for K in range(3, 13):
-        for N in (K + 1, 2 * K + 1, 3 * K + 1):
-            for p in (0.1, 0.3, 0.5, 0.7, 0.9):
-                cfg = TrainConfig(K=K, p=p, N=N, M=max(64, int(N**1.5) + 1), iterations=1)
-                V1 = first_step_oracle_v(cfg)
-                worst = max(worst, toeplitz_check(V1, K))
-    return worst
+    cfgs = [TrainConfig(K=K, p=p, N=N, M=max(64, int(N**1.5) + 1), iterations=1)
+            for K in range(3, 13) for N in (K + 1, 2 * K + 1, 3 * K + 1)
+            for p in (0.1, 0.3, 0.5, 0.7, 0.9)]
+    return max(toeplitz_check(first_step_oracle_v(cfg), cfg.K) for cfg in cfgs)
+
+
+@dataclass
+class SpectraReport:
+    """The structural lemmas, each residual next to its bound."""
+
+    decay: list[markov.DecayBoundReport]
+    shift_identities: list[markov.ShiftIdentityReport]
+    dominance: list[markov.GammaDominanceReport]
+    max_eigen_residual: float
+    eigen_bound: float
+    gram: dict  # M, N, diag_rel_error, diag_bound, offdiag_max, offdiag_bound
+    one_step_toeplitz_residual: float
+    one_step_toeplitz_bound: float
+    failures: list[str]
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+
+def check_spectra(R: int, M: int, N: int) -> SpectraReport:
+    """The suite on fixed grids of K and p, with Pi's powers up to R and the
+    (M, N) positions; raises ValueError for a bad R, M or N."""
+    P = build_positional(M, N)
+    decay = [markov.decay_bound_report(K, float(p), R) for K in range(3, 13)
+             for p in np.round(np.arange(0.1, 0.95, 0.1), 10)]
+    shift = [markov.shift_identities_check(K) for K in range(2, 13)]
+    eig = max(markov.eigen_action_check(markov.transition_matrix(K, p), k)
+              for K in (3, 4, 6, 9) for p in (0.1, 0.5, 0.7) for k in range(K))
+    dom = [markov.gamma_dominance_report(K, p, 2 * K + 1)
+           for K in range(3, 9) for p in (0.3, 0.5, 0.7)]
+    G = P.T @ P
+    diag = np.diag(G)
+    gram = dict(M=M, N=N, diag_rel_error=float(np.max(np.abs(diag / ((M + 1) / 2) - 1.0))),
+                diag_bound=GRAM_DIAG_TOL, offdiag_max=float(np.max(np.abs(G - np.diag(diag)))),
+                offdiag_bound=GRAM_OFFDIAG_TOL * (M + 1))
+    toep = first_step_toeplitz_grid()
+    checks = ([(f"decay K={r.K} p={r.p}", r.passed) for r in decay]
+              + [(f"shift identities K={r.K}", r.passed) for r in shift]
+              + [("eigen action", eig <= EIGEN_TOL)]
+              + [(f"dominance K={r.K} p={r.p}", r.passed) for r in dom]
+              + [("positional gram", gram["diag_rel_error"] <= gram["diag_bound"]
+                  and gram["offdiag_max"] <= gram["offdiag_bound"]),
+                 ("one-step toeplitz", toep <= ONE_STEP_TOEPLITZ_TOL)])
+    return SpectraReport(
+        decay=decay, shift_identities=shift, dominance=dom,
+        max_eigen_residual=float(eig), eigen_bound=EIGEN_TOL, gram=gram,
+        one_step_toeplitz_residual=toep, one_step_toeplitz_bound=ONE_STEP_TOEPLITZ_TOL,
+        failures=[name for name, ok in checks if not ok],
+    )

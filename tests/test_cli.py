@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import circlewalk
-from circlewalk import cli, trainer
+from circlewalk import cli, theorycheck, trainer
 from circlewalk.artifacts import PARAMS_MAGIC, save_params
 from circlewalk.cli import RECIPES, main
 from circlewalk.posembed import build_positional
@@ -159,6 +159,28 @@ def test_spectra_small(tmp_path):
     rec = json.loads((out / "spectra.json").read_text())
     assert rec["passed"] is True
     assert rec["failures"] == []
+    # every residual is recorded next to its bound, and meets it
+    assert rec["max_eigen_residual"] <= rec["eigen_bound"]
+    assert rec["one_step_toeplitz_residual"] <= rec["one_step_toeplitz_bound"]
+    gram = rec["gram"]
+    assert gram["diag_rel_error"] <= gram["diag_bound"]
+    assert gram["offdiag_max"] <= gram["offdiag_bound"]
+    for d in rec["decay"]:
+        assert d["max_violation"] <= d["tol"] and d["max_row_sum_error"] <= d["row_sum_tol"], d
+    for d in rec["dominance"]:
+        assert d["min_margin"] >= d["required_margin"] and d["min_trace_gap"] >= 0.0, d
+
+
+def test_spectra_failure_names_the_check_and_records_its_bound(tmp_path, monkeypatch, capsys):
+    # no residual is negative, so a negative bound fails its check alone
+    monkeypatch.setattr(theorycheck, "ONE_STEP_TOEPLITZ_TOL", -1.0)
+    out = tmp_path / "spectra"
+    assert main(["spectra", "--out", str(out), "--R", "30", "--M", "200", "--N", "29"]) == 1
+    rec = json.loads((out / "spectra.json").read_text())
+    assert rec["passed"] is False
+    assert rec["failures"] == ["one-step toeplitz"]
+    assert rec["one_step_toeplitz_bound"] == -1.0
+    assert capsys.readouterr().out == "spectra: FAILED: one-step toeplitz\n"
 
 
 def test_every_json_artifact_is_strict_json(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Every name a module exports resolves, so a deletion cannot leave a
 stale entry in `__all__` behind, and has one home; every name a module
 imports is used, so a deletion cannot leave a stale import behind; no
-module the CLI imports, directly or not, imports the dense model."""
+module the CLI imports, directly or not, imports the dense model, and the
+CLI itself imports no numerics."""
 
 import ast
 import importlib
@@ -95,3 +96,15 @@ def test_cli_closure_is_every_module_but_the_dense_model():
     src = str(Path(circlewalk.__file__).parents[1])
     code = "import sys, circlewalk.cli; assert 'circlewalk.model' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+
+
+def test_the_cli_holds_no_numerics():
+    # the CLI parses arguments and writes what the modules return: it
+    # imports neither numpy nor the matrix algebra nor the positions
+    tree = ast.parse(inspect.getsource(importlib.import_module("circlewalk.cli")))
+    roots = {a.name.partition(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for a in node.names}
+    roots |= {node.module.partition(".")[0] for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module and not node.level}
+    assert "numpy" not in roots
+    assert not _package_imports("circlewalk.cli") & {"circlewalk.markov", "circlewalk.posembed"}

@@ -10,7 +10,7 @@ import pytest
 from circlewalk.markov import decompose_v, transition_matrix
 from circlewalk.model import dense_params
 from circlewalk.posembed import build_positional
-from circlewalk.theorycheck import (FAIL, PASS, Thresholds,
+from circlewalk.theorycheck import (FAIL, ONE_STEP_TOEPLITZ_TOL, PASS, Thresholds,
                                     band_argmax_check,
                                     check_deterministic_theorem,
                                     check_random_theorem,
@@ -192,4 +192,4 @@ def test_deterministic_check_builds_no_dense_block():
 
 
 def test_first_step_toeplitz_grid_is_tiny():
-    assert first_step_toeplitz_grid() <= 1e-14
+    assert first_step_toeplitz_grid() <= ONE_STEP_TOEPLITZ_TOL
