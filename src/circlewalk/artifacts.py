@@ -67,28 +67,23 @@ def load_params(path, cfg: TrainConfig) -> FactoredParams:
                                  for name, shape in shapes.items()})
 
 
-def _fmt(x: float) -> str:
-    """Round-trip float formatting (17 significant digits)."""
-    return format(float(x), ".17g")
-
-
 def emit_metrics_csv(trace: TrainTrace, path) -> None:
-    """One row per trace row, LF endings, round-trip float precision."""
+    """One row per trace row, LF endings, round-trip float precision (17
+    significant digits), one %-format per row."""
     if not trace.rows:
         raise ValueError("trace has no metric rows")
+    row_format = "%d," + ",".join(["%.17g"] * (len(METRIC_FIELDS) - 1)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(METRIC_FIELDS) + "\n")
-        for row in trace.rows:
-            vals = row.as_tuple()
-            fh.write(str(vals[0]) + "," + ",".join(_fmt(v) for v in vals[1:]) + "\n")
+        fh.writelines(row_format % row.as_tuple() for row in trace.rows)
 
 
 def emit_matrix_csv(matrix: np.ndarray, path) -> None:
-    """Plain row-major CSV, no header."""
+    """Plain row-major CSV, no header, at the metrics' precision."""
     matrix = np.atleast_2d(matrix)
     with open(path, "w", newline="\n") as fh:
         for row in matrix:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(["%.17g"] * len(row)) % tuple(row) + "\n")
 
 
 def write_manifest(path, command: str, config: dict, seeds: dict,
@@ -148,13 +143,6 @@ def svg_line_chart(series: dict[str, tuple[np.ndarray, np.ndarray]], path,
         ymax = max(float(y.max()) for _, y in clean.values())
         xspan = (xmax - xmin) or 1.0
         yspan = (ymax - ymin) or 1.0
-
-        def sx(v):
-            return pad + (v - xmin) / xspan * (width - 2 * pad)
-
-        def sy(v):
-            return height - pad - (v - ymin) / yspan * (height - 2 * pad)
-
         parts += [
             f'<text x="{pad}" y="{height - pad + 16}" font-size="10">{xmin:g}</text>',
             f'<text x="{width - pad}" y="{height - pad + 16}" text-anchor="end" font-size="10">{xmax:g}</text>',
@@ -163,10 +151,12 @@ def svg_line_chart(series: dict[str, tuple[np.ndarray, np.ndarray]], path,
         ]
     for idx, (name, (x, y)) in enumerate(clean.items()):
         color = colors[idx % len(colors)]
-        if len(x) == 1:
-            parts.append(f'<circle cx="{sx(x[0]):.2f}" cy="{sy(y[0]):.2f}" r="3" fill="{color}"/>')
+        px = (pad + (x - xmin) / xspan * (width - 2 * pad)).tolist()
+        py = (height - pad - (y - ymin) / yspan * (height - 2 * pad)).tolist()
+        if len(px) == 1:
+            parts.append(f'<circle cx="{px[0]:.2f}" cy="{py[0]:.2f}" r="3" fill="{color}"/>')
         else:
-            pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x, y))
+            pts = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(px, py))
             parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(f'<text x="{width - pad}" y="{pad + 14 * (idx + 1)}" '
                      f'text-anchor="end" font-size="11" fill="{color}">{name}</text>')

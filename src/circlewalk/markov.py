@@ -58,12 +58,12 @@ def transition_matrix(K: int, p: float) -> TransitionMatrix:
     return TransitionMatrix(Pi=Pi, K=K, p=p)
 
 
-def decompose_v(V: np.ndarray, Pi: np.ndarray) -> tuple[float, float]:
+def decompose_v(V: np.ndarray, Pi: np.ndarray) -> tuple:
     """Split V = beta * Pi^T + residual by orthogonal projection; returns
-    (beta, max-norm of the residual)."""
+    (beta, max-norm of the residual), per matrix over V's leading axes."""
     PiT = Pi.T
-    beta = float((V * PiT).sum() / (PiT * PiT).sum())
-    gamma = float(np.abs(V - beta * PiT).max())
+    beta = (V * PiT).sum(axis=(-2, -1)) / (PiT * PiT).sum()
+    gamma = np.abs(V - np.expand_dims(beta, (-2, -1)) * PiT).max(axis=(-2, -1))
     return beta, gamma
 
 

@@ -12,18 +12,22 @@ p^_N / c, which are all that gradient descent changes (see `gradients`).
 The run builds its `Geometry` and its initial factors (`init_factors`)
 once, in O(M + N) from a zero init; the run forms no dense init block
 and no P.
-Every iteration is `grad_batch` + `step`, then a guard against non-finite
-parameters, `evaluate` and a snapshot; a population run trains on its
-test batch, so the test set's token masses from `evaluate` go to the next
-`grad_batch` at the same parameters.  Gradient and metrics come from the
-per-token attention masses: one iteration costs a few passes over each
-dataset's (B, N) cell index (the `bincount` of the positional weights, one
-gather for D and one for the attention metrics), O(B*K) for the rest and
-O(K^2 + N) for the step; nothing of length M is touched.  Each dataset is
-one `Batch`, built once with its cell index (`make_test_batch` adds the
-test set's target constants); under `resample` each fresh training set is
-drawn into the states of the first and reindexed in place, so a run
-allocates its integer (B, N) arrays once.
+Every iteration is `grad_batch` + `step`, a guard against non-finite
+parameters, the test set's token masses (which a population run hands to
+the next `grad_batch`: it trains on its test batch) and a snapshot.  It
+takes the attention fields from the masses and writes f = V xs and V into
+(L, K, B) and (L, K, K) blocks; every L = min(T, max(1, 2^15 // (K B)))
+iterations (a block of f is at most 256 KiB) and at the end, one
+vectorised pass adds accuracy, KL, f_dist, v_dist, beta and gamma.
+Gradient and metrics come from the per-token attention masses: one
+iteration costs a few passes over each dataset's (B, N) cell index (the
+`bincount` of the positional weights, one gather for D and one for the
+attention fields), O(B*K) for the rest and O(K^2 + N) for the step;
+nothing of length M is touched.  Each dataset is one `Batch`, built once
+with its cell index (`make_test_batch` adds the test set's target
+constants); under `resample` each fresh training set is drawn into the
+states of the first and reindexed in place, so a run allocates its
+integer (B, N) arrays once.
 Snapshots are the factored parameters themselves (`params.bin` holds the
 last); the trace keeps the geometry and no dense block.
 """
@@ -234,49 +238,60 @@ def first_step_oracle_v(cfg: TrainConfig) -> np.ndarray:
     return cfg.eta / (cfg.eps * wc.N * wc.K) * acc
 
 
+# f = V xs entries in a block of metrics rows (256 KiB): L = 910 at B = 6, 5 at B = 1000
+_BLOCK_ELEMENTS = 2 ** 15
+
+
 def evaluate(fp: FactoredParams, test: Batch, geo: Geometry, it: int = 0,
              loss: float = float("nan"), masses: TokenMasses | None = None) -> MetricsRow:
     """Test-set metrics: accuracy, KL and f_dist from f = V xs, the
     attention fields from the body weights S_bj; the matrix-comparison
     fields are NaN when the batch carries no transition matrix (QA tasks)
     or a norm vanishes (zero init).  `masses` is the test set's
-    `token_masses` at `fp`, computed here when not given."""
-    weights = test.weights
+    `token_masses` at `fp`, computed here when not given.  A block of one
+    through `train`'s once-per-block pass, so the row has the trainer's bits."""
     m = token_masses(fp, test, geo) if masses is None else masses
-    f = fp.V @ m.xs  # (K, B)
-    accuracy = np.count_nonzero(f.argmax(axis=0) == test.y) / len(test.y)  # first-max tie rule
-    body = m.body(test)
-    attn_parent = float(weights @ body[:, -1])
-    attn_other_max = float(weights @ np.maximum(body[:, :-1].max(axis=1), m.sN))
+    return _block_rows(test, (fp.V @ m.xs)[None], fp.V[None], [_head(test, m, it, loss)])[0]
 
-    kl = v_dist = f_dist = beta = gamma = float("nan")
+
+def _head(test: Batch, m: TokenMasses, it: int, loss: float) -> tuple:
+    """The fields of a row that read the masses: (iter, loss, attn_parent,
+    attn_other_max), the last two from the body weights S_bj."""
+    weights, body = test.weights, m.body(test)
+    return (it, loss, float(weights @ body[:, -1]),
+            float(weights @ np.maximum(body[:, :-1].max(axis=1), m.sN)))
+
+
+def _block_rows(test: Batch, f: np.ndarray, V: np.ndarray, heads: list) -> list[MetricsRow]:
+    """The rows of n iterations from their f = V xs (n, K, B), V (n, K, K)
+    and `_head`s.  Each sum over the batch is one dot per row (`vecdot`),
+    so a row has the same bits whatever n."""
+    accuracy = np.count_nonzero(f.argmax(axis=1) == test.y, axis=1) / len(test.y)  # first-max tie rule
+    kl = v_dist = f_dist = beta = gamma = np.full(len(heads), np.nan)
     if test.tm is not None:
-        q = test.q
+        q, weights = test.q, test.weights
         fm = np.maximum(f, 0.0)
         fm += 1e-12
-        fm /= fm.sum(axis=0)
+        fm /= fm.sum(axis=1, keepdims=True)
         # where q = 0, q_safe = 1 and fm > 0, so the term is 0 * log(1 / fm) = +0
-        kl = float(weights @ (q * np.log(test.q_safe / fm)).sum(axis=0))
-        fu = _unit(f, axis=0)
-        if fu is not None:
-            fu -= q
-            f_dist = float(weights @ np.sqrt((fu * fu).sum(axis=0)))
-        vu = _unit(fp.V)
-        if vu is not None:
-            vu -= test.pit_unit
-            v_dist = math.sqrt(float((vu * vu).sum()))
-        beta, gamma = decompose_v(fp.V, test.tm.Pi)
-    return MetricsRow(iter=it, loss=loss, accuracy=accuracy, kl=kl,
-                      v_dist=v_dist, f_dist=f_dist, attn_parent=attn_parent,
-                      attn_other_max=attn_other_max, beta=beta, gamma=gamma)
+        kl = np.vecdot((q * np.log(test.q_safe / fm)).sum(axis=1), weights)
+        fu = _unit(f, axis=1)
+        fu -= q
+        f_dist = np.vecdot(np.sqrt((fu * fu).sum(axis=1)), weights)
+        vu = _unit(V, axis=(1, 2))
+        vu -= test.pit_unit
+        v_dist = np.sqrt((vu * vu).sum(axis=(1, 2)))
+        beta, gamma = decompose_v(V, test.tm.Pi)
+    cols = zip(*(x.tolist() for x in (accuracy, kl, v_dist, f_dist, beta, gamma)))
+    return [MetricsRow(it, loss, acc, k, vd, fd, ap, am, b, g)
+            for (it, loss, ap, am), (acc, k, vd, fd, b, g) in zip(heads, cols)]
 
 
-def _unit(x: np.ndarray, axis: int | None = None) -> np.ndarray | None:
-    """x over its l2 norm (along `axis`), or None where that norm is 0;
-    x is scaled by its max-abs first, so its sum of squares cannot overflow."""
+def _unit(x: np.ndarray, axis) -> np.ndarray:
+    """x over its l2 norm along `axis`, NaN where that norm is 0; x is
+    scaled by its max-abs first, so its sum of squares cannot overflow."""
     scale = np.abs(x).max(axis=axis, keepdims=True)
-    if not (scale > 0).all():
-        return None
+    scale[scale == 0.0] = np.nan  # 0 / NaN is a quiet NaN: no warning
     x = x / scale
     x /= np.sqrt((x * x).sum(axis=axis, keepdims=True))
     return x
@@ -331,6 +346,9 @@ def train(cfg: TrainConfig) -> TrainTrace:
         batch = Batch.of(make_dataset(wc, cfg.train_size, rng=resample_rng), wc.K)
     else:
         batch = Batch.of(_episodes(cfg, cfg.train_size, cfg.seeds["train"]), wc.K)
+    K, B = wc.K, len(test.y)
+    L = min(cfg.iterations, max(1, _BLOCK_ELEMENTS // (K * B)))
+    f, V, heads = np.empty((L, K, B)), np.empty((L, K, K)), []
     masses = None
     for t in range(1, cfg.iterations + 1):
         if cfg.resample and t > 1:
@@ -341,7 +359,13 @@ def train(cfg: TrainConfig) -> TrainTrace:
         trace.lprimes.append(bg.lprime_mean)
         _check_finite(fp, t)
         masses = token_masses(fp, test, geo)
-        trace.rows.append(evaluate(fp, test, geo, it=t, loss=bg.loss, masses=masses))
+        n = len(heads)
+        np.matmul(fp.V, masses.xs, out=f[n])
+        V[n] = fp.V
+        heads.append(_head(test, masses, t, bg.loss))
+        if n + 1 == L or t == cfg.iterations:
+            trace.rows += _block_rows(test, f[:n + 1], V[:n + 1], heads)
+            heads = []
         if t in schedule:
             trace.snapshots[t] = fp
     return trace

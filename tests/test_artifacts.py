@@ -127,6 +127,22 @@ def test_metrics_csv_header_and_precision(tmp_path):
     assert float(vals[1]) == tr.rows[0].loss
 
 
+def test_metrics_csv_rows_are_the_per_value_format(tmp_path):
+    # one %-format per row writes the bytes of the per-value formatter it
+    # replaced, on the values whose text is easiest to get wrong
+    specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.0000000000000007, 0.1, -2.5e300]
+    tr = train(TrainConfig(iterations=2, **SMALL))
+    tr.rows[:0] = [dataclasses.replace(tr.rows[0], iter=i, **{
+        name: specials[(i + j) % len(specials)] for j, name in enumerate(METRIC_FIELDS[1:])})
+        for i in range(len(specials))]
+    path = tmp_path / "metrics.csv"
+    emit_metrics_csv(tr, path)
+    want = ",".join(METRIC_FIELDS) + "\n" + "".join(
+        str(v[0]) + "," + ",".join(format(float(x), ".17g") for x in v[1:]) + "\n"
+        for v in (row.as_tuple() for row in tr.rows))
+    assert path.read_bytes() == want.encode()
+
+
 def test_matrix_csv(tmp_path):
     m = np.array([[1.0, 1.0 / 3.0], [0.1, 2.0]])
     path = tmp_path / "m.csv"
@@ -169,3 +185,33 @@ def test_svg_chart(tmp_path):
     text = (tmp_path / "c4.svg").read_text()
     assert text.count("<line") == 2
     assert "<polyline" not in text and "<circle" not in text
+
+
+def test_svg_points_are_the_per_point_scaling(tmp_path):
+    # each series is scaled as one array; every point must have the bytes
+    # of the per-point scalar formula, NaN points dropped first
+    rng = np.random.default_rng(0)
+    t = np.arange(1000, dtype=float)
+    loss = rng.standard_normal(1000).cumsum()
+    loss[[3, 500]] = np.nan
+    series = {"loss": (t, loss), "acc": (t, rng.random(1000)), "dot": (t[:1] + 0.5, [0.25])}
+    path = tmp_path / "c.svg"
+    svg_line_chart(series, path)
+    text = path.read_text()
+    width, height, pad = 640, 400, 50
+    xmin, xmax = 0.0, 999.0
+    ymin = min(np.nanmin(y) for _, y in series.values())
+    ymax = max(np.nanmax(y) for _, y in series.values())
+
+    def sx(v):
+        return pad + (v - xmin) / (xmax - xmin) * (width - 2 * pad)
+
+    def sy(v):
+        return height - pad - (v - ymin) / (ymax - ymin) * (height - 2 * pad)
+
+    for name in ("loss", "acc"):
+        x, y = series[name]
+        keep = np.isfinite(y)
+        pts = " ".join(f"{sx(a):.2f},{sy(b):.2f}" for a, b in zip(x[keep], y[keep]))
+        assert f'<polyline points="{pts}" ' in text, name
+    assert f'<circle cx="{sx(t[0] + 0.5):.2f}" cy="{sy(0.25):.2f}" r="3"' in text

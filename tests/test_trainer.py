@@ -14,7 +14,7 @@ from circlewalk.model import (Params, dense_params, factor, forward, grad_exampl
 from circlewalk.posembed import build_positional
 from circlewalk.trainer import (METRIC_FIELDS, TrainConfig, evaluate,
                                 first_step_oracle_v, init_factors, step, train)
-from circlewalk.walkgen import WalkConfig, enumerate_deterministic, make_dataset
+from circlewalk.walkgen import WalkConfig, enumerate_deterministic, make_dataset, qa_dataset
 
 # small geometry for fast loops
 SMALL = dict(K=4, p=0.5, N=9, M=40, train_size=64, test_size=64)
@@ -196,31 +196,57 @@ def test_population_run_matches_dense_gradients():
                                            err_msg=f"{name} at t={t}, normalize={normalize}")
 
 
+# runs whose rows `test_iterations_never_read_p` rebuilds one by one; at
+# K = B = 6 a block holds L = 910 iterations, so 2 L + 3 crosses two block
+# boundaries and ends on a partial block; QA's V has 19^2 entries < M
+ITERATION_RUNS = {
+    "empirical": dict(K=4, p=0.5, N=13, iterations=4),
+    "population": dict(K=4, p=1.0, N=13, iterations=4, grad_mode="population"),
+    "population-blocks": dict(K=6, p=1.0, N=13, iterations=2 * 910 + 3, eta=0.5,
+                              grad_mode="population"),
+    "qa": dict(qa_task="task1", M=400, iterations=4),
+    "no-iterations": dict(K=4, p=0.5, N=13, iterations=0),
+}
+
+
 @pytest.mark.parametrize("normalize", [False, True])
-@pytest.mark.parametrize("grad_mode", ["empirical", "population"])
-def test_iterations_never_read_p(grad_mode, normalize):
+@pytest.mark.parametrize("run", sorted(ITERATION_RUNS))
+def test_iterations_never_read_p(monkeypatch, run, normalize):
     # from the initial factors, grad_batch, step and evaluate run without p^_N,
-    # hold no array of M entries, and reproduce the trainer's rows exactly
-    p = 1.0 if grad_mode == "population" else 0.5
-    cfg = TrainConfig(K=4, p=p, N=13, M=60, iterations=4, eta=2.0, init="gaussian",
-                      sigma=0.05, grad_mode=grad_mode, normalize_attention=normalize,
-                      train_size=16, test_size=16)
-    tr = train(cfg)
+    # hold no array of M entries, and reproduce the trainer's rows exactly,
+    # whatever block of iterations the trainer computed a row in
+    cfg = TrainConfig(**{"eta": 2.0, "M": 60, **ITERATION_RUNS[run]}, init="gaussian",
+                      sigma=0.05, normalize_attention=normalize, train_size=16,
+                      test_size=16)
+    real, blocks = trainer._block_rows, []
+    with monkeypatch.context() as patch:
+        patch.setattr(trainer, "_block_rows",
+                      lambda test, f, V, heads: blocks.append(len(heads)) or real(test, f, V, heads))
+        tr = train(cfg)
+    assert blocks == ([910, 910, 3] if run == "population-blocks" else [max(cfg.iterations, 1)])
     geo = tr.geometry
     fp = tr.snapshots[0]
     free = dataclasses.replace(geo, pnh=None)
-    if grad_mode == "population":
-        tr_states = te_states = enumerate_deterministic(cfg.walk_config())
+    wc = cfg.walk_config()
+    test = trainer.make_test_batch(cfg)
+    if cfg.grad_mode == "population":
+        batch = test
+    elif cfg.qa_task is not None:
+        batch = Batch.of(qa_dataset(cfg.qa_task, 16, seed=cfg.seed), wc.K)
     else:
-        tr_states = make_dataset(cfg.walk_config(), 16, seed=cfg.seed)
-        te_states = make_dataset(cfg.walk_config(), 16, seed=cfg.seed + 1)
-    test, batch = Batch.of(te_states, 4, transition_matrix(4, p)), Batch.of(tr_states, 4)
-    for t in range(1, 5):
+        batch = Batch.of(make_dataset(wc, 16, seed=cfg.seed), wc.K)
+    rows = [evaluate(fp, test, free)]
+    for t in range(1, cfg.iterations + 1):
         bg = grad_batch(fp, batch, free, cfg.eps)
         fp = step(fp, bg, cfg.eta, free)
         for arr in (*dataclasses.astuple(fp), bg.gV, bg.a, bg.D):
             assert arr.size < cfg.M, arr.shape
-        assert evaluate(fp, test, free, it=t, loss=bg.loss).as_tuple() == tr.rows[t - 1].as_tuple()
+        rows.append(evaluate(fp, test, free, it=t, loss=bg.loss))
+    want = np.array([r.as_tuple() for r in rows[min(cfg.iterations, 1):]])
+    got = np.array([r.as_tuple() for r in tr.rows])
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    nan_fields = [METRIC_FIELDS.index(n) for n in ("kl", "v_dist", "f_dist", "beta", "gamma")]
+    assert np.isnan(got[:, nan_fields]).all() == (cfg.qa_task is not None)
 
 
 def test_population_structure_is_exact():
