@@ -27,9 +27,9 @@ where a dense W is built.  The batched path (`FactoredParams`,
 The batched softmax works on token masses: xs[k, b], the weight episode b
 puts on token k, is exp(t_k) G[k, b] / Z_b with G[k, b] the sum of the
 positional weights e_j = exp(zpos_j - max zpos) over the positions of b
-holding k.  G is one `bincount` over the cell index of the `Batch`, and
-f, l', dL/dV and dL/dW12 need only the K x B masses; D and the
-per-position attention need one gather each.
+holding k.  G is one `bincount` over the cell index of the `Batch`, or,
+for many iterates on one batch (`stacked_masses`), one gemm per token.
+f, l', dL/dV and dL/dW12 need only the K x B masses; D needs one gather.
 Where e underflows at a position that can still carry weight (token and
 positional logit ranges both beyond exp's), the same softmax runs on the
 dense (B, N) logits instead.
@@ -53,8 +53,8 @@ import numpy as np
 
 from .markov import TransitionMatrix
 
-__all__ = ["BatchGrad", "Geometry", "geometry", "FactoredParams",
-           "Batch", "TokenMasses", "token_masses", "attention", "grad_batch"]
+__all__ = ["BatchGrad", "Geometry", "geometry", "FactoredParams", "Batch", "TokenMasses",
+           "usual_form", "token_masses", "stacked_masses", "attention", "grad_batch"]
 
 
 @dataclass(frozen=True)
@@ -193,13 +193,22 @@ class TokenMasses:
             return self.e * np.take((self.rate * v).ravel(), batch.cell).sum(axis=0)
         return (self.S[:, :-1] * np.take(v.ravel(), batch.cell)).sum(axis=0)
 
-    def body(self, batch: Batch) -> np.ndarray:
-        """The body weights S_bj, j < N, as a (B, N-1) array."""
-        if self.S is not None:
-            return self.S[:, :-1]
-        body = np.take(self.rate.ravel(), batch.cell)
-        body *= self.e
-        return body
+
+def usual_form(fp: FactoredParams, geo: Geometry) -> bool:
+    """Whether `token_masses` at fp takes its usual form: every body e_j a
+    normal double and every logit sum finite.  Raises FloatingPointError
+    on non-finite positional logits."""
+    return _ranges(fp.wtok / geo.c[0], fp.zpos)[2]
+
+
+def _ranges(t: np.ndarray, zpos: np.ndarray) -> tuple[float, float, bool]:
+    """zmin, zmax and `usual_form` from the token and positional logits."""
+    zmin, zmax = float(zpos.min()), float(zpos.max())
+    if not (math.isfinite(zmin) and math.isfinite(zmax)):
+        raise FloatingPointError("non-finite attention logits")
+    return zmin, zmax, (zmax - float(zpos[:-1].min()) <= _EXP_NORMAL
+                        and math.isfinite(float(t.min()) + zmin)
+                        and math.isfinite(float(t.max()) + zmax))
 
 
 def token_masses(fp: FactoredParams, batch: Batch, geo: Geometry) -> TokenMasses:
@@ -214,14 +223,10 @@ def token_masses(fp: FactoredParams, batch: Batch, geo: Geometry) -> TokenMasses
     logits.
     """
     B, K = batch.states.shape[0], fp.V.shape[0]
-    zpos = fp.zpos
-    zmin, zmax = float(zpos.min()), float(zpos.max())
-    if not (math.isfinite(zmin) and math.isfinite(zmax)):
-        raise FloatingPointError("non-finite attention logits")
+    zpos, t = fp.zpos, fp.wtok / geo.c[0]
+    zmin, zmax, usual = _ranges(t, zpos)
     gap = zmax - zpos[:-1]
-    t = fp.wtok / geo.c[0]
-    tmin, tmax = float(t.min()), float(t.max())
-    if gap.max() > _EXP_NORMAL or not (math.isfinite(tmin + zmin) and math.isfinite(tmax + zmax)):
+    if not usual:
         # an e_j underflows or a sum is not finite: mask the absent tokens,
         # which never enter (a finite logit meets G = 0 below)
         t = np.where(batch.present(K), t, 0.0)
@@ -237,18 +242,51 @@ def token_masses(fp: FactoredParams, batch: Batch, geo: Geometry) -> TokenMasses
     w = np.empty(batch.cell.shape)
     w[:] = e  # e_j at every cell (b, j)
     G = np.bincount(batch.cell.ravel(), w.ravel(), minlength=K * B).reshape(K, B)
+    return _from_sums(G, t, zpos[-1] - zmax, e, np.empty((K, B)))
+
+
+def stacked_masses(fps: list[FactoredParams], tokens: np.ndarray, geo: Geometry,
+                   onehot: np.ndarray, G: np.ndarray, xs: np.ndarray) -> TokenMasses:
+    """`token_masses` of n iterates in their usual form on one batch, each
+    field with a leading axis of length n.  `tokens` holds the body tokens,
+    0-based and position-major (N-1, B); `onehot` (N-1, w <= B), G
+    (max(n, 2), K, B) and xs (n, K, B) are buffers.  G[:, k] = E @ C_k, a
+    gemm per token k and w columns with C_k its 0/1 matrix, adds in
+    increasing j as the `bincount` does, so the bits are `token_masses`';
+    E has two rows at least, as numpy would take one row by gemv."""
+    n = len(fps)
+    zpos = np.array([fp.zpos for fp in fps])
+    zmax = zpos.max(axis=1)
+    E = np.zeros((max(n, 2), zpos.shape[1] - 1))
+    np.exp(-(zmax[:, None] - zpos[:, :-1]), out=E[:n])
+    w = onehot.shape[1]  # C_k w columns at a time
+    for c in range(0, tokens.shape[1], w):
+        C = onehot[:, :tokens.shape[1] - c]
+        for k in range(G.shape[1]):
+            np.equal(tokens[:, c:c + w], k, out=C, casting="unsafe")
+            np.matmul(E, C, out=G[:len(E), k, c:c + w])
+    t = np.array([fp.wtok for fp in fps]) / geo.c[0]
+    return _from_sums(G[:n], t, zpos[:, -1] - zmax, E[:n], xs[:n])
+
+
+def _from_sums(G: np.ndarray, t: np.ndarray, zN: float | np.ndarray, e: np.ndarray,
+               xs: np.ndarray) -> TokenMasses:
+    """The masses, written into xs, from the positional sums G (..., K, B),
+    which rate overwrites, the token logits t (..., K), the query's
+    shifted logit zN (...) and the positional weights e."""
     occupied = G > 0
-    xs = np.log(G, out=np.full((K, B), -np.inf), where=occupied)
-    xs += t[:, None]  # the logits L = t + log G, -inf where G = 0
-    zN = zpos[-1] - zmax
-    r = np.maximum(xs.max(axis=0), zN)
-    xs -= r
+    xs[...] = -np.inf
+    np.log(G, out=xs, where=occupied)
+    xs += t[..., None]  # the logits L = t + log G, -inf where G = 0
+    zN = np.asarray(zN)[..., None]
+    r = np.maximum(xs.max(axis=-2), zN)
+    xs -= r[..., None, :]
     np.exp(xs, out=xs)
     sN = np.exp(zN - r)
-    Z = xs.sum(axis=0) + sN
-    xs /= Z
+    Z = xs.sum(axis=-2) + sN
+    xs /= Z[..., None, :]
     sN /= Z
-    rate = np.divide(xs, G, out=np.zeros((K, B)), where=occupied)
+    rate = np.divide(xs, G, out=G, where=occupied)  # G = 0 stays 0
     return TokenMasses(xs=xs, sN=sN, rate=rate, e=e, S=None)
 
 
@@ -271,7 +309,9 @@ def attention(fp: FactoredParams, batch: Batch, geo: Geometry) -> np.ndarray:
     """Attention weights S (B, N) of a batch, expanded from its token
     masses.  Raises FloatingPointError on non-finite logits."""
     m = token_masses(fp, batch, geo)
-    return np.column_stack((m.body(batch), m.sN))
+    if m.S is not None:
+        return m.S
+    return np.column_stack((np.take(m.rate.ravel(), batch.cell) * m.e, m.sN))
 
 
 def grad_batch(fp: FactoredParams, batch: Batch, geo: Geometry, eps: float,

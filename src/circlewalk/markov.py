@@ -96,7 +96,7 @@ class DecayBoundReport:
     K: int
     p: float
     R_max: int
-    max_violation: float = 0.0  # max(0, max over (i,j,R) of |entry - target| - bound)
+    max_violation: float = -np.inf  # max over (i,j,R) of |entry - target| - bound; < 0 inside
     parity_zero_exact: bool = True  # even K only; True when zeros are bit-exact
     max_row_sum_error: float = 0.0
     # repeated products leave ~1e-15 dust around the uniform limit, which can

@@ -6,28 +6,19 @@ exact population gradient in the deterministic-walk regime (p in {0,1},
 N = r*K + 1) where the K possible episodes can be enumerated and form both
 the training and the test batch.
 
-Training runs on the factored parameters (`FactoredParams`): V, the token
-logit vector wtok = W12 p^_N and the positional logits zpos = P^T W22
-p^_N / c, which are all that gradient descent changes (see `gradients`).
-The run builds its `Geometry` and its initial factors (`init_factors`)
-once, in O(M + N) from a zero init; the run forms no dense init block
-and no P.
-Every iteration is `grad_batch` + `step`, a guard against non-finite
-parameters, the test set's token masses (which a population run hands to
-the next `grad_batch`: it trains on its test batch) and a snapshot.  It
-takes the attention fields from the masses and writes f = V xs and V into
-(L, K, B) and (L, K, K) blocks; every L = min(T, max(1, 2^15 // (K B)))
-iterations (a block of f is at most 256 KiB) and at the end, one
-vectorised pass adds accuracy, KL, f_dist, v_dist, beta and gamma.
-Gradient and metrics come from the per-token attention masses: one
-iteration costs a few passes over each dataset's (B, N) cell index (the
-`bincount` of the positional weights, one gather for D and one for the
-attention fields), O(B*K) for the rest and O(K^2 + N) for the step;
-nothing of length M is touched.  Each dataset is one `Batch`, built once
-with its cell index (`make_test_batch` adds the test set's target
-constants); under `resample` each fresh training set is drawn into the
-states of the first and reindexed in place, so a run allocates its
-integer (B, N) arrays once.
+Training runs on the factored parameters V, wtok and zpos (see
+`gradients`), from a `Geometry` and initial factors (`init_factors`)
+built once in O(M + N); no dense block, no P and nothing of length M is
+formed.  Every iteration is `grad_batch` + `step` (O(K^2 + N)), a guard
+against non-finite parameters and a snapshot.  The test metrics come once
+per block of L = min(T, max(1, 2^16 // (K B))) iterations (`_Block`):
+`stacked_masses` takes the test set's masses of all L iterates at once,
+one gemm per token, and one vectorised pass adds accuracy, KL, f_dist,
+v_dist, beta and gamma.  A population run trains on its test batch, so it
+takes those masses every iteration, for the next gradient.  Each dataset
+is one `Batch`, built once with its cell index (`make_test_batch` adds
+the test set's target constants); under `resample` each fresh training
+set is drawn into the states of the first and reindexed in place.
 Snapshots are the factored parameters themselves (`params.bin` holds the
 last); the trace keeps the geometry and no dense block.
 """
@@ -43,7 +34,7 @@ import numpy as np
 
 from . import walkgen
 from .gradients import (Batch, BatchGrad, FactoredParams, Geometry, TokenMasses,
-                        geometry, grad_batch, token_masses)
+                        geometry, grad_batch, stacked_masses, token_masses, usual_form)
 from .markov import decompose_v, transition_matrix
 from .posembed import positional_times
 from .walkgen import WalkConfig, make_dataset, enumerate_deterministic
@@ -238,62 +229,129 @@ def first_step_oracle_v(cfg: TrainConfig) -> np.ndarray:
     return cfg.eta / (cfg.eps * wc.N * wc.K) * acc
 
 
-# f = V xs entries in a block of metrics rows (256 KiB): L = 910 at B = 6, 5 at B = 1000
-_BLOCK_ELEMENTS = 2 ** 15
+# f = V xs entries in a block of metrics rows (512 KiB): L = 1820 at B = 6, 10 at B = 1000
+_BLOCK_ELEMENTS = 2 ** 16
+# attn_other_max reads the body positions of the largest e_j first
+_TOP = 16
+
+
+class _Block:
+    """The test metrics of up to L iterations, taken at once by `flush`
+    through `stacked_masses`.  An iterate whose masses `add` is given (a
+    population run's), or in `token_masses`' rare form, gets f and its
+    attention fields at once.  No iteration allocates a test-set array."""
+
+    def __init__(self, test: Batch, geo: Geometry, K: int, L: int):
+        self.test, self.geo, self.heads, self.waiting = test, geo, [], []
+        self.f, self.V, self.xs = np.empty((L, K, len(test.y))), np.empty((L, K, K)), None
+        self._buffers()
+
+    def _buffers(self) -> None:
+        """Position-major tokens, C_k 128 columns at a time (a one-hot of the
+        whole (N-1, B) made short runs fault), G and xs."""
+        (B, N), (L, K) = self.test.states.shape, self.f.shape[:2]
+        self.tokens = np.empty((N - 1, B), np.min_scalar_type(K - 1))
+        np.subtract(self.test.states[:, :-1].T, 1, out=self.tokens, casting="unsafe")
+        self.onehot, self.G = np.empty((N - 1, min(B, 128))), np.empty((max(L, 2), K, B))
+        self.xs = np.empty((L, K, B))
+
+    def add(self, fp: FactoredParams, it: int, loss: float,
+            masses: TokenMasses | None = None) -> bool:
+        """Keep iterate `it`; True when the block is full."""
+        n = len(self.heads)
+        self.V[n] = fp.V
+        if masses is None and usual_form(fp, self.geo):
+            self.waiting.append((n, fp))
+            self.heads.append((it, loss))
+        else:  # a population run's few episodes, or the rare form: read the whole body
+            m = masses or token_masses(fp, self.test, self.geo)
+            np.matmul(fp.V, m.xs, out=self.f[n])
+            body = m.S[:, :-1] if m.S is not None else np.take(m.rate.ravel(), self.test.cell) * m.e
+            w, other = self.test.weights, body[:, :-1].max(axis=1, initial=0.0)
+            self.heads.append((it, loss, float(w @ body[:, -1]), float(w @ np.maximum(other, m.sN))))
+        return n + 1 == len(self.f)
+
+    def flush(self) -> list[MetricsRow]:
+        if self.waiting:
+            m = stacked_masses([fp for _, fp in self.waiting], self.tokens, self.geo,
+                               self.onehot, self.G, self.xs)
+            for i, (n, fp) in enumerate(self.waiting):
+                np.matmul(fp.V, m.xs[i], out=self.f[n])
+                self.heads[n] += self._fields(m.rate[i], m.e[i], m.sN[i])
+        n, heads, self.heads, self.waiting = len(self.heads), self.heads, [], []
+        return _block_rows(self.test, self.f[:n], self.V[:n], heads, self.xs[:n])
+
+    def _fields(self, rate: np.ndarray, e: np.ndarray, sN: np.ndarray) -> tuple[float, float]:
+        """attn_parent and attn_other_max of S_bj = rate[s_bj, b] e_j without
+        the body: the `_TOP` positions of largest e_j, and all of b's only
+        where max_k rate[k, b] times the next e_j could exceed those."""
+        B, flat, cell = len(sN), rate.ravel(), self.test.cell
+        parent = np.empty((B, 2))  # strided, so BLAS sums it as the body column it was
+        np.multiply(np.take(flat, cell[:, -1]), e[-1], out=parent[:, 0])
+        e = e[:-1]
+        top, rest = np.arange(e.size), 0.0
+        if e.size > _TOP:
+            order = np.argpartition(e, e.size - _TOP - 1)
+            top, rest = order[-_TOP:], e[order[-_TOP - 1]]
+        index = self.tokens[top].astype(np.intp)
+        index *= B
+        index += np.arange(B)
+        other = (np.take(flat, index) * e[top, None]).max(axis=0, initial=0.0)
+        below = np.flatnonzero(other < rate.max(axis=0) * rest)
+        other[below] = (np.take(flat, cell[below, :-1]) * e).max(axis=1, initial=0.0)
+        w = self.test.weights
+        return float(w @ parent[:, 0]), float(w @ np.maximum(other, sN))
 
 
 def evaluate(fp: FactoredParams, test: Batch, geo: Geometry, it: int = 0,
-             loss: float = float("nan"), masses: TokenMasses | None = None) -> MetricsRow:
+             loss: float = float("nan")) -> MetricsRow:
     """Test-set metrics: accuracy, KL and f_dist from f = V xs, the
     attention fields from the body weights S_bj; the matrix-comparison
     fields are NaN when the batch carries no transition matrix (QA tasks)
-    or a norm vanishes (zero init).  `masses` is the test set's
-    `token_masses` at `fp`, computed here when not given.  A block of one
-    through `train`'s once-per-block pass, so the row has the trainer's bits."""
-    m = token_masses(fp, test, geo) if masses is None else masses
-    return _block_rows(test, (fp.V @ m.xs)[None], fp.V[None], [_head(test, m, it, loss)])[0]
+    or a norm vanishes (zero init).  A block of one through `train`'s
+    block pass, so the row has the trainer's bits."""
+    block = _Block(test, geo, fp.V.shape[0], 1)
+    block.add(fp, it, loss)
+    return block.flush()[0]
 
 
-def _head(test: Batch, m: TokenMasses, it: int, loss: float) -> tuple:
-    """The fields of a row that read the masses: (iter, loss, attn_parent,
-    attn_other_max), the last two from the body weights S_bj."""
-    weights, body = test.weights, m.body(test)
-    return (it, loss, float(weights @ body[:, -1]),
-            float(weights @ np.maximum(body[:, :-1].max(axis=1), m.sN)))
-
-
-def _block_rows(test: Batch, f: np.ndarray, V: np.ndarray, heads: list) -> list[MetricsRow]:
-    """The rows of n iterations from their f = V xs (n, K, B), V (n, K, K)
-    and `_head`s.  Each sum over the batch is one dot per row (`vecdot`),
-    so a row has the same bits whatever n."""
+def _block_rows(test: Batch, f: np.ndarray, V: np.ndarray, heads: list,
+                work: np.ndarray) -> list[MetricsRow]:
+    """The rows of n iterations from their f = V xs (n, K, B), which this
+    overwrites, V (n, K, K) and heads (iter, loss, attn_parent,
+    attn_other_max); `work` is an (n, K, B) buffer.  Each sum over the batch
+    is one dot per row (`vecdot`), so a row has the same bits whatever n."""
     accuracy = np.count_nonzero(f.argmax(axis=1) == test.y, axis=1) / len(test.y)  # first-max tie rule
     kl = v_dist = f_dist = beta = gamma = np.full(len(heads), np.nan)
     if test.tm is not None:
         q, weights = test.q, test.weights
-        fm = np.maximum(f, 0.0)
+        fm = np.maximum(f, 0.0, out=work)
         fm += 1e-12
         fm /= fm.sum(axis=1, keepdims=True)
         # where q = 0, q_safe = 1 and fm > 0, so the term is 0 * log(1 / fm) = +0
-        kl = np.vecdot((q * np.log(test.q_safe / fm)).sum(axis=1), weights)
-        fu = _unit(f, axis=1)
+        np.log(np.divide(test.q_safe, fm, out=fm), out=fm)
+        fm *= q
+        kl = np.vecdot(fm.sum(axis=1), weights)
+        fu = _unit(f, 1, work)
         fu -= q
-        f_dist = np.vecdot(np.sqrt((fu * fu).sum(axis=1)), weights)
-        vu = _unit(V, axis=(1, 2))
+        f_dist = np.vecdot(np.sqrt(np.square(fu, out=work).sum(axis=1)), weights)
+        beta, gamma = decompose_v(V, test.tm.Pi)
+        vu = _unit(V.copy(), (1, 2), np.empty(V.shape))
         vu -= test.pit_unit
         v_dist = np.sqrt((vu * vu).sum(axis=(1, 2)))
-        beta, gamma = decompose_v(V, test.tm.Pi)
     cols = zip(*(x.tolist() for x in (accuracy, kl, v_dist, f_dist, beta, gamma)))
     return [MetricsRow(it, loss, acc, k, vd, fd, ap, am, b, g)
             for (it, loss, ap, am), (acc, k, vd, fd, b, g) in zip(heads, cols)]
 
 
-def _unit(x: np.ndarray, axis) -> np.ndarray:
-    """x over its l2 norm along `axis`, NaN where that norm is 0; x is
-    scaled by its max-abs first, so its sum of squares cannot overflow."""
-    scale = np.abs(x).max(axis=axis, keepdims=True)
+def _unit(x: np.ndarray, axis, work: np.ndarray) -> np.ndarray:
+    """x over its l2 norm along `axis`, in place, NaN where that norm is 0;
+    x is scaled by its max-abs first, so its sum of squares cannot
+    overflow.  `work` is a buffer of x's shape."""
+    scale = np.abs(x, out=work).max(axis=axis, keepdims=True)
     scale[scale == 0.0] = np.nan  # 0 / NaN is a quiet NaN: no warning
-    x = x / scale
-    x /= np.sqrt((x * x).sum(axis=axis, keepdims=True))
+    x /= scale
+    x /= np.sqrt(np.square(x, out=work).sum(axis=axis, keepdims=True))
     return x
 
 
@@ -336,8 +394,8 @@ def train(cfg: TrainConfig) -> TrainTrace:
         return trace
 
     schedule = cfg.snapshot_schedule()
-    # a population run trains on its test batch, so the masses evaluate
-    # takes at fp are the next gradient's; under resample every iteration
+    # a population run trains on its test batch, so the test masses at fp
+    # are the next gradient's (other runs take them once per block); under resample every iteration
     # draws its own training set, into the arrays of the first
     if cfg.grad_mode == POPULATION:
         batch = test
@@ -347,25 +405,20 @@ def train(cfg: TrainConfig) -> TrainTrace:
     else:
         batch = Batch.of(_episodes(cfg, cfg.train_size, cfg.seeds["train"]), wc.K)
     K, B = wc.K, len(test.y)
-    L = min(cfg.iterations, max(1, _BLOCK_ELEMENTS // (K * B)))
-    f, V, heads = np.empty((L, K, B)), np.empty((L, K, K)), []
+    block = _Block(test, geo, K, min(cfg.iterations, max(1, _BLOCK_ELEMENTS // (K * B))))
     masses = None
     for t in range(1, cfg.iterations + 1):
         if cfg.resample and t > 1:
             make_dataset(wc, cfg.train_size, rng=resample_rng, out=batch.states)
             batch.reindex()
-        bg = grad_batch(fp, batch, geo, cfg.eps, masses if batch is test else None)
+        bg = grad_batch(fp, batch, geo, cfg.eps, masses)
         fp = step(fp, bg, cfg.eta, geo)
         trace.lprimes.append(bg.lprime_mean)
         _check_finite(fp, t)
-        masses = token_masses(fp, test, geo)
-        n = len(heads)
-        np.matmul(fp.V, masses.xs, out=f[n])
-        V[n] = fp.V
-        heads.append(_head(test, masses, t, bg.loss))
-        if n + 1 == L or t == cfg.iterations:
-            trace.rows += _block_rows(test, f[:n + 1], V[:n + 1], heads)
-            heads = []
+        if batch is test:
+            masses = token_masses(fp, test, geo)
+        if block.add(fp, t, bg.loss, masses) or t == cfg.iterations:
+            trace.rows += block.flush()
         if t in schedule:
             trace.snapshots[t] = fp
     return trace

@@ -63,7 +63,12 @@ def test_eigen_action_residuals_vanish():
 def test_decay_bound_report_passes_and_rejects_deterministic():
     rep = decay_bound_report(7, 0.4, 100)
     assert isinstance(rep, DecayBoundReport)
-    assert rep.passed and rep.max_violation <= 0.0
+    # the margin is recorded as it is, negative inside the bound, not floored at 0
+    Pi = transition_matrix(7, 0.4).Pi
+    margin = max(np.abs(np.linalg.matrix_power(Pi, R) - 1 / 7).max()
+                 - np.exp(-8 * 0.4 * 0.6 * R / 49) for R in range(101))
+    assert rep.passed and rep.max_violation < 0.0
+    assert abs(rep.max_violation - margin) <= 1e-12
     assert rep.max_row_sum_error <= 1e-12
     with pytest.raises(ValueError):
         decay_bound_report(6, 1.0, 10)

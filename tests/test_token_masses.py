@@ -7,8 +7,10 @@ import dataclasses
 import numpy as np
 import pytest
 
+from circlewalk import gradients, trainer
+from circlewalk.cli import RECIPES
 from circlewalk.gradients import (Batch, FactoredParams, attention, geometry, grad_batch,
-                                  token_masses)
+                                  stacked_masses, token_masses, usual_form)
 from circlewalk.markov import decompose_v, transition_matrix
 from circlewalk.model import (Params, dense_params, factor, forward, grad_example,
                               tokens_from_states)
@@ -160,6 +162,72 @@ def test_trained_with_huge_step_sizes(eta, normalize):
 
 
 @pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("eta", [1e3, 1e300])
+def test_rows_at_huge_step_sizes_are_the_per_step_rows(monkeypatch, eta, normalize):
+    # the settings above, for six iterations in blocks of four: without
+    # normalization (and at 1e300 with it) t = 1 is in the usual form and
+    # later iterates take token_masses' rare one, so a block mixes stacked
+    # and rare iterates; each row is still evaluate's bit for bit
+    monkeypatch.setattr(trainer, "_BLOCK_ELEMENTS", 4 * K * 16)
+    cfg = TrainConfig(K=K, p=0.5, N=N, M=M, eta=eta, iterations=6, train_size=16,
+                      test_size=16, normalize_attention=normalize, seed=3)
+    trace = train(cfg)
+    geo, test = trace.geometry, trainer.make_test_batch(cfg)
+    batch = Batch.of(make_dataset(cfg.walk_config(), 16, seed=cfg.seed), K)
+    fp, want, usual = trace.snapshots[0], [], []
+    for t in range(1, cfg.iterations + 1):
+        bg = grad_batch(fp, batch, geo, cfg.eps)
+        fp = trainer.step(fp, bg, cfg.eta, geo)
+        usual.append(usual_form(fp, geo))
+        want.append(evaluate(fp, test, geo, it=t, loss=bg.loss).as_tuple())
+    got = np.array([r.as_tuple() for r in trace.rows])
+    assert got.tobytes() == np.array(want).tobytes()
+    if eta == 1e300 or not normalize:
+        assert usual == [True] + [False] * 5
+
+
+def _old_fields(test, m):
+    """attn_parent and attn_other_max as read from the (B, N-1) body."""
+    body = m.S[:, :-1] if m.S is not None else np.take(m.rate.ravel(), test.cell) * m.e
+    return (float(test.weights @ body[:, -1]),
+            float(test.weights @ np.maximum(body[:, :-1].max(axis=1), m.sN)))
+
+
+@pytest.mark.parametrize("recipe", ["fig4-zero-init-p05", "fig6-random-init-p05", "fig7-task1"])
+def test_stacked_masses_are_token_masses_bit_for_bit(monkeypatch, recipe):
+    # G (gemm per token against bincount), xs, sN and both attention fields
+    # of the block path against token_masses and the formulas over the
+    # whole body, at every snapshot of a study-scale run, stacked one, two
+    # and L at a time.  This pins the BLAS summation order of both G and
+    # attn_parent's dot
+    cfg = TrainConfig(**RECIPES[recipe])
+    trace = train(cfg)
+    geo, test = trace.geometry, trainer.make_test_batch(cfg)
+    K, B = cfg.walk_config().K, len(test.y)
+    L = trainer._BLOCK_ELEMENTS // (K * B)
+    block = trainer._Block(test, geo, K, L)
+    sums, real = [], gradients._from_sums
+    monkeypatch.setattr(gradients, "_from_sums",
+                        lambda G, *args: sums.append(G.copy()) or real(G, *args))
+    fps = [trace.snapshots[t] for t in sorted(trace.snapshots)]
+    assert all(usual_form(fp, geo) for fp in fps)
+    want = []
+    for fp in fps:
+        m = token_masses(fp, test, geo)
+        want.append((sums.pop(), m.xs, m.sN, _old_fields(test, m)))
+    for n in (1, 2, L):
+        for start in range(0, len(fps), n):
+            m = stacked_masses(fps[start:start + n], block.tokens, geo, block.onehot,
+                               block.G, block.xs)
+            G = sums.pop()
+            for i in range(len(G)):
+                G_i, xs, sN, fields = want[start + i]
+                assert G[i].tobytes() == G_i.tobytes(), (n, start + i)
+                assert m.xs[i].tobytes() == xs.tobytes() and m.sN[i].tobytes() == sN.tobytes()
+                assert block._fields(m.rate[i], m.e[i], m.sN[i]) == fields, (n, start + i)
+
+
+@pytest.mark.parametrize("normalize", [False, True])
 def test_tokens_absent_from_the_batch(normalize):
     # one QA question uses 13 of the 19 words; the others get huge token
     # logits, which must not reach the softmax, nor push it off the
@@ -224,21 +292,21 @@ def test_reindex_after_drawing_into_the_states_is_a_fresh_batch():
     assert all(a is b for a, b in zip(arrays, (batch.states, batch.y, batch.cell)))
 
 
-def test_body_weights_outlive_later_passes_over_the_batch():
-    # the body weights are the caller's: neither a later gather over the
-    # same batch nor a later token_masses on it writes into them
+def test_attention_weights_outlive_later_passes_over_the_batch():
+    # the weights S are the caller's: neither a later gather over the same
+    # batch nor a later token_masses or attention on it writes into them
     rng = np.random.default_rng(5)
     batch = Batch.of(make_dataset(WalkConfig(K=K, p=0.4, N=N, M=M), 30, seed=1), K)
     geo = geometry(M, N)
     fp = FactoredParams(V=rng.uniform(0.1, 1.0, (K, K)), wtok=rng.standard_normal(K),
                         zpos=rng.standard_normal(N))
-    m = token_masses(fp, batch, geo)
-    body = m.body(batch)
-    kept = body.copy()
-    m.position_sums(batch, rng.standard_normal((K, 30)))
-    token_masses(dataclasses.replace(fp, zpos=rng.standard_normal(N)), batch, geo)
-    np.testing.assert_array_equal(body, kept)
-
+    S = attention(fp, batch, geo)
+    kept = S.copy()
+    token_masses(fp, batch, geo).position_sums(batch, rng.standard_normal((K, 30)))
+    later = dataclasses.replace(fp, zpos=rng.standard_normal(N))
+    token_masses(later, batch, geo)
+    attention(later, batch, geo)
+    np.testing.assert_array_equal(S, kept)
 
 
 def _count_present(monkeypatch):

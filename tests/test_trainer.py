@@ -196,14 +196,17 @@ def test_population_run_matches_dense_gradients():
                                            err_msg=f"{name} at t={t}, normalize={normalize}")
 
 
-# runs whose rows `test_iterations_never_read_p` rebuilds one by one; at
-# K = B = 6 a block holds L = 910 iterations, so 2 L + 3 crosses two block
-# boundaries and ends on a partial block; QA's V has 19^2 entries < M
+# runs whose rows `test_iterations_never_read_p` rebuilds one by one, with
+# `trainer._BLOCK_ELEMENTS` patched down to SMALL_BLOCK: at K = B = 6 a
+# block then holds 14 iterations, so 2 L + 3 crosses two block boundaries
+# and ends on a partial block; QA's V has 19^2 entries < M, and its blocks
+# hold one iteration each
+SMALL_BLOCK = 2 ** 9
 ITERATION_RUNS = {
     "empirical": dict(K=4, p=0.5, N=13, iterations=4),
     "population": dict(K=4, p=1.0, N=13, iterations=4, grad_mode="population"),
-    "population-blocks": dict(K=6, p=1.0, N=13, iterations=2 * 910 + 3, eta=0.5,
-                              grad_mode="population"),
+    "population-blocks": dict(K=6, p=1.0, N=13, iterations=2 * (SMALL_BLOCK // 36) + 3,
+                              eta=0.5, grad_mode="population"),
     "qa": dict(qa_task="task1", M=400, iterations=4),
     "no-iterations": dict(K=4, p=0.5, N=13, iterations=0),
 }
@@ -220,10 +223,16 @@ def test_iterations_never_read_p(monkeypatch, run, normalize):
                       test_size=16)
     real, blocks = trainer._block_rows, []
     with monkeypatch.context() as patch:
+        patch.setattr(trainer, "_BLOCK_ELEMENTS", SMALL_BLOCK)
         patch.setattr(trainer, "_block_rows",
-                      lambda test, f, V, heads: blocks.append(len(heads)) or real(test, f, V, heads))
+                      lambda test, f, V, heads, work: blocks.append(len(heads))
+                      or real(test, f, V, heads, work))
         tr = train(cfg)
-    assert blocks == ([910, 910, 3] if run == "population-blocks" else [max(cfg.iterations, 1)])
+    K, B, T = cfg.walk_config().K, len(trainer.make_test_batch(cfg).y), cfg.iterations
+    L = max(1, SMALL_BLOCK // (K * B))
+    assert blocks == ([L] * (T // L) + [T % L] if T % L else [L] * (T // L)) if T else [1]
+    if run == "population-blocks":
+        assert blocks == [L, L, 3]
     geo = tr.geometry
     fp = tr.snapshots[0]
     free = dataclasses.replace(geo, pnh=None)
@@ -387,3 +396,46 @@ def test_a_run_keeps_its_training_arrays_across_iterations(monkeypatch, resample
         tracemalloc.stop()
     assert len(held) == cfg.iterations and all(same), same
     assert held[-1] - held[1] < 1000 * 96 * 8, held
+
+
+def test_iterations_between_block_boundaries_allocate_no_test_set_array(monkeypatch):
+    # 1000 test episodes of N = 97 against 16 training ones: no iteration
+    # that ends inside a block allocates B (N-1) = 96,000 bytes above what
+    # it started with, so no array of as many elements, of any dtype; the
+    # test set's attention waits for the block boundary
+    cfg = TrainConfig(K=6, p=0.5, N=97, M=1000, iterations=25, train_size=16)
+    real_grad, real_rows = trainer.grad_batch, trainer._block_rows
+    starts, excess, boundaries = [], [], []
+
+    def marked(*args, **kwargs):
+        current, peak = tracemalloc.get_traced_memory()
+        if starts:
+            excess.append(peak - starts[-1])
+        starts.append(current)
+        tracemalloc.reset_peak()
+        return real_grad(*args, **kwargs)
+
+    def rows(*args):
+        boundaries.append(len(starts))
+        return real_rows(*args)
+
+    monkeypatch.setattr(trainer, "grad_batch", marked)
+    monkeypatch.setattr(trainer, "_block_rows", rows)
+    tracemalloc.start()
+    try:
+        train(cfg)
+    finally:
+        tracemalloc.stop()
+    L = trainer._BLOCK_ELEMENTS // (6 * 1000)
+    assert boundaries == [L, 2 * L, cfg.iterations]
+    inside = [x for t, x in enumerate(excess, start=1) if t not in boundaries]
+    assert len(inside) == cfg.iterations - 1 - 2 and max(inside) < 1000 * 96, excess
+
+
+def test_a_body_of_one_position_trains():
+    # at N = 2 the parent is the whole body, so attn_other_max is the
+    # query's weight alone and the two fields split the softmax
+    for T in (0, 3):
+        tr = train(TrainConfig(K=3, p=0.5, N=2, M=4, iterations=T, train_size=5, test_size=5))
+        for r in tr.rows:
+            assert r.attn_parent + r.attn_other_max == pytest.approx(1.0, abs=1e-15)
