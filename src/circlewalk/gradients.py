@@ -27,12 +27,13 @@ where a dense W is built.  The batched path (`FactoredParams`,
 The batched softmax works on token masses: xs[k, b], the weight episode b
 puts on token k, is exp(t_k) G[k, b] / Z_b with G[k, b] the sum of the
 positional weights e_j = exp(zpos_j - max zpos) over the positions of b
-holding k.  G is one `bincount` over the cell index of the `Batch`, or,
-for many iterates on one batch (`stacked_masses`), one gemm per token.
-f, l', dL/dV and dL/dW12 need only the K x B masses; D needs one gather.
-Where e underflows at a position that can still carry weight (token and
-positional logit ranges both beyond exp's), the same softmax runs on the
-dense (B, N) logits instead.
+holding k.  G is one `bincount` over the cell index of the `Batch`, or
+one gemm per token for the stacked wtok and zpos of many iterates on one
+batch (`stacked_masses`, the trainer's test metrics).  f, l', dL/dV and
+dL/dW12 need only the K x B masses; D needs one gather.  Where e
+underflows at a position that can still carry weight (token and
+positional logit ranges both beyond exp's: not `usual_form`), the same
+softmax runs on the dense (B, N) logits instead.
 
 c, p^_N and the step sizes of the logit vectors are fixed for a run, so
 `geometry` builds them once, in O(M + N), into a `Geometry` that every
@@ -59,7 +60,7 @@ __all__ = ["BatchGrad", "Geometry", "geometry", "FactoredParams", "Batch", "Toke
 
 @dataclass(frozen=True)
 class BatchGrad:
-    """Uniform-average gradient over a batch plus per-example diagnostics.
+    """Uniform-average gradient over a batch, its loss and its mean l'.
 
     dL/dW12 = a p^_N^T and dL/dW22 = (P D) p^_N^T; only a and D are kept,
     and dL/dW11 = dL/dW21 = 0.
@@ -70,7 +71,6 @@ class BatchGrad:
     D: np.ndarray  # (N,)
     loss: float
     lprime_mean: float
-    lprimes: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -194,21 +194,21 @@ class TokenMasses:
         return (self.S[:, :-1] * np.take(v.ravel(), batch.cell)).sum(axis=0)
 
 
-def usual_form(fp: FactoredParams, geo: Geometry) -> bool:
+def usual_form(fp: FactoredParams, geo: Geometry) -> np.ndarray:
     """Whether `token_masses` at fp takes its usual form: every body e_j a
-    normal double and every logit sum finite.  Raises FloatingPointError
-    on non-finite positional logits."""
+    normal double and every logit finite, and so every logit sum; one flag
+    per iterate where fp's arrays carry a leading axis of iterates."""
     return _ranges(fp.wtok / geo.c[0], fp.zpos)[2]
 
 
-def _ranges(t: np.ndarray, zpos: np.ndarray) -> tuple[float, float, bool]:
-    """zmin, zmax and `usual_form` from the token and positional logits."""
-    zmin, zmax = float(zpos.min()), float(zpos.max())
-    if not (math.isfinite(zmin) and math.isfinite(zmax)):
-        raise FloatingPointError("non-finite attention logits")
-    return zmin, zmax, (zmax - float(zpos[:-1].min()) <= _EXP_NORMAL
-                        and math.isfinite(float(t.min()) + zmin)
-                        and math.isfinite(float(t.max()) + zmax))
+def _ranges(t: np.ndarray, zpos: np.ndarray) -> tuple:
+    """zmin, zmax and `usual_form` from the token and positional logits,
+    over their leading axes."""
+    zmin, zmax = zpos.min(axis=-1), zpos.max(axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: not usual
+        return zmin, zmax, ((zmax - zpos[..., :-1].min(axis=-1) <= _EXP_NORMAL)
+                            & np.isfinite(t.min(axis=-1) + zmin)
+                            & np.isfinite(t.max(axis=-1) + zmax))
 
 
 def token_masses(fp: FactoredParams, batch: Batch, geo: Geometry) -> TokenMasses:
@@ -225,37 +225,37 @@ def token_masses(fp: FactoredParams, batch: Batch, geo: Geometry) -> TokenMasses
     B, K = batch.states.shape[0], fp.V.shape[0]
     zpos, t = fp.zpos, fp.wtok / geo.c[0]
     zmin, zmax, usual = _ranges(t, zpos)
-    gap = zmax - zpos[:-1]
     if not usual:
         # an e_j underflows or a sum is not finite: mask the absent tokens,
         # which never enter (a finite logit meets G = 0 below)
         t = np.where(batch.present(K), t, 0.0)
         tmin, tmax = float(t.min()), float(t.max())
-        if not (math.isfinite(tmin + zmin) and math.isfinite(tmax + zmax)):
+        if not (math.isfinite(tmin + float(zmin)) and math.isfinite(tmax + float(zmax))):
             raise FloatingPointError("non-finite attention logits")
         # dense where some e_j underflows at a position the tokens can make heavy
+        gap = zmax - zpos[:-1]
         far = gap[gap > _EXP_NORMAL]
         if far.size and far.min() < max(tmax, 0.0) - min(tmin, 0.0) + _NEGLIGIBLE:
             return _dense_masses(t, zpos, batch)
 
-    e = np.exp(-gap)
+    e = np.exp(zpos[:-1] - zmax)  # = exp(-(zmax - zpos)) bit for bit
     w = np.empty(batch.cell.shape)
     w[:] = e  # e_j at every cell (b, j)
     G = np.bincount(batch.cell.ravel(), w.ravel(), minlength=K * B).reshape(K, B)
     return _from_sums(G, t, zpos[-1] - zmax, e, np.empty((K, B)))
 
 
-def stacked_masses(fps: list[FactoredParams], tokens: np.ndarray, geo: Geometry,
+def stacked_masses(wtok: np.ndarray, zpos: np.ndarray, tokens: np.ndarray, geo: Geometry,
                    onehot: np.ndarray, G: np.ndarray, xs: np.ndarray) -> TokenMasses:
-    """`token_masses` of n iterates in their usual form on one batch, each
+    """`token_masses` of n iterates in their usual form on one batch, from
+    their token logits wtok (n, K) and positional logits zpos (n, N), each
     field with a leading axis of length n.  `tokens` holds the body tokens,
     0-based and position-major (N-1, B); `onehot` (N-1, w <= B), G
     (max(n, 2), K, B) and xs (n, K, B) are buffers.  G[:, k] = E @ C_k, a
     gemm per token k and w columns with C_k its 0/1 matrix, adds in
     increasing j as the `bincount` does, so the bits are `token_masses`';
     E has two rows at least, as numpy would take one row by gemv."""
-    n = len(fps)
-    zpos = np.array([fp.zpos for fp in fps])
+    n = len(zpos)
     zmax = zpos.max(axis=1)
     E = np.zeros((max(n, 2), zpos.shape[1] - 1))
     np.exp(-(zmax[:, None] - zpos[:, :-1]), out=E[:n])
@@ -265,8 +265,7 @@ def stacked_masses(fps: list[FactoredParams], tokens: np.ndarray, geo: Geometry,
         for k in range(G.shape[1]):
             np.equal(tokens[:, c:c + w], k, out=C, casting="unsafe")
             np.matmul(E, C, out=G[:len(E), k, c:c + w])
-    t = np.array([fp.wtok for fp in fps]) / geo.c[0]
-    return _from_sums(G[:n], t, zpos[:, -1] - zmax, E[:n], xs[:n])
+    return _from_sums(G[:n], wtok / geo.c[0], zpos[:, -1] - zmax, E[:n], xs[:n])
 
 
 def _from_sums(G: np.ndarray, t: np.ndarray, zN: float | np.ndarray, e: np.ndarray,
@@ -314,12 +313,10 @@ def attention(fp: FactoredParams, batch: Batch, geo: Geometry) -> np.ndarray:
     return np.column_stack((np.take(m.rate.ravel(), batch.cell) * m.e, m.sN))
 
 
-def grad_batch(fp: FactoredParams, batch: Batch, geo: Geometry, eps: float,
-               masses: TokenMasses | None = None) -> BatchGrad:
-    """Uniform-average gradient over a batch of episodes; `masses` is its
-    `token_masses` at `fp`, computed here when not given.
+def grad_batch(fp: FactoredParams, batch: Batch, geo: Geometry, eps: float) -> BatchGrad:
+    """Uniform-average gradient over a batch of episodes.
 
-    From the token masses, with wl = l' / B: f_b = V xs_b,
+    From its token masses at fp, with wl = l' / B: f_b = V xs_b,
     gV = sum_b wl_b e_{y_b} xs_b^T, a = sum_b wl_b xs_b * (V[y_b] - f_{y,b})
     / c_body, and D_j = sum_b wl_b S_bj (V[y_b, s_bj] - f_{y,b}) / c_j,
     whose body part is one gather and one column sum.  Raises ValueError
@@ -328,7 +325,7 @@ def grad_batch(fp: FactoredParams, batch: Batch, geo: Geometry, eps: float,
     B, N = batch.states.shape
     K = fp.V.shape[0]
     y, weights = batch.y, batch.weights
-    m = token_masses(fp, batch, geo) if masses is None else masses
+    m = token_masses(fp, batch, geo)
 
     f_y = (fp.V @ m.xs)[y, np.arange(B)]
     arg = f_y + eps
@@ -347,4 +344,4 @@ def grad_batch(fp: FactoredParams, batch: Batch, geo: Geometry, eps: float,
     D[:-1] = m.position_sums(batch, g) / geo.c[:-1]
     D[-1] = -(wl * m.sN) @ f_y / geo.c[-1]  # the query token is zero, so q_N = 0
     return BatchGrad(gV=gV, a=a, D=D, loss=float(weights @ losses),
-                     lprime_mean=float(weights @ lp), lprimes=lp)
+                     lprime_mean=float(weights @ lp))

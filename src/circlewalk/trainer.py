@@ -10,15 +10,15 @@ Training runs on the factored parameters V, wtok and zpos (see
 `gradients`), from a `Geometry` and initial factors (`init_factors`)
 built once in O(M + N); no dense block, no P and nothing of length M is
 formed.  Every iteration is `grad_batch` + `step` (O(K^2 + N)), a guard
-against non-finite parameters and a snapshot.  The test metrics come once
-per block of L = min(T, max(1, 2^16 // (K B))) iterations (`_Block`):
-`stacked_masses` takes the test set's masses of all L iterates at once,
-one gemm per token, and one vectorised pass adds accuracy, KL, f_dist,
-v_dist, beta and gamma.  A population run trains on its test batch, so it
-takes those masses every iteration, for the next gradient.  Each dataset
-is one `Batch`, built once with its cell index (`make_test_batch` adds
-the test set's target constants); under `resample` each fresh training
-set is drawn into the states of the first and reindexed in place.
+against non-finite parameters and a snapshot.  The test metrics of every
+run come once per block of L = min(T, max(1, 2^16 // (K max(B, N))))
+iterations (`_Block`): `stacked_masses` takes the test set's masses of
+all L iterates at once, one gemm per token (`token_masses` those of an
+iterate in its rare form), and one vectorised pass adds accuracy, KL,
+f_dist, v_dist, beta and gamma.  Each dataset is one `Batch`, built once
+with its cell index (`make_test_batch` adds the test set's target
+constants); under `resample` each fresh training set is drawn into the
+states of the first and reindexed in place.
 Snapshots are the factored parameters themselves (`params.bin` holds the
 last); the trace keeps the geometry and no dense block.
 """
@@ -229,78 +229,84 @@ def first_step_oracle_v(cfg: TrainConfig) -> np.ndarray:
     return cfg.eta / (cfg.eps * wc.N * wc.K) * acc
 
 
-# f = V xs entries in a block of metrics rows (512 KiB): L = 1820 at B = 6, 10 at B = 1000
+# entries of f = V xs, and of K zpos, in a block of rows: L = 112 at B = 6, N = 97; 10 at B = 1000
 _BLOCK_ELEMENTS = 2 ** 16
 # attn_other_max reads the body positions of the largest e_j first
 _TOP = 16
 
 
 class _Block:
-    """The test metrics of up to L iterations, taken at once by `flush`
-    through `stacked_masses`.  An iterate whose masses `add` is given (a
-    population run's), or in `token_masses`' rare form, gets f and its
-    attention fields at once.  No iteration allocates a test-set array."""
+    """The test metrics of up to L iterations, taken at once by `flush`:
+    each run of iterates in `token_masses`' usual form through
+    `stacked_masses` and `_fields`, any other iterate through
+    `token_masses` and the whole body, then f = V xs as one batched
+    matmul.  No iteration allocates a test-set array."""
 
     def __init__(self, test: Batch, geo: Geometry, K: int, L: int):
-        self.test, self.geo, self.heads, self.waiting = test, geo, [], []
-        self.f, self.V, self.xs = np.empty((L, K, len(test.y))), np.empty((L, K, K)), None
-        self._buffers()
-
-    def _buffers(self) -> None:
-        """Position-major tokens, C_k 128 columns at a time (a one-hot of the
-        whole (N-1, B) made short runs fault), G and xs."""
-        (B, N), (L, K) = self.test.states.shape, self.f.shape[:2]
+        (B, N), self.test, self.geo, self.heads = test.states.shape, test, geo, []
+        self.V, self.wtok, self.zpos = np.empty((L, K, K)), np.empty((L, K)), np.empty((L, N))
+        self.f, self.xs, self.G = (np.empty((n, K, B)) for n in (L, L, max(L, 2)))
+        # position-major tokens; C_k 128 columns at a time (a whole one-hot made short runs fault)
         self.tokens = np.empty((N - 1, B), np.min_scalar_type(K - 1))
-        np.subtract(self.test.states[:, :-1].T, 1, out=self.tokens, casting="unsafe")
-        self.onehot, self.G = np.empty((N - 1, min(B, 128))), np.empty((max(L, 2), K, B))
-        self.xs = np.empty((L, K, B))
+        np.subtract(test.states[:, :-1].T, 1, out=self.tokens, casting="unsafe")
+        self.onehot = np.empty((N - 1, min(B, 128)))
+        # iterates per `_fields` pass, whose (n, _TOP, B) gathers hold <= 2^16 / K entries
+        self.chunk = max(1, _BLOCK_ELEMENTS // (_TOP * K * B))
 
-    def add(self, fp: FactoredParams, it: int, loss: float,
-            masses: TokenMasses | None = None) -> bool:
+    def add(self, fp: FactoredParams, it: int, loss: float) -> bool:
         """Keep iterate `it`; True when the block is full."""
         n = len(self.heads)
-        self.V[n] = fp.V
-        if masses is None and usual_form(fp, self.geo):
-            self.waiting.append((n, fp))
-            self.heads.append((it, loss))
-        else:  # a population run's few episodes, or the rare form: read the whole body
-            m = masses or token_masses(fp, self.test, self.geo)
-            np.matmul(fp.V, m.xs, out=self.f[n])
-            body = m.S[:, :-1] if m.S is not None else np.take(m.rate.ravel(), self.test.cell) * m.e
-            w, other = self.test.weights, body[:, :-1].max(axis=1, initial=0.0)
-            self.heads.append((it, loss, float(w @ body[:, -1]), float(w @ np.maximum(other, m.sN))))
+        self.V[n], self.wtok[n], self.zpos[n] = fp.V, fp.wtok, fp.zpos
+        self.heads.append((it, loss))
         return n + 1 == len(self.f)
 
     def flush(self) -> list[MetricsRow]:
-        if self.waiting:
-            m = stacked_masses([fp for _, fp in self.waiting], self.tokens, self.geo,
-                               self.onehot, self.G, self.xs)
-            for i, (n, fp) in enumerate(self.waiting):
-                np.matmul(fp.V, m.xs[i], out=self.f[n])
-                self.heads[n] += self._fields(m.rate[i], m.e[i], m.sN[i])
-        n, heads, self.heads, self.waiting = len(self.heads), self.heads, [], []
-        return _block_rows(self.test, self.f[:n], self.V[:n], heads, self.xs[:n])
+        n, heads, self.heads = len(self.heads), self.heads, []
+        stack = FactoredParams(self.V[:n], self.wtok[:n], self.zpos[:n])
+        fields, j = [], 0
+        for usual, run in itertools.groupby(usual_form(stack, self.geo)):
+            i, j = j, j + len(list(run))
+            if usual:
+                fields += self._fields(stacked_masses(self.wtok[i:j], self.zpos[i:j], self.tokens,
+                                                      self.geo, self.onehot, self.G, self.xs[i:j]))
+            else:  # the rare form: read the whole body
+                for k in range(i, j):
+                    m = token_masses(FactoredParams(stack.V[k], stack.wtok[k], stack.zpos[k]),
+                                     self.test, self.geo)
+                    self.xs[k], w = m.xs, self.test.weights
+                    body = m.S[:, :-1] if m.S is not None else np.take(m.rate, self.test.cell) * m.e
+                    other = np.maximum(body[:, :-1].max(axis=1, initial=0.0), m.sN)
+                    fields.append((float(w @ body[:, -1]), float(w @ other)))
+        f = np.matmul(self.V[:n], self.xs[:n], out=self.f[:n])
+        heads = [head + pair for head, pair in zip(heads, fields)]
+        return _block_rows(self.test, f, self.V[:n], heads, self.xs[:n])
 
-    def _fields(self, rate: np.ndarray, e: np.ndarray, sN: np.ndarray) -> tuple[float, float]:
-        """attn_parent and attn_other_max of S_bj = rate[s_bj, b] e_j without
-        the body: the `_TOP` positions of largest e_j, and all of b's only
-        where max_k rate[k, b] times the next e_j could exceed those."""
-        B, flat, cell = len(sN), rate.ravel(), self.test.cell
-        parent = np.empty((B, 2))  # strided, so BLAS sums it as the body column it was
-        np.multiply(np.take(flat, cell[:, -1]), e[-1], out=parent[:, 0])
-        e = e[:-1]
-        top, rest = np.arange(e.size), 0.0
-        if e.size > _TOP:
-            order = np.argpartition(e, e.size - _TOP - 1)
-            top, rest = order[-_TOP:], e[order[-_TOP - 1]]
-        index = self.tokens[top].astype(np.intp)
-        index *= B
-        index += np.arange(B)
-        other = (np.take(flat, index) * e[top, None]).max(axis=0, initial=0.0)
-        below = np.flatnonzero(other < rate.max(axis=0) * rest)
-        other[below] = (np.take(flat, cell[below, :-1]) * e).max(axis=1, initial=0.0)
-        w = self.test.weights
-        return float(w @ parent[:, 0]), float(w @ np.maximum(other, sN))
+    def _fields(self, m: TokenMasses) -> list[tuple[float, float]]:
+        """attn_parent and attn_other_max of the iterates of stacked masses,
+        `chunk` at a time, from S_bj = rate[s_bj, b] e_j without the body:
+        the `_TOP` positions of largest e_j, and all of b's only where
+        max_k rate[k, b] times the next e_j could exceed those."""
+        fields, cell, w = [], self.test.cell, self.test.weights
+        for c in range(0, len(m.sN), self.chunk):
+            rate, e, sN = (x[c:c + self.chunk] for x in (m.rate, m.e, m.sN))
+            (n, K, B), flat, rows = rate.shape, rate.reshape(-1), np.arange(len(rate))[:, None]
+            parent = np.empty((n, B, 2))  # strided, so BLAS sums it as the body column it was
+            parent[..., 0] = np.take(flat, cell[:, -1] + rows * K * B) * e[:, -1:]
+            e = e[:, :-1]
+            top, rest = np.arange(e.shape[1]) + 0 * rows, np.zeros((n, 1))  # all, when few
+            if e.shape[1] > _TOP:
+                order = np.argpartition(e, e.shape[1] - _TOP - 1, axis=1)
+                top, rest = order[:, -_TOP:], e[rows, order[:, -_TOP - 1:-_TOP]]
+            index = self.tokens[top].astype(np.intp)  # (n, _TOP, B)
+            index *= B
+            index += np.arange(B) + rows[..., None] * K * B
+            other = (np.take(flat, index) * e[rows, top][..., None]).max(axis=1, initial=0.0)
+            ib, b = np.nonzero(other < rate.max(axis=1) * rest)
+            other[ib, b] = (np.take(flat, cell[b, :-1] + ib[:, None] * K * B) * e[ib]).max(
+                axis=1, initial=0.0)
+            np.maximum(other, sN, out=other)
+            fields += [(float(w @ p[:, 0]), float(w @ o)) for p, o in zip(parent, other)]
+        return fields
 
 
 def evaluate(fp: FactoredParams, test: Batch, geo: Geometry, it: int = 0,
@@ -394,9 +400,8 @@ def train(cfg: TrainConfig) -> TrainTrace:
         return trace
 
     schedule = cfg.snapshot_schedule()
-    # a population run trains on its test batch, so the test masses at fp
-    # are the next gradient's (other runs take them once per block); under resample every iteration
-    # draws its own training set, into the arrays of the first
+    # a population run trains on its test batch; under resample every
+    # iteration draws its own training set, into the arrays of the first
     if cfg.grad_mode == POPULATION:
         batch = test
     elif cfg.resample:
@@ -404,20 +409,17 @@ def train(cfg: TrainConfig) -> TrainTrace:
         batch = Batch.of(make_dataset(wc, cfg.train_size, rng=resample_rng), wc.K)
     else:
         batch = Batch.of(_episodes(cfg, cfg.train_size, cfg.seeds["train"]), wc.K)
-    K, B = wc.K, len(test.y)
-    block = _Block(test, geo, K, min(cfg.iterations, max(1, _BLOCK_ELEMENTS // (K * B))))
-    masses = None
+    K, B, N = wc.K, len(test.y), wc.N
+    block = _Block(test, geo, K, min(cfg.iterations, max(1, _BLOCK_ELEMENTS // (K * max(B, N)))))
     for t in range(1, cfg.iterations + 1):
         if cfg.resample and t > 1:
             make_dataset(wc, cfg.train_size, rng=resample_rng, out=batch.states)
             batch.reindex()
-        bg = grad_batch(fp, batch, geo, cfg.eps, masses)
+        bg = grad_batch(fp, batch, geo, cfg.eps)
         fp = step(fp, bg, cfg.eta, geo)
         trace.lprimes.append(bg.lprime_mean)
         _check_finite(fp, t)
-        if batch is test:
-            masses = token_masses(fp, test, geo)
-        if block.add(fp, t, bg.loss, masses) or t == cfg.iterations:
+        if block.add(fp, t, bg.loss) or t == cfg.iterations:
             trace.rows += block.flush()
         if t in schedule:
             trace.snapshots[t] = fp

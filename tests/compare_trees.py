@@ -53,6 +53,9 @@ FULL = (
         ("qa-fig7-task1", ["qa", "--recipe", "fig7-task1"], None),
         ("train-fig4-resample", ["train", "--recipe", "fig4-zero-init-p05"],
          {"resample": True}),
+        # from t = 2 every iterate is outside token_masses' usual form
+        ("train-fig4-rare", ["train", "--recipe", "fig4-zero-init-p05"],
+         {"eta": 1e300, "iterations": 12}),
         ("check-fig5-t1000", ["check", "--recipe", "fig5-zero-init-p1"], {"iterations": 1000}),
         ("spectra", ["spectra"], None),
     ])

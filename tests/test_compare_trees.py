@@ -3,6 +3,7 @@ on planted differences."""
 
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -25,6 +26,23 @@ def test_the_repository_against_itself_is_identical():
             assert f["status"] == want, (path, f)
     assert {"metrics.csv", "params.bin", "v_final.csv"} <= set(report["train-small"]["files"])
     assert "eval.json" in report["eval-small"]["files"]
+
+
+def test_a_planted_change_to_the_step_is_named(tmp_path):
+    # a copy of src whose V step is off by 1e-7 relative: the small set
+    # names every trained file that the change moves
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    trainer = tmp_path / "src" / "circlewalk" / "trainer.py"
+    code = trainer.read_text()
+    planted = code.replace("V=fp.V - eta * bg.gV,", "V=(fp.V - eta * bg.gV) * (1 + 1e-7),")
+    assert planted != code
+    trainer.write_text(planted)
+    report = compare_trees.compare(ROOT, tmp_path, compare_trees.SMALL)
+    assert compare_trees.differs(report)
+    files = report["train-small"]["files"]
+    for path in ("metrics.csv", "params.bin", "v_final.csv"):
+        assert files[path]["status"] == compare_trees.DIFFERING, (path, files[path])
+    assert "loss" in files["metrics.csv"]["max_relative_move"]
 
 
 def test_planted_differences_are_named():

@@ -86,8 +86,7 @@ def test_batch_weights_and_diagnostics():
     P = build_positional(16, 7)
     geo = geometry(16, 7)
     bg = grad_batch(factor(params, P, geo), Batch.of(states, 4), geo, EPS)
-    # zero init: f_y = 0, so every l' is exactly -1/eps
-    np.testing.assert_allclose(bg.lprimes, -1.0 / EPS)
+    # zero init: f_y = 0, so every l' is -1/eps, and so is their mean
     assert bg.lprime_mean == pytest.approx(-1.0 / EPS)
     assert bg.loss == pytest.approx(-np.log(EPS))
     # gV averages the per-example one-hot outer products

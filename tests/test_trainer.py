@@ -197,15 +197,15 @@ def test_population_run_matches_dense_gradients():
 
 
 # runs whose rows `test_iterations_never_read_p` rebuilds one by one, with
-# `trainer._BLOCK_ELEMENTS` patched down to SMALL_BLOCK: at K = B = 6 a
-# block then holds 14 iterations, so 2 L + 3 crosses two block boundaries
-# and ends on a partial block; QA's V has 19^2 entries < M, and its blocks
-# hold one iteration each
+# `trainer._BLOCK_ELEMENTS` patched down to SMALL_BLOCK: at K = B = 6 and
+# N = 13 a block then holds 6 iterations, so 2 L + 3 crosses two block
+# boundaries and ends on a partial block; QA's V has 19^2 entries < M, and
+# its blocks hold one iteration each
 SMALL_BLOCK = 2 ** 9
 ITERATION_RUNS = {
     "empirical": dict(K=4, p=0.5, N=13, iterations=4),
     "population": dict(K=4, p=1.0, N=13, iterations=4, grad_mode="population"),
-    "population-blocks": dict(K=6, p=1.0, N=13, iterations=2 * (SMALL_BLOCK // 36) + 3,
+    "population-blocks": dict(K=6, p=1.0, N=13, iterations=2 * (SMALL_BLOCK // 78) + 3,
                               eta=0.5, grad_mode="population"),
     "qa": dict(qa_task="task1", M=400, iterations=4),
     "no-iterations": dict(K=4, p=0.5, N=13, iterations=0),
@@ -228,15 +228,14 @@ def test_iterations_never_read_p(monkeypatch, run, normalize):
                       lambda test, f, V, heads, work: blocks.append(len(heads))
                       or real(test, f, V, heads, work))
         tr = train(cfg)
-    K, B, T = cfg.walk_config().K, len(trainer.make_test_batch(cfg).y), cfg.iterations
-    L = max(1, SMALL_BLOCK // (K * B))
+    wc, B, T = cfg.walk_config(), len(trainer.make_test_batch(cfg).y), cfg.iterations
+    L = max(1, SMALL_BLOCK // (wc.K * max(B, wc.N)))
     assert blocks == ([L] * (T // L) + [T % L] if T % L else [L] * (T // L)) if T else [1]
     if run == "population-blocks":
         assert blocks == [L, L, 3]
     geo = tr.geometry
     fp = tr.snapshots[0]
     free = dataclasses.replace(geo, pnh=None)
-    wc = cfg.walk_config()
     test = trainer.make_test_batch(cfg)
     if cfg.grad_mode == "population":
         batch = test
