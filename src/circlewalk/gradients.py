@@ -24,15 +24,16 @@ trained state is V, wtok and zpos; alpha and gamma are derived from them
 where a dense W is built.  The batched path (`FactoredParams`,
 `token_masses`, `attention`, `grad_batch`) holds nothing of length M.
 
-The batched softmax works on token masses: xs[k, b], the weight episode b
-puts on token k, is exp(t_k) G[k, b] / Z_b with G[k, b] the sum of the
-positional weights e_j = exp(zpos_j - max zpos) over the positions of b
-holding k.  G is one `bincount` over the cell index of the `Batch`, or
-one gemm per token for the stacked wtok and zpos of many iterates on one
-batch (`stacked_masses`, the trainer's test metrics).  f, l', dL/dV and
-dL/dW12 need only the K x B masses; D needs one gather.  Where e
-underflows at a position that can still carry weight (token and
-positional logit ranges both beyond exp's: not `usual_form`), the same
+The batched softmax works on token masses: the query carries no token, so
+every weight is S_bj = a[s_bj] e_j / Z_b, with a_k = exp(t_k - T) per token,
+e_j = exp(zpos_j - max zpos) per position and T = max(max t, zpos_N - max
+zpos).  xs[k, b], the weight episode b puts on token k, is a_k G[k, b] / Z_b,
+with G[k, b] the sum of e_j over the positions of b holding k: one
+`bincount` over the cell index of the `Batch`, or one gemm per token for
+many iterates on one batch (`stacked_masses`, the trainer's test metrics).
+The tail is O(K B), with no log or exp over it.  f, l', dL/dV and dL/dW12
+need only the K x B masses; D needs one gather.  Where an a_k or a row's
+largest term could fall below a normal double (`usual_form`), the same
 softmax runs on the dense (B, N) logits instead.
 
 c, p^_N and the step sizes of the logit vectors are fixed for a run, so
@@ -40,15 +41,15 @@ c, p^_N and the step sizes of the logit vectors are fixed for a run, so
 batched function takes in place of the positional matrix and the
 normalization flag; the geometry holds no P, and nothing on the batched
 path reads it.  Every batched function takes a `Batch`: a (B, N) state
-array whose last column is the label, built once per dataset with its
-cell index and, for a walk test set, the true conditionals `evaluate`
-compares against.
+array whose last column is the label, built once per dataset, with its
+cell index and, for a walk test set, what `evaluate` compares against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -117,19 +118,18 @@ class FactoredParams:
 class Batch:
     """A (B, N) state array labelled by its last column, with what every
     pass over it reads, built once per dataset (`Batch.of`): the labels,
-    the uniform weights, the cell index of the body tokens into token-major
-    (K, B) arrays and, for a walk test set, the true conditionals q_b =
-    Pi[s_{b,N-1}] (token-major, like the masses), q with its zeros set to 1
-    and Pi^T / |Pi|_F.  `reindex` refreshes the labels and the cell index in
-    place after a new state array was drawn into `states`."""
+    the uniform weights and, for a walk test set, the true conditionals
+    q_b = Pi[s_{b,N-1}] (token-major, like the masses), where q is nonzero
+    and Pi^T / |Pi|_F.  Its two (B, N-1) arrays, the cell index and the
+    `work` buffer, are made on first use.  `reindex` refreshes the labels
+    and the index in place after new states were drawn into `states`."""
 
     states: np.ndarray  # (B, N)
     y: np.ndarray  # (B,) labels, 0-based
     weights: np.ndarray  # (B,) uniform
-    cell: np.ndarray  # (B, N-1) flat cell (s_bj - 1) * B + b of each body token
     tm: TransitionMatrix | None = None
     q: np.ndarray | None = None  # (K, B)
-    q_safe: np.ndarray | None = None  # q with 1 where q = 0
+    q_at: np.ndarray | None = None  # (w, B) flat (k, b) of q's w nonzeros per column, k increasing
     pit_unit: np.ndarray | None = None  # Pi^T / |Pi|_F
 
     @classmethod
@@ -138,37 +138,43 @@ class Batch:
         transition matrix for a test set, None where none applies (QA
         tasks) or no metric compares against it (training sets)."""
         states = np.asarray(states)
-        B, N = states.shape
-        common = dict(states=states, y=np.empty(B, np.intp), weights=np.full(B, 1.0 / B),
-                      cell=np.empty((B, N - 1), np.intp))
+        B = len(states)
+        common = dict(states=states, y=np.subtract(states[:, -1], 1, dtype=np.intp),
+                      weights=np.full(B, 1.0 / B))
         if tm is None:
-            batch = cls(**common)
-        else:
-            q = tm.Pi.T[:, states[:, -2] - 1]
-            batch = cls(**common, tm=tm, q=q, q_safe=np.where(q > 0, q, 1.0),
-                        pit_unit=tm.Pi.T / np.linalg.norm(tm.Pi))
-        batch.reindex()
-        return batch
+            return cls(**common)
+        q = tm.Pi.T[:, states[:, -2] - 1]
+        k = np.nonzero(q.T)[1].reshape(B, -1).T  # Pi is circulant: as many in every column
+        return cls(**common, tm=tm, q=q, q_at=k * B + np.arange(B),
+                   pit_unit=tm.Pi.T / np.linalg.norm(tm.Pi))
 
     def reindex(self) -> None:
-        """Recompute the labels and the cell index from `states` in place,
-        as after a fresh training set was drawn into it."""
-        B, cell = self.states.shape[0], self.cell
+        """Recompute the labels and the cell index from `states` in place."""
         np.subtract(self.states[:, -1], 1, out=self.y)
-        np.multiply(self.states[:, :-1], B, out=cell)
-        cell += (np.arange(B) - B)[:, None]
+        self._cells(self.cell)
+
+    @cached_property
+    def cell(self) -> np.ndarray:
+        """(B, N-1) flat cell (s_bj - 1) * B + b of each body token."""
+        return self._cells(np.empty(self.states[:, :-1].shape, np.intp))
+
+    def _cells(self, out: np.ndarray) -> np.ndarray:
+        B = len(out)
+        np.multiply(self.states[:, :-1], B, out=out)
+        out += (np.arange(B) - B)[:, None]
+        return out
+
+    @cached_property
+    def work(self) -> np.ndarray:
+        """(B, N-1) floats for one pass over the cell index; no result aliases it."""
+        return np.empty(self.cell.shape)
 
     def present(self, K: int) -> np.ndarray:
         """(K,) bool: whether token k + 1 occurs in some body."""
-        B = self.states.shape[0]
-        return np.bincount(self.cell.ravel(), minlength=K * B).reshape(K, B).any(axis=1)
+        return np.bincount(self.states[:, :-1].ravel() - 1, minlength=K) > 0
 
 
-# exp(-708) is still a normal double; below it the positional weights e_j
-# lose precision and reach 0 at -745
-_EXP_NORMAL = 708.0
-# a weight exp(-40) ~ 4e-18 below its row maximum is below rounding
-_NEGLIGIBLE = 40.0
+_EXP_NORMAL = 708.0  # exp(-708) is a normal double; below, precision goes, at -745 all of it
 
 
 @dataclass(frozen=True)
@@ -176,85 +182,90 @@ class TokenMasses:
     """Attention of a batch kept per token, token-major so that sums over
     the K tokens run across the batch: xs[k, b] is the weight episode b
     puts on token k (the sum of S_bj over its body positions with
-    s_bj = k), and sN[b] = S_bN.  In the usual case S_bj = rate[s_bj, b] e_j
-    with rate = xs / G and the positional weights e; when e underflows at a
-    position that can still carry weight, the dense weights S are kept
-    instead (rate and e are None)."""
+    s_bj = k), and sN[b] = S_bN.  S_bj = a[s_bj] e_j / Z_b, or on the dense
+    route the weights S themselves (then a, Z and e are None)."""
 
     xs: np.ndarray  # (K, B)
     sN: np.ndarray  # (B,)
-    rate: np.ndarray | None  # (K, B), 0 where G = 0
+    a: np.ndarray | None  # (K,) exp(t_k - T)
+    Z: np.ndarray | None  # (B,) sum_k a_k G[k, b] + exp(zpos_N - max zpos - T)
     e: np.ndarray | None  # (N-1,) exp(zpos_j - max zpos) of the body
     S: np.ndarray | None  # (B, N)
 
+    def body(self, batch: Batch) -> np.ndarray:
+        """The (B, N-1) weights S_bj of the body."""
+        if self.S is not None:
+            return self.S[:, :-1]
+        return self.a[batch.states[:, :-1] - 1] * self.e / self.Z[:, None]
+
     def position_sums(self, batch: Batch, v: np.ndarray) -> np.ndarray:
-        """sum_b S_bj v[s_bj, b] for every body position j; v is (K, B)."""
-        if self.S is None:
-            return self.e * np.take((self.rate * v).ravel(), batch.cell).sum(axis=0)
-        return (self.S[:, :-1] * np.take(v.ravel(), batch.cell)).sum(axis=0)
+        """sum_b S_bj v[s_bj, b] for each body position j, v (K, B): one gather
+        into the batch's `work` buffer, summed in increasing b for every j."""
+        r = v if self.S is not None else v * (self.a[:, None] / self.Z)  # v a_k / Z_b
+        w = np.take(r.ravel(), batch.cell, out=batch.work, mode="clip")  # "raise" buffers out
+        if self.S is not None:
+            return np.einsum("bj,bj->j", w, self.S[:, :-1])
+        return self.e * np.einsum("bj->j", w)
 
 
 def usual_form(fp: FactoredParams, geo: Geometry) -> np.ndarray:
-    """Whether `token_masses` at fp takes its usual form: every body e_j a
-    normal double and every logit finite, and so every logit sum; one flag
-    per iterate where fp's arrays carry a leading axis of iterates."""
-    return _ranges(fp.wtok / geo.c[0], fp.zpos)[2]
+    """Whether `token_masses` at fp takes its usual form: every body e_j,
+    every a_k and the largest term of any row a normal double; one flag per
+    iterate where fp's arrays carry a leading axis of iterates."""
+    return np.logical_and(*_ranges(fp.wtok / geo.c[0], fp.zpos)[1:])
 
 
 def _ranges(t: np.ndarray, zpos: np.ndarray) -> tuple:
-    """zmin, zmax and `usual_form` from the token and positional logits,
-    over their leading axes."""
-    zmin, zmax = zpos.min(axis=-1), zpos.max(axis=-1)
+    """zmax and two flags over the leading axes: every body e_j a normal
+    double, and the linear form's clause, with zN = zpos_N - zmax and
+    T = max(max t, zN): every a_k and the least a row's largest term can
+    be, max(exp(zN - T), min_k a_k max_j e_j), a normal double (so an inf
+    or a NaN fails it; the form adds no two logits)."""
+    zmax, tmin = zpos.max(axis=-1), t.min(axis=-1)
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: not usual
-        return zmin, zmax, ((zmax - zpos[..., :-1].min(axis=-1) <= _EXP_NORMAL)
-                            & np.isfinite(t.min(axis=-1) + zmin)
-                            & np.isfinite(t.max(axis=-1) + zmax))
+        zN, body = zpos[..., -1] - zmax, zpos[..., :-1]
+        low = np.minimum(tmin, np.maximum(zN, tmin + (body.max(axis=-1) - zmax)))
+        return zmax, zmax - body.min(axis=-1) <= _EXP_NORMAL, (
+            low - np.maximum(t.max(axis=-1), zN) >= -_EXP_NORMAL)
 
 
 def token_masses(fp: FactoredParams, batch: Batch, geo: Geometry) -> TokenMasses:
     """Softmax attention of a batch from per-token masses.
 
     The logit of body position j is t[s_bj] + zpos_j with t = wtok / c_body
-    (all body columns have the same norm); the query's is zpos_N.  With
-    e_j = exp(zpos_j - max zpos) and G[k, b] the sum of e_j over the
-    positions of episode b holding token k, the mass on token k is
-    exp(t_k + log G[k, b] - r_b) / Z_b, shifted by the row maximum r_b as a
-    dense softmax would be.  Raises FloatingPointError on non-finite
-    logits.
+    (all body columns have the same norm); the query's is zpos_N.  Outside
+    the usual form the absent tokens are masked, and the dense softmax runs
+    unless the masked logits meet the linear form's clause.  Raises
+    FloatingPointError on non-finite logits.
     """
     B, K = batch.states.shape[0], fp.V.shape[0]
     zpos, t = fp.zpos, fp.wtok / geo.c[0]
-    zmin, zmax, usual = _ranges(t, zpos)
-    if not usual:
-        # an e_j underflows or a sum is not finite: mask the absent tokens,
-        # which never enter (a finite logit meets G = 0 below)
+    zmax, body, linear = _ranges(t, zpos)
+    if not (body and linear):
+        # absent tokens never enter: mask them, then test the rest
         t = np.where(batch.present(K), t, 0.0)
-        tmin, tmax = float(t.min()), float(t.max())
-        if not (math.isfinite(tmin + float(zmin)) and math.isfinite(tmax + float(zmax))):
+        if not (math.isfinite(float(t.min()) + float(zpos.min()))
+                and math.isfinite(float(t.max()) + float(zmax))):
             raise FloatingPointError("non-finite attention logits")
-        # dense where some e_j underflows at a position the tokens can make heavy
-        gap = zmax - zpos[:-1]
-        far = gap[gap > _EXP_NORMAL]
-        if far.size and far.min() < max(tmax, 0.0) - min(tmin, 0.0) + _NEGLIGIBLE:
+        if not _ranges(t, zpos)[2]:
             return _dense_masses(t, zpos, batch)
 
     e = np.exp(zpos[:-1] - zmax)  # = exp(-(zmax - zpos)) bit for bit
-    w = np.empty(batch.cell.shape)
-    w[:] = e  # e_j at every cell (b, j)
-    G = np.bincount(batch.cell.ravel(), w.ravel(), minlength=K * B).reshape(K, B)
-    return _from_sums(G, t, zpos[-1] - zmax, e, np.empty((K, B)))
+    batch.work[:] = e  # e_j at every cell (b, j)
+    G = np.bincount(batch.cell.ravel(), batch.work.ravel(), minlength=K * B).reshape(K, B)
+    return _from_sums(G, t, zpos[-1] - zmax, e)
 
 
 def stacked_masses(wtok: np.ndarray, zpos: np.ndarray, tokens: np.ndarray, geo: Geometry,
-                   onehot: np.ndarray, G: np.ndarray, xs: np.ndarray) -> TokenMasses:
+                   onehot: np.ndarray, xs: np.ndarray) -> TokenMasses:
     """`token_masses` of n iterates in their usual form on one batch, from
     their token logits wtok (n, K) and positional logits zpos (n, N), each
     field with a leading axis of length n.  `tokens` holds the body tokens,
-    0-based and position-major (N-1, B); `onehot` (N-1, w <= B), G
-    (max(n, 2), K, B) and xs (n, K, B) are buffers.  G[:, k] = E @ C_k, a
-    gemm per token k and w columns with C_k its 0/1 matrix, adds in
-    increasing j as the `bincount` does, so the bits are `token_masses`';
-    E has two rows at least, as numpy would take one row by gemv."""
+    0-based and position-major (N-1, B); `onehot` (N-1, w <= B) and xs
+    (max(n, 2), K, B) are buffers: xs[:n] takes the sums G, then the
+    masses.  G[:, k] = E @ C_k, a gemm per token k and w columns with C_k
+    its 0/1 matrix, adds in increasing j as the `bincount` does, so the
+    bits are `token_masses`'; E has two rows, as numpy takes one by gemv."""
     n = len(zpos)
     zmax = zpos.max(axis=1)
     E = np.zeros((max(n, 2), zpos.shape[1] - 1))
@@ -262,55 +273,43 @@ def stacked_masses(wtok: np.ndarray, zpos: np.ndarray, tokens: np.ndarray, geo: 
     w = onehot.shape[1]  # C_k w columns at a time
     for c in range(0, tokens.shape[1], w):
         C = onehot[:, :tokens.shape[1] - c]
-        for k in range(G.shape[1]):
+        for k in range(xs.shape[1]):
             np.equal(tokens[:, c:c + w], k, out=C, casting="unsafe")
-            np.matmul(E, C, out=G[:len(E), k, c:c + w])
-    return _from_sums(G[:n], wtok / geo.c[0], zpos[:, -1] - zmax, E[:n], xs[:n])
+            np.matmul(E, C, out=xs[:len(E), k, c:c + w])
+    return _from_sums(xs[:n], wtok / geo.c[0], zpos[:, -1] - zmax, E[:n])
 
 
-def _from_sums(G: np.ndarray, t: np.ndarray, zN: float | np.ndarray, e: np.ndarray,
-               xs: np.ndarray) -> TokenMasses:
-    """The masses, written into xs, from the positional sums G (..., K, B),
-    which rate overwrites, the token logits t (..., K), the query's
-    shifted logit zN (...) and the positional weights e."""
-    occupied = G > 0
-    xs[...] = -np.inf
-    np.log(G, out=xs, where=occupied)
-    xs += t[..., None]  # the logits L = t + log G, -inf where G = 0
+def _from_sums(G: np.ndarray, t: np.ndarray, zN: float | np.ndarray,
+               e: np.ndarray) -> TokenMasses:
+    """The masses, written over the positional sums G (..., K, B), from the
+    token logits t (..., K), zN = zpos_N - max zpos (...) and e: xs = a G / Z
+    and sN = a_N / Z with a_N = exp(zN - T) and Z = sum_k a_k G[k] + a_N, a
+    numpy sum in increasing k, so that stacked and single rows agree."""
     zN = np.asarray(zN)[..., None]
-    r = np.maximum(xs.max(axis=-2), zN)
-    xs -= r[..., None, :]
-    np.exp(xs, out=xs)
-    sN = np.exp(zN - r)
-    Z = xs.sum(axis=-2) + sN
-    xs /= Z[..., None, :]
-    sN /= Z
-    rate = np.divide(xs, G, out=G, where=occupied)  # G = 0 stays 0
-    return TokenMasses(xs=xs, sN=sN, rate=rate, e=e, S=None)
+    T = np.maximum(t.max(axis=-1, keepdims=True), zN)
+    a, aN = np.exp(t - T), np.exp(zN - T)
+    G *= a[..., None]
+    Z = G.sum(axis=-2) + aN
+    G /= Z[..., None, :]
+    return TokenMasses(xs=G, sN=aN / Z, a=a, Z=Z, e=e, S=None)
 
 
 def _dense_masses(t: np.ndarray, zpos: np.ndarray, batch: Batch) -> TokenMasses:
-    """The same softmax over the (B, N) logits, for logit ranges where the
-    positional weights alone do not fit in a double."""
-    states = batch.states
-    B, K = states.shape[0], t.shape[0]
-    z = np.empty(states.shape)
-    np.add(t[states[:, :-1] - 1], zpos[:-1], out=z[:, :-1])
-    z[:, -1] = zpos[-1]
+    """The same softmax over the (B, N) logits, each row shifted by its max."""
+    B, K = len(batch.states), t.shape[0]
+    z = np.column_stack((t[batch.states[:, :-1] - 1] + zpos[:-1], np.full(B, zpos[-1])))
     z -= z.max(axis=1, keepdims=True)
     np.exp(z, out=z)
     z /= z.sum(axis=1, keepdims=True)
     xs = np.bincount(batch.cell.ravel(), z[:, :-1].ravel(), minlength=K * B).reshape(K, B)
-    return TokenMasses(xs=xs, sN=z[:, -1], rate=None, e=None, S=z)
+    return TokenMasses(xs=xs, sN=z[:, -1], a=None, Z=None, e=None, S=z)
 
 
 def attention(fp: FactoredParams, batch: Batch, geo: Geometry) -> np.ndarray:
     """Attention weights S (B, N) of a batch, expanded from its token
     masses.  Raises FloatingPointError on non-finite logits."""
     m = token_masses(fp, batch, geo)
-    if m.S is not None:
-        return m.S
-    return np.column_stack((np.take(m.rate.ravel(), batch.cell) * m.e, m.sN))
+    return np.column_stack((m.body(batch), m.sN))
 
 
 def grad_batch(fp: FactoredParams, batch: Batch, geo: Geometry, eps: float) -> BatchGrad:
@@ -322,12 +321,13 @@ def grad_batch(fp: FactoredParams, batch: Batch, geo: Geometry, eps: float) -> B
     whose body part is one gather and one column sum.  Raises ValueError
     when some f_y + eps <= 0, outside the log loss's domain.
     """
-    B, N = batch.states.shape
-    K = fp.V.shape[0]
+    N, K = batch.states.shape[1], fp.V.shape[0]
     y, weights = batch.y, batch.weights
     m = token_masses(fp, batch, geo)
 
-    f_y = (fp.V @ m.xs)[y, np.arange(B)]
+    at = y * K + np.arange(K)[:, None]  # (K, B): (y_b, k) in V, flat
+    g = np.take(fp.V, at)  # V[y_b, k]
+    f_y = (g * m.xs).sum(axis=0)
     arg = f_y + eps
     if (arg <= 0.0).any():
         raise ValueError(f"log-loss argument must be positive, got {arg.min()}")
@@ -335,9 +335,8 @@ def grad_batch(fp: FactoredParams, batch: Batch, geo: Geometry, eps: float) -> B
     lp = -1.0 / arg
     wl = weights * lp
 
-    gV = np.bincount(((y * K)[None, :] + np.arange(K)[:, None]).ravel(),
-                     (m.xs * wl).ravel(), minlength=K * K).reshape(K, K)
-    g = fp.V.T[:, y] - f_y  # (K, B): q - f_y for every token of each episode
+    gV = np.bincount(at.ravel(), (m.xs * wl).ravel(), minlength=K * K).reshape(K, K)
+    g -= f_y  # (K, B): q - f_y for every token of each episode
     g *= wl
     a = (m.xs * g).sum(axis=1) / geo.c[0]
     D = np.empty(N)

@@ -8,17 +8,17 @@ the training and the test batch.
 
 Training runs on the factored parameters V, wtok and zpos (see
 `gradients`), from a `Geometry` and initial factors (`init_factors`)
-built once in O(M + N); no dense block, no P and nothing of length M is
-formed.  Every iteration is `grad_batch` + `step` (O(K^2 + N)), a guard
-against non-finite parameters and a snapshot.  The test metrics of every
-run come once per block of L = min(T, max(1, 2^16 // (K max(B, N))))
-iterations (`_Block`): `stacked_masses` takes the test set's masses of
-all L iterates at once, one gemm per token (`token_masses` those of an
-iterate in its rare form), and one vectorised pass adds accuracy, KL,
-f_dist, v_dist, beta and gamma.  Each dataset is one `Batch`, built once
-with its cell index (`make_test_batch` adds the test set's target
-constants); under `resample` each fresh training set is drawn into the
-states of the first and reindexed in place.
+built once in O(M + N); nothing of length M is formed.  Every iteration
+is `grad_batch` + `step` (O(K^2 + N)), a finiteness guard and a
+snapshot.  The test metrics of every run come once per block of
+L = min(T, max(1, 2^16 // (K max(B, N)))) iterations (`_Block`):
+`stacked_masses` takes the test set's masses of all L iterates at once,
+one gemm per token (`token_masses` those of an iterate in its rare
+form), and one vectorised pass adds accuracy, KL, f_dist, v_dist, beta
+and gamma.  Each dataset is one `Batch` (`make_test_batch` adds the test
+set's target constants); under `resample` each fresh training set is
+drawn into the states of the first and reindexed in place, so no
+iteration allocates a cell-sized array.
 Snapshots are the factored parameters themselves (`params.bin` holds the
 last); the trace keeps the geometry and no dense block.
 """
@@ -238,14 +238,13 @@ _TOP = 16
 class _Block:
     """The test metrics of up to L iterations, taken at once by `flush`:
     each run of iterates in `token_masses`' usual form through
-    `stacked_masses` and `_fields`, any other iterate through
-    `token_masses` and the whole body, then f = V xs as one batched
-    matmul.  No iteration allocates a test-set array."""
+    `stacked_masses` and `_fields`, any other through `token_masses` and
+    the whole body, then f = V xs as one batched matmul."""
 
     def __init__(self, test: Batch, geo: Geometry, K: int, L: int):
         (B, N), self.test, self.geo, self.heads = test.states.shape, test, geo, []
         self.V, self.wtok, self.zpos = np.empty((L, K, K)), np.empty((L, K)), np.empty((L, N))
-        self.f, self.xs, self.G = (np.empty((n, K, B)) for n in (L, L, max(L, 2)))
+        self.f, self.xs = np.empty((L, K, B)), np.empty((L + 1, K, B))  # xs: G of a lone last iterate
         # position-major tokens; C_k 128 columns at a time (a whole one-hot made short runs fault)
         self.tokens = np.empty((N - 1, B), np.min_scalar_type(K - 1))
         np.subtract(test.states[:, :-1].T, 1, out=self.tokens, casting="unsafe")
@@ -268,44 +267,43 @@ class _Block:
             i, j = j, j + len(list(run))
             if usual:
                 fields += self._fields(stacked_masses(self.wtok[i:j], self.zpos[i:j], self.tokens,
-                                                      self.geo, self.onehot, self.G, self.xs[i:j]))
+                                                      self.geo, self.onehot, self.xs[i:]))
             else:  # the rare form: read the whole body
                 for k in range(i, j):
                     m = token_masses(FactoredParams(stack.V[k], stack.wtok[k], stack.zpos[k]),
                                      self.test, self.geo)
-                    self.xs[k], w = m.xs, self.test.weights
-                    body = m.S[:, :-1] if m.S is not None else np.take(m.rate, self.test.cell) * m.e
+                    self.xs[k], w, body = m.xs, self.test.weights, m.body(self.test)
                     other = np.maximum(body[:, :-1].max(axis=1, initial=0.0), m.sN)
-                    fields.append((float(w @ body[:, -1]), float(w @ other)))
+                    fields.append((float(w @ body[:, -1].copy()), float(w @ other)))
         f = np.matmul(self.V[:n], self.xs[:n], out=self.f[:n])
         heads = [head + pair for head, pair in zip(heads, fields)]
         return _block_rows(self.test, f, self.V[:n], heads, self.xs[:n])
 
     def _fields(self, m: TokenMasses) -> list[tuple[float, float]]:
         """attn_parent and attn_other_max of the iterates of stacked masses,
-        `chunk` at a time, from S_bj = rate[s_bj, b] e_j without the body:
+        `chunk` at a time, from S_bj = a[s_bj] e_j / Z_b without the body:
         the `_TOP` positions of largest e_j, and all of b's only where
-        max_k rate[k, b] times the next e_j could exceed those."""
-        fields, cell, w = [], self.test.cell, self.test.weights
+        max_k a_k times the next e_j could exceed those.  Z_b divides after
+        the max, which rounding keeps where it was."""
+        fields, tokens, w = [], self.tokens, self.test.weights
         for c in range(0, len(m.sN), self.chunk):
-            rate, e, sN = (x[c:c + self.chunk] for x in (m.rate, m.e, m.sN))
-            (n, K, B), flat, rows = rate.shape, rate.reshape(-1), np.arange(len(rate))[:, None]
-            parent = np.empty((n, B, 2))  # strided, so BLAS sums it as the body column it was
-            parent[..., 0] = np.take(flat, cell[:, -1] + rows * K * B) * e[:, -1:]
+            a, e, Z, sN = (x[c:c + self.chunk] for x in (m.a, m.e, m.Z, m.sN))
+            i, K = np.arange(len(a))[:, None], a.shape[1]  # a[i, k] is flat a[K i + k]
+            parent = np.take(a, tokens[-1] + K * i) * e[:, -1:] / Z
             e = e[:, :-1]
-            top, rest = np.arange(e.shape[1]) + 0 * rows, np.zeros((n, 1))  # all, when few
+            top, rest = np.arange(e.shape[1]) + 0 * i, np.zeros((len(a), 1))  # all, when few
             if e.shape[1] > _TOP:
                 order = np.argpartition(e, e.shape[1] - _TOP - 1, axis=1)
-                top, rest = order[:, -_TOP:], e[rows, order[:, -_TOP - 1:-_TOP]]
-            index = self.tokens[top].astype(np.intp)  # (n, _TOP, B)
-            index *= B
-            index += np.arange(B) + rows[..., None] * K * B
-            other = (np.take(flat, index) * e[rows, top][..., None]).max(axis=1, initial=0.0)
-            ib, b = np.nonzero(other < rate.max(axis=1) * rest)
-            other[ib, b] = (np.take(flat, cell[b, :-1] + ib[:, None] * K * B) * e[ib]).max(
-                axis=1, initial=0.0)
+                top, rest = order[:, -_TOP:], e[i, order[:, -_TOP - 1:-_TOP]]
+            other = np.take(a, tokens[top] + K * i[..., None])  # a[s_bj] at the top positions
+            other *= e[i, top][..., None]
+            other = other.max(axis=1, initial=0.0)
+            ib, b = np.nonzero(other < a.max(axis=1, keepdims=True) * rest)
+            if len(b):
+                other[ib, b] = (np.take(a, tokens[:-1, b].T + K * i[ib]) * e[ib]).max(axis=1)
+            other /= Z
             np.maximum(other, sN, out=other)
-            fields += [(float(w @ p[:, 0]), float(w @ o)) for p, o in zip(parent, other)]
+            fields += [(float(w @ p), float(w @ o)) for p, o in zip(parent, other)]
         return fields
 
 
@@ -327,17 +325,25 @@ def _block_rows(test: Batch, f: np.ndarray, V: np.ndarray, heads: list,
     overwrites, V (n, K, K) and heads (iter, loss, attn_parent,
     attn_other_max); `work` is an (n, K, B) buffer.  Each sum over the batch
     is one dot per row (`vecdot`), so a row has the same bits whatever n."""
-    accuracy = np.count_nonzero(f.argmax(axis=1) == test.y, axis=1) / len(test.y)  # first-max tie rule
+    (n, K, B), y = f.shape, test.y
+    # argmax's rule without its strided pass: y_b is the first maximum, a NaN above all
+    hit = f == f.max(axis=1, keepdims=True)
+    if not hit.any(axis=1).all():  # a column holds a NaN
+        hit |= np.isnan(f)
+    first = np.take(hit.reshape(n, -1), y * B + np.arange(B), axis=1)
+    hit &= np.arange(K)[:, None] < y
+    accuracy = np.count_nonzero(first > hit.any(axis=1), axis=1) / B
     kl = v_dist = f_dist = beta = gamma = np.full(len(heads), np.nan)
     if test.tm is not None:
         q, weights = test.q, test.weights
         fm = np.maximum(f, 0.0, out=work)
         fm += 1e-12
-        fm /= fm.sum(axis=1, keepdims=True)
-        # where q = 0, q_safe = 1 and fm > 0, so the term is 0 * log(1 / fm) = +0
-        np.log(np.divide(test.q_safe, fm, out=fm), out=fm)
-        fm *= q
-        kl = np.vecdot(fm.sum(axis=1), weights)
+        # q log(q / fm) where q > 0, in increasing k; the other terms are +0
+        qs, fq = np.take(q, test.q_at), np.take(fm.reshape(n, -1), test.q_at, axis=1)
+        fq /= fm.sum(axis=1)[:, None]
+        np.log(np.divide(qs, fq, out=fq), out=fq)
+        fq *= qs
+        kl = np.vecdot(fq.sum(axis=1), weights)
         fu = _unit(f, 1, work)
         fu -= q
         f_dist = np.vecdot(np.sqrt(np.square(fu, out=work).sum(axis=1)), weights)
@@ -379,12 +385,6 @@ def _episodes(cfg: TrainConfig, count: int, seed: int) -> np.ndarray:
     return make_dataset(cfg.walk_config(), count, seed=seed)
 
 
-def _check_finite(fp: FactoredParams, t: int) -> None:
-    if not (np.isfinite(fp.V).all() and np.isfinite(fp.wtok).all()
-            and np.isfinite(fp.zpos).all()):
-        raise FloatingPointError(f"non-finite parameters at iteration {t}")
-
-
 def train(cfg: TrainConfig) -> TrainTrace:
     """Run the full loop; one MetricsRow per iteration t = 1..T (a single
     t=0 row when T=0), snapshots per schedule, mean l' recorded per step."""
@@ -418,7 +418,8 @@ def train(cfg: TrainConfig) -> TrainTrace:
         bg = grad_batch(fp, batch, geo, cfg.eps)
         fp = step(fp, bg, cfg.eta, geo)
         trace.lprimes.append(bg.lprime_mean)
-        _check_finite(fp, t)
+        if not all(np.isfinite(x).all() for x in (fp.V, fp.wtok, fp.zpos)):
+            raise FloatingPointError(f"non-finite parameters at iteration {t}")
         if block.add(fp, t, bg.loss) or t == cfg.iterations:
             trace.rows += block.flush()
         if t in schedule:

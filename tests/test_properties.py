@@ -199,6 +199,8 @@ def test_check_exits_1_exactly_when_the_report_fails(cfg):
 @settings(max_examples=30, deadline=None)
 @given(K=st.integers(2, 6), r=st.integers(1, 3), eta=st.floats(0.01, 10.0),
        normalize=st.booleans(), T=st.integers(2, 6))
+# a sum over the batch whose order varies with the column breaks this run's ties at t = 3
+@example(K=6, r=1, eta=1.875, normalize=False, T=3)
 def test_zero_init_population_check_passes(K, r, eta, normalize, T):
     # the deterministic-walk trap: from zero init the exact population
     # gradient keeps every structure residual at 0, the accuracy at 1/K and

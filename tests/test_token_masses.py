@@ -143,6 +143,34 @@ def test_token_spread_that_outweighs_underflowed_positions(normalize):
 
 
 @pytest.mark.parametrize("normalize", [False, True])
+@pytest.mark.parametrize("inside", [True, False])
+@pytest.mark.parametrize("clause", ["token", "row"])
+def test_linear_masses_at_the_edges_of_the_usual_form(clause, inside, normalize):
+    # the linear form needs every a_k = exp(t_k - T) and the least a row's
+    # largest term can be to be normal doubles (exp(-708.4) is the least).
+    # "token": one token logit 707 or 709 below the top.  "row": the query
+    # 650 or 690 above the body and token logits 750-800, so with T = 800
+    # a row of the lowest token peaks near exp(-700) or exp(-740).  Just
+    # inside the masses stay linear, just outside the dense softmax takes
+    # over, and both match the dense oracle
+    rng = np.random.default_rng(4)
+    zpos = rng.uniform(-2, 2, N)
+    if clause == "token":
+        t = [2.0, 1.0, 0.0, 2.0 - (707.0 if inside else 709.0)]
+    else:
+        t = [800.0, 750.0, 760.0, 770.0]
+        zpos[:-1] -= 640.0 if inside else 680.0
+        zpos[-1] = 10.0
+    P, params = _planted(t, zpos, normalize, rng)
+    states = make_dataset(WalkConfig(K=K, p=0.5, N=N, M=M), 12, seed=1)
+    assert set(states[:, :-1].ravel()) == set(range(1, K + 1))  # masking changes nothing
+    geo = geometry(M, N, normalize)
+    assert usual_form(factor(params, P, geo), geo) == inside
+    m = _assert_matches_oracle(params, states, P, normalize, transition_matrix(K, 0.5).Pi)
+    assert (m.S is None) == inside
+
+
+@pytest.mark.parametrize("normalize", [False, True])
 @pytest.mark.parametrize("eta", [1e3, 1e300])
 def test_trained_with_huge_step_sizes(eta, normalize):
     # two steps at eta 1e3 or 1e300 leave token logits that spread by
@@ -187,9 +215,11 @@ def test_rows_at_huge_step_sizes_are_the_per_step_rows(monkeypatch, eta, normali
 
 
 def _old_fields(test, m):
-    """attn_parent and attn_other_max as read from the (B, N-1) body."""
-    body = m.S[:, :-1] if m.S is not None else np.take(m.rate.ravel(), test.cell) * m.e
-    return (float(test.weights @ body[:, -1]),
+    """attn_parent and attn_other_max as read from the (B, N-1) body, in
+    the linear form S_bj = a[s_bj] e_j / Z_b; the parent column is summed
+    contiguous, as a row of the stacked path is."""
+    body = m.S[:, :-1] if m.S is not None else m.a[test.states[:, :-1] - 1] * m.e / m.Z[:, None]
+    return (float(test.weights @ np.ascontiguousarray(body[:, -1])),
             float(test.weights @ np.maximum(body[:, :-1].max(axis=1), m.sN)))
 
 
@@ -220,7 +250,7 @@ def test_stacked_masses_are_token_masses_bit_for_bit(monkeypatch, recipe):
         for start in range(0, len(fps), n):
             run = fps[start:start + n]
             m = stacked_masses(np.array([fp.wtok for fp in run]), np.array([fp.zpos for fp in run]),
-                               block.tokens, geo, block.onehot, block.G, block.xs)
+                               block.tokens, geo, block.onehot, block.xs)
             G, fields = sums.pop(), block._fields(m)
             assert len(G) == len(fields) == len(run)
             for i in range(len(run)):

@@ -148,6 +148,51 @@ def test_evaluate_fields():
     assert np.isfinite(row_qa.accuracy)
 
 
+def _rows_of(test, f):
+    """The block rows of outputs f (n, K, B) on a test batch, V random."""
+    V = np.random.default_rng(1).standard_normal((len(f),) + f.shape[1:2] * 2)
+    return trainer._block_rows(test, f.copy(), V, [(0, 0.0, 0.0, 0.0)] * len(f),
+                               np.empty(f.shape))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_accuracy_is_the_argmax_count_with_ties_and_nans():
+    # the count reads no argmax, yet is argmax's: the label must be the
+    # first maximum of its column, and a NaN outranks every number.  Rows
+    # with exact ties, +-inf, a NaN at, before or after the label, and -0.0
+    test = trainer.make_test_batch(TrainConfig(K=5, p=0.5, N=7, M=40, test_size=400))
+    rng = np.random.default_rng(2)
+    f = np.round(rng.standard_normal((6, 5, 400)), 1)
+    f[1] = np.round(f[1])  # many ties
+    f[2, :, ::7] = 0.0
+    f[2, 0, ::14] = -0.0
+    f[3, rng.integers(0, 5, 60), rng.integers(0, 400, 60)] = np.nan
+    f[4, :, ::3] = np.inf
+    f[4, 1, ::5] = np.nan
+    f[5] = np.where(rng.random((5, 400)) < 0.3, -np.inf, f[5])
+    want = np.count_nonzero(f.argmax(axis=1) == test.y, axis=1) / 400
+    assert [r.accuracy for r in _rows_of(test, f)] == want.tolist()
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0])
+def test_kl_over_the_support_of_q_is_the_full_sum_bit_for_bit(p):
+    # KL reads fm only where q > 0 (two tokens, or one at p = 1); the terms
+    # over the other tokens are +0 and the rest add in increasing k, so each
+    # row keeps the bits of the sum over all K tokens
+    cfg = TrainConfig(K=6, p=p, N=97, M=1000, test_size=300,
+                      grad_mode="empirical" if p < 1 else "population")
+    test = trainer.make_test_batch(cfg)
+    rng = np.random.default_rng(3)
+    f = rng.standard_normal((3, 6, len(test.y)))
+    f[1] *= 1e-3
+    f[2] = np.abs(f[2]) + 5.0
+    fm = np.maximum(f, 0.0) + 1e-12
+    fm /= fm.sum(axis=1, keepdims=True)
+    terms = np.log(np.where(test.q > 0, test.q, 1.0) / fm) * test.q
+    want = np.vecdot(terms.sum(axis=1), test.weights)
+    assert np.array([r.kl for r in _rows_of(test, f)]).tobytes() == want.tobytes()
+
+
 def test_first_step_oracle_matches_an_actual_step():
     # population mode, zero init, one iteration
     cfg = TrainConfig(K=4, p=1.0, N=9, M=40, eta=0.7, eps=0.1, iterations=1,
@@ -395,6 +440,32 @@ def test_a_run_keeps_its_training_arrays_across_iterations(monkeypatch, resample
         tracemalloc.stop()
     assert len(held) == cfg.iterations and all(same), same
     assert held[-1] - held[1] < 1000 * 96 * 8, held
+
+
+@pytest.mark.parametrize("resample", [False, True])
+def test_steady_state_iteration_allocates_less_than_a_cell_array(monkeypatch, resample):
+    # at 1000 x 97 no iteration after the first, from one grad_batch call to
+    # the next, has a new (B, N-1) float64 array (768,000 bytes) live at
+    # once: the bincount weights and the position_sums gather write into
+    # the training batch's work buffer, made in the first call, and the
+    # block boundary at t = 10 stays below it too
+    cfg = TrainConfig(K=6, p=0.5, N=97, M=1000, iterations=12, resample=resample)
+    real, marks = trainer.grad_batch, []
+
+    def marked(*args, **kwargs):
+        marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "grad_batch", marked)
+    tracemalloc.start()
+    try:
+        train(cfg)
+    finally:
+        tracemalloc.stop()
+    growth = [peak - current for (current, _), (_, peak) in zip(marks, marks[1:])]
+    assert len(growth) == cfg.iterations - 1
+    assert max(growth[1:]) < 1000 * 96 * 8, growth
 
 
 def test_iterations_between_block_boundaries_allocate_no_test_set_array(monkeypatch):
