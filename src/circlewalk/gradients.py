@@ -33,8 +33,9 @@ with G[k, b] the sum of e_j over the positions of b holding k: one
 many iterates on one batch (`stacked_masses`, the trainer's test metrics).
 The tail is O(K B), with no log or exp over it.  f, l', dL/dV and dL/dW12
 need only the K x B masses; D needs one gather.  Where an a_k or a row's
-largest term could fall below a normal double (`usual_form`), the same
-softmax runs on the dense (B, N) logits instead.
+largest term could fall below a normal double, or a logit is not finite
+(`usual_form`, the one range test), the same softmax runs on the dense
+(B, N) logits instead.
 
 c, p^_N and the step sizes of the logit vectors are fixed for a run, so
 `geometry` builds them once, in O(M + N), into a `Geometry` that every
@@ -133,10 +134,10 @@ class Batch:
     pit_unit: np.ndarray | None = None  # Pi^T / |Pi|_F
 
     @classmethod
-    def of(cls, states: np.ndarray, K: int, tm: TransitionMatrix | None = None) -> "Batch":
-        """The batch of a state array over K tokens; `tm` is the walk's
-        transition matrix for a test set, None where none applies (QA
-        tasks) or no metric compares against it (training sets)."""
+    def of(cls, states: np.ndarray, tm: TransitionMatrix | None = None) -> "Batch":
+        """The batch of a state array; `tm` is the walk's transition matrix
+        for a test set, None where none applies (QA tasks) or no metric
+        compares against it (training sets)."""
         states = np.asarray(states)
         B = len(states)
         common = dict(states=states, y=np.subtract(states[:, -1], 1, dtype=np.intp),
@@ -169,10 +170,6 @@ class Batch:
         """(B, N-1) floats for one pass over the cell index; no result aliases it."""
         return np.empty(self.cell.shape)
 
-    def present(self, K: int) -> np.ndarray:
-        """(K,) bool: whether token k + 1 occurs in some body."""
-        return np.bincount(self.states[:, :-1].ravel() - 1, minlength=K) > 0
-
 
 _EXP_NORMAL = 708.0  # exp(-708) is a normal double; below, precision goes, at -745 all of it
 
@@ -182,8 +179,9 @@ class TokenMasses:
     """Attention of a batch kept per token, token-major so that sums over
     the K tokens run across the batch: xs[k, b] is the weight episode b
     puts on token k (the sum of S_bj over its body positions with
-    s_bj = k), and sN[b] = S_bN.  S_bj = a[s_bj] e_j / Z_b, or on the dense
-    route the weights S themselves (then a, Z and e are None)."""
+    s_bj = k), and sN[b] = S_bN.  In the usual form S_bj = a[s_bj] e_j / Z_b
+    and S is None; outside it the dense weights S themselves (then a, Z and
+    e are None)."""
 
     xs: np.ndarray  # (K, B)
     sN: np.ndarray  # (B,)
@@ -191,12 +189,6 @@ class TokenMasses:
     Z: np.ndarray | None  # (B,) sum_k a_k G[k, b] + exp(zpos_N - max zpos - T)
     e: np.ndarray | None  # (N-1,) exp(zpos_j - max zpos) of the body
     S: np.ndarray | None  # (B, N)
-
-    def body(self, batch: Batch) -> np.ndarray:
-        """The (B, N-1) weights S_bj of the body."""
-        if self.S is not None:
-            return self.S[:, :-1]
-        return self.a[batch.states[:, :-1] - 1] * self.e / self.Z[:, None]
 
     def position_sums(self, batch: Batch, v: np.ndarray) -> np.ndarray:
         """sum_b S_bj v[s_bj, b] for each body position j, v (K, B): one gather
@@ -209,24 +201,25 @@ class TokenMasses:
 
 
 def usual_form(fp: FactoredParams, geo: Geometry) -> np.ndarray:
-    """Whether `token_masses` at fp takes its usual form: every body e_j,
-    every a_k and the largest term of any row a normal double; one flag per
-    iterate where fp's arrays carry a leading axis of iterates."""
-    return np.logical_and(*_ranges(fp.wtok / geo.c[0], fp.zpos)[1:])
+    """Whether `token_masses` at fp takes its linear form: every a_k and
+    the largest term of any row a normal double, every logit finite;
+    one flag per iterate where fp's arrays carry a leading axis of iterates."""
+    return _ranges(fp.wtok / geo.c[0], fp.zpos)[1]
 
 
 def _ranges(t: np.ndarray, zpos: np.ndarray) -> tuple:
-    """zmax and two flags over the leading axes: every body e_j a normal
-    double, and the linear form's clause, with zN = zpos_N - zmax and
-    T = max(max t, zN): every a_k and the least a row's largest term can
-    be, max(exp(zN - T), min_k a_k max_j e_j), a normal double (so an inf
-    or a NaN fails it; the form adds no two logits)."""
+    """zmax and the linear form's clause over the leading axes, with
+    zN = zpos_N - zmax and T = max(max t, zN): every a_k and the least a
+    row's largest term can be, max(exp(zN - T), min_k a_k max_j e_j), are
+    normal doubles (so an inf or a NaN fails it; the form adds no two
+    logits), and no positional logit is -inf, whose weight would be a
+    silent 0 where the dense form raises."""
     zmax, tmin = zpos.max(axis=-1), t.min(axis=-1)
     with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: not usual
-        zN, body = zpos[..., -1] - zmax, zpos[..., :-1]
-        low = np.minimum(tmin, np.maximum(zN, tmin + (body.max(axis=-1) - zmax)))
-        return zmax, zmax - body.min(axis=-1) <= _EXP_NORMAL, (
-            low - np.maximum(t.max(axis=-1), zN) >= -_EXP_NORMAL)
+        zN = zpos[..., -1] - zmax
+        low = np.minimum(tmin, np.maximum(zN, tmin + (zpos[..., :-1].max(axis=-1) - zmax)))
+        return zmax, ((low - np.maximum(t.max(axis=-1), zN) >= -_EXP_NORMAL)
+                      & (zpos.min(axis=-1) > -np.inf))
 
 
 def token_masses(fp: FactoredParams, batch: Batch, geo: Geometry) -> TokenMasses:
@@ -234,22 +227,14 @@ def token_masses(fp: FactoredParams, batch: Batch, geo: Geometry) -> TokenMasses
 
     The logit of body position j is t[s_bj] + zpos_j with t = wtok / c_body
     (all body columns have the same norm); the query's is zpos_N.  Outside
-    the usual form the absent tokens are masked, and the dense softmax runs
-    unless the masked logits meet the linear form's clause.  Raises
-    FloatingPointError on non-finite logits.
+    the usual form the dense softmax runs.  Raises FloatingPointError on
+    non-finite logits of the tokens present.
     """
     B, K = batch.states.shape[0], fp.V.shape[0]
     zpos, t = fp.zpos, fp.wtok / geo.c[0]
-    zmax, body, linear = _ranges(t, zpos)
-    if not (body and linear):
-        # absent tokens never enter: mask them, then test the rest
-        t = np.where(batch.present(K), t, 0.0)
-        if not (math.isfinite(float(t.min()) + float(zpos.min()))
-                and math.isfinite(float(t.max()) + float(zmax))):
-            raise FloatingPointError("non-finite attention logits")
-        if not _ranges(t, zpos)[2]:
-            return _dense_masses(t, zpos, batch)
-
+    zmax, usual = _ranges(t, zpos)
+    if not usual:
+        return _dense_masses(t, zpos, batch)
     e = np.exp(zpos[:-1] - zmax)  # = exp(-(zmax - zpos)) bit for bit
     batch.work[:] = e  # e_j at every cell (b, j)
     G = np.bincount(batch.cell.ravel(), batch.work.ravel(), minlength=K * B).reshape(K, B)
@@ -295,9 +280,14 @@ def _from_sums(G: np.ndarray, t: np.ndarray, zN: float | np.ndarray,
 
 
 def _dense_masses(t: np.ndarray, zpos: np.ndarray, batch: Batch) -> TokenMasses:
-    """The same softmax over the (B, N) logits, each row shifted by its max."""
+    """The same softmax over the (B, N) logits, each row shifted by its max.
+    Only the tokens present gather their logits; raises FloatingPointError
+    where one of those is not finite."""
     B, K = len(batch.states), t.shape[0]
-    z = np.column_stack((t[batch.states[:, :-1] - 1] + zpos[:-1], np.full(B, zpos[-1])))
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.column_stack((t[batch.states[:, :-1] - 1] + zpos[:-1], np.full(B, zpos[-1])))
+    if not np.isfinite(z).all():
+        raise FloatingPointError("non-finite attention logits")
     z -= z.max(axis=1, keepdims=True)
     np.exp(z, out=z)
     z /= z.sum(axis=1, keepdims=True)
@@ -309,7 +299,9 @@ def attention(fp: FactoredParams, batch: Batch, geo: Geometry) -> np.ndarray:
     """Attention weights S (B, N) of a batch, expanded from its token
     masses.  Raises FloatingPointError on non-finite logits."""
     m = token_masses(fp, batch, geo)
-    return np.column_stack((m.body(batch), m.sN))
+    if m.S is not None:
+        return m.S
+    return np.column_stack((m.a[batch.states[:, :-1] - 1] * m.e / m.Z[:, None], m.sN))
 
 
 def grad_batch(fp: FactoredParams, batch: Batch, geo: Geometry, eps: float) -> BatchGrad:

@@ -13,12 +13,12 @@ is `grad_batch` + `step` (O(K^2 + N)), a finiteness guard and a
 snapshot.  The test metrics of every run come once per block of
 L = min(T, max(1, 2^16 // (K max(B, N)))) iterations (`_Block`):
 `stacked_masses` takes the test set's masses of all L iterates at once,
-one gemm per token (`token_masses` those of an iterate in its rare
-form), and one vectorised pass adds accuracy, KL, f_dist, v_dist, beta
-and gamma.  Each dataset is one `Batch` (`make_test_batch` adds the test
-set's target constants); under `resample` each fresh training set is
-drawn into the states of the first and reindexed in place, so no
-iteration allocates a cell-sized array.
+one gemm per token (`token_masses` the dense weights of an iterate
+outside its usual form), and one vectorised pass adds accuracy, KL,
+f_dist, v_dist, beta and gamma.  Each dataset is one `Batch`
+(`make_test_batch` adds the test set's target constants); under
+`resample` each fresh training set is drawn into the states of the first
+and reindexed in place, so no iteration allocates a cell-sized array.
 Snapshots are the factored parameters themselves (`params.bin` holds the
 last); the trace keeps the geometry and no dense block.
 """
@@ -238,8 +238,8 @@ _TOP = 16
 class _Block:
     """The test metrics of up to L iterations, taken at once by `flush`:
     each run of iterates in `token_masses`' usual form through
-    `stacked_masses` and `_fields`, any other through `token_masses` and
-    the whole body, then f = V xs as one batched matmul."""
+    `stacked_masses` and `_fields`, any other through `token_masses`'
+    dense weights S, then f = V xs as one batched matmul."""
 
     def __init__(self, test: Batch, geo: Geometry, K: int, L: int):
         (B, N), self.test, self.geo, self.heads = test.states.shape, test, geo, []
@@ -268,13 +268,13 @@ class _Block:
             if usual:
                 fields += self._fields(stacked_masses(self.wtok[i:j], self.zpos[i:j], self.tokens,
                                                       self.geo, self.onehot, self.xs[i:]))
-            else:  # the rare form: read the whole body
+            else:  # the dense form: read the weights S
                 for k in range(i, j):
                     m = token_masses(FactoredParams(stack.V[k], stack.wtok[k], stack.zpos[k]),
                                      self.test, self.geo)
-                    self.xs[k], w, body = m.xs, self.test.weights, m.body(self.test)
-                    other = np.maximum(body[:, :-1].max(axis=1, initial=0.0), m.sN)
-                    fields.append((float(w @ body[:, -1].copy()), float(w @ other)))
+                    self.xs[k], w, S = m.xs, self.test.weights, m.S
+                    other = np.maximum(S[:, :-2].max(axis=1, initial=0.0), m.sN)
+                    fields.append((float(w @ S[:, -2].copy()), float(w @ other)))
         f = np.matmul(self.V[:n], self.xs[:n], out=self.f[:n])
         heads = [head + pair for head, pair in zip(heads, fields)]
         return _block_rows(self.test, f, self.V[:n], heads, self.xs[:n])
@@ -374,8 +374,8 @@ def make_test_batch(cfg: TrainConfig) -> Batch:
     wc = cfg.walk_config()
     tm = None if cfg.qa_task is not None else transition_matrix(wc.K, wc.p)
     if cfg.grad_mode == POPULATION:
-        return Batch.of(enumerate_deterministic(wc), wc.K, tm)
-    return Batch.of(_episodes(cfg, cfg.test_size, cfg.seeds["test"]), wc.K, tm)
+        return Batch.of(enumerate_deterministic(wc), tm)
+    return Batch.of(_episodes(cfg, cfg.test_size, cfg.seeds["test"]), tm)
 
 
 def _episodes(cfg: TrainConfig, count: int, seed: int) -> np.ndarray:
@@ -406,9 +406,9 @@ def train(cfg: TrainConfig) -> TrainTrace:
         batch = test
     elif cfg.resample:
         resample_rng = np.random.default_rng(cfg.seeds["resample"])
-        batch = Batch.of(make_dataset(wc, cfg.train_size, rng=resample_rng), wc.K)
+        batch = Batch.of(make_dataset(wc, cfg.train_size, rng=resample_rng))
     else:
-        batch = Batch.of(_episodes(cfg, cfg.train_size, cfg.seeds["train"]), wc.K)
+        batch = Batch.of(_episodes(cfg, cfg.train_size, cfg.seeds["train"]))
     K, B, N = wc.K, len(test.y), wc.N
     block = _Block(test, geo, K, min(cfg.iterations, max(1, _BLOCK_ELEMENTS // (K * max(B, N)))))
     for t in range(1, cfg.iterations + 1):

@@ -56,6 +56,9 @@ FULL = (
         # from t = 2 every iterate is outside token_masses' usual form
         ("train-fig4-rare", ["train", "--recipe", "fig4-zero-init-p05"],
          {"eta": 1e300, "iterations": 12}),
+        # from t = 2 most body weights underflow while the usual form holds
+        ("train-fig4-eta30", ["train", "--recipe", "fig4-zero-init-p05"],
+         {"eta": 30, "iterations": 50}),
         ("check-fig5-t1000", ["check", "--recipe", "fig5-zero-init-p1"], {"iterations": 1000}),
         ("spectra", ["spectra"], None),
     ])

@@ -68,7 +68,7 @@ def test_batch_agrees_with_per_example_average():
     P = build_positional(30, 9)
     for normalize in (False, True):
         geo = geometry(30, 9, normalize)
-        bg = grad_batch(factor(params, P, geo), Batch.of(states, 5), geo, EPS)
+        bg = grad_batch(factor(params, P, geo), Batch.of(states), geo, EPS)
         avg = _average([grad_example(params, X, int(s[-1]), P, EPS,
                                      normalize=normalize)
                         for X, s in zip(tokens, states)])
@@ -85,7 +85,7 @@ def test_batch_weights_and_diagnostics():
     params = Params.zeros(4, 16)
     P = build_positional(16, 7)
     geo = geometry(16, 7)
-    bg = grad_batch(factor(params, P, geo), Batch.of(states, 4), geo, EPS)
+    bg = grad_batch(factor(params, P, geo), Batch.of(states), geo, EPS)
     # zero init: f_y = 0, so every l' is -1/eps, and so is their mean
     assert bg.lprime_mean == pytest.approx(-1.0 / EPS)
     assert bg.loss == pytest.approx(-np.log(EPS))

@@ -43,7 +43,7 @@ def _relabel(fp: FactoredParams, sigma: np.ndarray) -> FactoredParams:
 def _run(fp, train_states, test_states, p, cfg):
     """The parameters after each step and the metrics rows t = 1..T."""
     geo = geometry(M, N, cfg.normalize_attention)
-    batch, test = Batch.of(train_states, K), Batch.of(test_states, K, transition_matrix(K, p))
+    batch, test = Batch.of(train_states), Batch.of(test_states, transition_matrix(K, p))
     params, rows = [fp], []
     for t in range(1, ITERATIONS + 1):
         bg = grad_batch(fp, batch, geo, cfg.eps)

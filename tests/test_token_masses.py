@@ -77,7 +77,7 @@ def _assert_matches_oracle(params, states, P, normalize, Pi=None,
     fp = factor(params, P, geo)
     exp = _oracle(params, states, P, normalize, Pi)
     tm = None if Pi is None else transition_matrix(params.K, 0.5)
-    batch = Batch.of(states, params.K, tm)
+    batch = Batch.of(states, tm)
     np.testing.assert_allclose(attention(fp, batch, geo), exp["S"], rtol=rtol, atol=atol)
 
     bg = grad_batch(fp, batch, geo, EPS)
@@ -163,7 +163,6 @@ def test_linear_masses_at_the_edges_of_the_usual_form(clause, inside, normalize)
         zpos[-1] = 10.0
     P, params = _planted(t, zpos, normalize, rng)
     states = make_dataset(WalkConfig(K=K, p=0.5, N=N, M=M), 12, seed=1)
-    assert set(states[:, :-1].ravel()) == set(range(1, K + 1))  # masking changes nothing
     geo = geometry(M, N, normalize)
     assert usual_form(factor(params, P, geo), geo) == inside
     m = _assert_matches_oracle(params, states, P, normalize, transition_matrix(K, 0.5).Pi)
@@ -189,28 +188,38 @@ def test_trained_with_huge_step_sizes(eta, normalize):
                            transition_matrix(K, 0.5).Pi)
 
 
+def _underflows(fp):
+    """Whether some body e_j = exp(zpos_j - max zpos) is below a normal double."""
+    return bool(fp.zpos.max() - fp.zpos[:-1].min() > gradients._EXP_NORMAL)
+
+
 @pytest.mark.parametrize("normalize", [False, True])
-@pytest.mark.parametrize("eta", [1e3, 1e300])
+@pytest.mark.parametrize("eta", [3e2, 1e3, 1e300])
 def test_rows_at_huge_step_sizes_are_the_per_step_rows(monkeypatch, eta, normalize):
-    # the settings above, for six iterations in blocks of four: without
-    # normalization (and at 1e300 with it) t = 1 is in the usual form and
-    # later iterates take token_masses' rare one, so a block mixes stacked
-    # and rare iterates; each row is still evaluate's bit for bit
+    # the settings above, for six iterations in blocks of four: at 1e3
+    # without normalization (and at 1e300 with it) t = 1 is in the usual
+    # form and later iterates take the dense one, so a block mixes stacked
+    # and dense iterates; at 3e2 without normalization most body weights
+    # underflow from t = 2 while the clause holds, so every iterate is
+    # stacked.  Each row is still evaluate's bit for bit
     monkeypatch.setattr(trainer, "_BLOCK_ELEMENTS", 4 * K * 16)
     cfg = TrainConfig(K=K, p=0.5, N=N, M=M, eta=eta, iterations=6, train_size=16,
                       test_size=16, normalize_attention=normalize, seed=3)
     trace = train(cfg)
     geo, test = trace.geometry, trainer.make_test_batch(cfg)
-    batch = Batch.of(make_dataset(cfg.walk_config(), 16, seed=cfg.seed), K)
-    fp, want, usual = trace.snapshots[0], [], []
+    batch = Batch.of(make_dataset(cfg.walk_config(), 16, seed=cfg.seed))
+    fp, want, usual, under = trace.snapshots[0], [], [], []
     for t in range(1, cfg.iterations + 1):
         bg = grad_batch(fp, batch, geo, cfg.eps)
         fp = trainer.step(fp, bg, cfg.eta, geo)
         usual.append(usual_form(fp, geo))
+        under.append(_underflows(fp))
         want.append(evaluate(fp, test, geo, it=t, loss=bg.loss).as_tuple())
     got = np.array([r.as_tuple() for r in trace.rows])
     assert got.tobytes() == np.array(want).tobytes()
-    if eta == 1e300 or not normalize:
+    if eta == 3e2 and not normalize:
+        assert usual == [True] * 6 and under == [False] + [True] * 5
+    elif eta == 1e300 or not normalize:
         assert usual == [True] + [False] * 5
 
 
@@ -223,15 +232,21 @@ def _old_fields(test, m):
             float(test.weights @ np.maximum(body[:, :-1].max(axis=1), m.sN)))
 
 
-@pytest.mark.parametrize("recipe", ["fig4-zero-init-p05", "fig5-zero-init-p1",
-                                    "fig6-random-init-p05", "fig7-task1"])
+# four recipes, and fig4 at eta 30, whose body weights mostly underflow
+# from t = 2 while the linear form's clause holds
+_RUNS = {**{name: RECIPES[name] for name in ("fig4-zero-init-p05", "fig5-zero-init-p1",
+                                             "fig6-random-init-p05", "fig7-task1")},
+         "fig4-eta30": {**RECIPES["fig4-zero-init-p05"], "eta": 30.0}}
+
+
+@pytest.mark.parametrize("recipe", list(_RUNS))
 def test_stacked_masses_are_token_masses_bit_for_bit(monkeypatch, recipe):
     # G (gemm per token against bincount), xs, sN and both attention fields
     # of the block path against token_masses and the formulas over the
     # whole body, at every snapshot of a study-scale run (fig5: a population
     # run, B = 6), stacked one, two, one `_fields` chunk and L at a time.
     # This pins the BLAS summation order of both G and attn_parent's dot
-    cfg = TrainConfig(**RECIPES[recipe])
+    cfg = TrainConfig(**_RUNS[recipe])
     trace = train(cfg)
     geo, test = trace.geometry, trainer.make_test_batch(cfg)
     wc, B = cfg.walk_config(), len(test.y)
@@ -242,6 +257,7 @@ def test_stacked_masses_are_token_masses_bit_for_bit(monkeypatch, recipe):
                         lambda G, *args: sums.append(G.copy()) or real(G, *args))
     fps = [trace.snapshots[t] for t in sorted(trace.snapshots)]
     assert all(usual_form(fp, geo) for fp in fps)
+    assert [_underflows(fp) for fp in fps][2:] == [recipe == "fig4-eta30"] * (len(fps) - 2)
     want = []
     for fp in fps:
         m = token_masses(fp, test, geo)
@@ -263,8 +279,8 @@ def test_stacked_masses_are_token_masses_bit_for_bit(monkeypatch, recipe):
 @pytest.mark.parametrize("normalize", [False, True])
 def test_tokens_absent_from_the_batch(normalize):
     # one QA question uses 13 of the 19 words; the others get huge token
-    # logits, which must not reach the softmax, nor push it off the
-    # token-mass form when a position lies beyond the exp range
+    # logits, which fail the linear form's clause and must not reach the
+    # dense softmax, also when a position lies beyond the exp range
     rng = np.random.default_rng(2)
     states = qa_dataset(TASK1, 1, seed=4)
     n = QA_N[TASK1]
@@ -276,12 +292,12 @@ def test_tokens_absent_from_the_batch(normalize):
     zpos[0] = -1000.0
     P, params = _planted(t, zpos, normalize, rng, K=QA_K, N=n, M=80)
     m = _assert_matches_oracle(params, states, P, normalize)
-    assert m.S is None
+    assert m.S is not None
     np.testing.assert_array_equal(m.xs[absent], 0.0)
     # not even non-finite logits of absent tokens reach it
     geo = geometry(*P.shape, normalize)
     fp = factor(params, P, geo)
-    batch = Batch.of(states, QA_K)
+    batch = Batch.of(states)
     for bad in (np.inf, np.nan):
         wtok = fp.wtok.copy()
         wtok[absent] = bad
@@ -290,36 +306,52 @@ def test_tokens_absent_from_the_batch(normalize):
             attention(fp, batch, geo))
 
 
+@pytest.mark.parametrize("where, bad", [("body", -np.inf), ("body", np.nan), ("query", np.inf),
+                                        ("query", -np.inf), ("token", np.inf), ("token", np.nan)])
+def test_non_finite_logits_take_the_dense_form_and_raise(where, bad):
+    # a non-finite logit of a position or of a present token fails the
+    # linear form's clause, and the dense form raises on it: a -inf body
+    # logit would otherwise only zero its e_j
+    rng = np.random.default_rng(6)
+    batch = Batch.of(make_dataset(WalkConfig(K=K, p=0.5, N=N, M=M), 12, seed=1))
+    assert (batch.states[:, :-1] == 1).any()
+    geo = geometry(M, N)
+    fp = FactoredParams(V=rng.uniform(0.1, 1.0, (K, K)), wtok=rng.standard_normal(K),
+                        zpos=rng.standard_normal(N))
+    name, i = {"body": ("zpos", 3), "query": ("zpos", -1), "token": ("wtok", 0)}[where]
+    x = getattr(fp, name).copy()
+    x[i] = bad
+    fp = dataclasses.replace(fp, **{name: x})
+    assert not usual_form(fp, geo)
+    with pytest.raises(FloatingPointError, match="non-finite attention logits"):
+        token_masses(fp, batch, geo)
+
+
 @pytest.mark.parametrize("kind", ["walk", "qa"])
 def test_batch_index_matches_its_formulas(kind):
-    # cell[b, j] = (s_bj - 1) B + b, y_b = s_bN - 1, and present[k] says
-    # whether token k + 1 occurs in some body; both batches leave at least
-    # one token out of every body
+    # cell[b, j] = (s_bj - 1) B + b and y_b = s_bN - 1
     if kind == "walk":
-        K, states = 11, make_dataset(WalkConfig(K=11, p=0.5, N=4, M=8), 5, seed=3)
+        states = make_dataset(WalkConfig(K=11, p=0.5, N=4, M=8), 5, seed=3)
     else:
-        K, states = QA_K, qa_dataset(TASK1, 9, seed=1)
-    batch = Batch.of(states, K)
+        states = qa_dataset(TASK1, 9, seed=1)
+    batch = Batch.of(states)
     B, N = states.shape
     assert batch.cell.shape == (B, N - 1)
     for b in range(B):
         assert batch.y[b] == states[b, -1] - 1
         for j in range(N - 1):
             assert batch.cell[b, j] == (states[b, j] - 1) * B + b, (b, j)
-    in_body = {int(s) for s in states[:, :-1].ravel()}
-    assert batch.present(K).tolist() == [k + 1 in in_body for k in range(K)]
-    assert not batch.present(K).all()
 
 
 def test_reindex_after_drawing_into_the_states_is_a_fresh_batch():
     # resampling draws each training set into the first one's states and
     # reindexes it; the result is the batch of the new states
     cfg = WalkConfig(K=5, p=0.4, N=11, M=40)
-    batch = Batch.of(make_dataset(cfg, 30, seed=1), 5)
+    batch = Batch.of(make_dataset(cfg, 30, seed=1))
     arrays = (batch.states, batch.y, batch.cell)
     make_dataset(cfg, 30, seed=2, out=batch.states)
     batch.reindex()
-    fresh = Batch.of(make_dataset(cfg, 30, seed=2), 5)
+    fresh = Batch.of(make_dataset(cfg, 30, seed=2))
     for name in ("states", "y", "weights", "cell"):
         np.testing.assert_array_equal(getattr(batch, name), getattr(fresh, name), err_msg=name)
     assert all(a is b for a, b in zip(arrays, (batch.states, batch.y, batch.cell)))
@@ -329,7 +361,7 @@ def test_attention_weights_outlive_later_passes_over_the_batch():
     # the weights S are the caller's: neither a later gather over the same
     # batch nor a later token_masses or attention on it writes into them
     rng = np.random.default_rng(5)
-    batch = Batch.of(make_dataset(WalkConfig(K=K, p=0.4, N=N, M=M), 30, seed=1), K)
+    batch = Batch.of(make_dataset(WalkConfig(K=K, p=0.4, N=N, M=M), 30, seed=1))
     geo = geometry(M, N)
     fp = FactoredParams(V=rng.uniform(0.1, 1.0, (K, K)), wtok=rng.standard_normal(K),
                         zpos=rng.standard_normal(N))
@@ -341,40 +373,3 @@ def test_attention_weights_outlive_later_passes_over_the_batch():
     attention(later, batch, geo)
     np.testing.assert_array_equal(S, kept)
 
-
-def _count_present(monkeypatch):
-    """Patch `Batch.present` to record each call; returns the record."""
-    calls, real = [], Batch.present
-
-    def counted(self, K):
-        calls.append(K)
-        return real(self, K)
-
-    monkeypatch.setattr(Batch, "present", counted)
-    return calls
-
-
-def test_presence_is_not_computed_on_in_range_finite_logits(monkeypatch):
-    # study-scale fig4 iterations keep their logits finite and every body
-    # position within exp's range of the top, so no token_masses call reads
-    # which tokens are present.  The query's own logit falls ~1900 below the
-    # body after one step, but its weight is never taken through e_j
-    calls = _count_present(monkeypatch)
-    train(TrainConfig(K=6, p=0.5, N=97, M=1000, eta=1.0, eps=0.1, iterations=4))
-    assert calls == []
-
-
-@pytest.mark.parametrize("normalize", [False, True])
-def test_presence_is_computed_once_per_call_beyond_the_exp_range(monkeypatch, normalize):
-    # the planted positional spread of 2000 fails the range test on every
-    # call, which then masks the absent tokens once
-    rng = np.random.default_rng(0)
-    P, params = _planted(rng.uniform(-3, 3, K), -250.0 * np.arange(N)[::-1], normalize, rng)
-    states = make_dataset(WalkConfig(K=K, p=0.5, N=N, M=M), 12, seed=1)
-    geo = geometry(M, N, normalize)
-    fp, batch = factor(params, P, geo), Batch.of(states, K, transition_matrix(K, 0.5))
-    calls = _count_present(monkeypatch)
-    attention(fp, batch, geo)
-    grad_batch(fp, batch, geo, EPS)
-    evaluate(fp, batch, geo)
-    assert calls == [K] * 3

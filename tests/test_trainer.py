@@ -115,7 +115,7 @@ def test_batch_forward_matches_forward():
     # the dense per-episode model
     cfg = WalkConfig(K=5, p=0.6, N=8, M=24)
     states = make_dataset(cfg, 10, seed=2)
-    batch = Batch.of(states, 5)
+    batch = Batch.of(states)
     P = build_positional(24, 8)
     params = Params.gaussian(5, 24, 0.1, np.random.default_rng(1))
     for normalize in (False, True):
@@ -137,13 +137,13 @@ def test_evaluate_fields():
     states = make_dataset(cfg, 32, seed=0)
     P, geo = build_positional(40, 9), geometry(40, 9)
     params = Params.gaussian(4, 40, 0.1, np.random.default_rng(5))
-    row = evaluate(factor(params, P, geo), Batch.of(states, 4, transition_matrix(4, 0.5)), geo)
+    row = evaluate(factor(params, P, geo), Batch.of(states, transition_matrix(4, 0.5)), geo)
     assert 0.0 <= row.accuracy <= 1.0
     assert np.isfinite(row.kl) and row.kl >= 0.0
     assert np.isfinite(row.v_dist)
     assert 0.0 <= row.attn_parent <= 1.0
     # no transition matrix (QA): comparison metrics are NaN
-    row_qa = evaluate(factor(params, P, geo), Batch.of(states, 4), geo)
+    row_qa = evaluate(factor(params, P, geo), Batch.of(states), geo)
     assert np.isnan(row_qa.kl) and np.isnan(row_qa.v_dist)
     assert np.isfinite(row_qa.accuracy)
 
@@ -285,9 +285,9 @@ def test_iterations_never_read_p(monkeypatch, run, normalize):
     if cfg.grad_mode == "population":
         batch = test
     elif cfg.qa_task is not None:
-        batch = Batch.of(qa_dataset(cfg.qa_task, 16, seed=cfg.seed), wc.K)
+        batch = Batch.of(qa_dataset(cfg.qa_task, 16, seed=cfg.seed))
     else:
-        batch = Batch.of(make_dataset(wc, 16, seed=cfg.seed), wc.K)
+        batch = Batch.of(make_dataset(wc, 16, seed=cfg.seed))
     rows = [evaluate(fp, test, free)]
     for t in range(1, cfg.iterations + 1):
         bg = grad_batch(fp, batch, free, cfg.eps)
@@ -317,7 +317,7 @@ def test_non_finite_logits_raise():
     P, geo = build_positional(40, 9), geometry(40, 9)
     states = make_dataset(WalkConfig(K=4, p=0.5, N=9, M=40), 4, seed=0)
     with pytest.raises(FloatingPointError):
-        grad_batch(factor(params, P, geo), Batch.of(states, 4), geo, 0.1)
+        grad_batch(factor(params, P, geo), Batch.of(states), geo, 0.1)
 
 
 def test_log_loss_argument_outside_the_domain_raises():
